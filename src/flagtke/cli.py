@@ -586,7 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: e.g. --out into a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

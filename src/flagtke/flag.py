@@ -12,6 +12,11 @@ we compute, exactly:
 * the anticanonical degree, via the classical product formula over the
   radical roots, with integrality enforced rather than assumed.
 
+Construction is integer arithmetic throughout (integer coroot forms from
+`rootsys`, support bitmasks, one exact big-integer division for the
+degree); `fractions.Fraction` appears only in the classes of the public
+API.
+
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
 the CLI for the display-only "raw" toggle.
@@ -19,8 +24,8 @@ the CLI for the display-only "raw" toggle.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -72,11 +77,12 @@ class KahlerClass(CohomologyClass):
 class ParabolicData:
     """Root-theoretic data of one parabolic quotient G/P.
 
-    The trailing private fields are per-radical-root caches derived from
-    the public ones (coroot pairing forms restricted to the complement,
-    plus the pairings of delta_p and of the Weyl vector); they exist so
-    that the volume and trace product formulas of downstream modules are
-    small dot products instead of repeated root-system lookups.
+    The trailing private fields are derived from the public ones: the
+    integer coroot forms of the radical roots restricted to the
+    complement, the integer pairings of delta_p and of the Weyl vector
+    with every radical coroot, and the degree.  They exist so that the
+    volume and trace product formulas of downstream modules are small
+    integer dot products instead of repeated root-system lookups.
     """
 
     rs: RootSystem
@@ -86,9 +92,10 @@ class ParabolicData:
     radical_roots: tuple[Root, ...]
     delta_p: Root
     koszul: tuple[int, ...]
-    _complement_forms: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    _delta_pairings: tuple[Fraction, ...] = field(repr=False)
-    _rho_pairings: tuple[Fraction, ...] = field(repr=False)
+    _complement_forms: tuple[tuple[int, ...], ...] = field(repr=False)
+    _delta_pairings: tuple[int, ...] = field(repr=False)
+    _rho_pairings: tuple[int, ...] = field(repr=False)
+    _degree: int = field(repr=False)
 
     @property
     def lie_type(self) -> LieType:
@@ -115,20 +122,22 @@ class ParabolicData:
             coords[i - 1] = c
         return Weight(tuple(coords))
 
-    def radical_pairings(self, cls: CohomologyClass) -> tuple[Fraction, ...]:
-        """Pairing of a Picard class with every radical coroot, in order."""
+    def radical_pairings(self, cls: CohomologyClass) -> tuple[tuple[int, ...], int]:
+        """Pairing of a Picard class with every radical coroot, in order.
+
+        Returned as integer numerators over one common denominator, the
+        lcm of the class's coordinate denominators: the pairing with the
+        k-th radical coroot is ``Fraction(nums[k], den)``.
+        """
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
                 f"class has {len(cls.coords)} coordinates, "
                 f"complement has {self.picard_rank}"
             )
-        return tuple(
-            sum(
-                (c * v for c, v in zip(cls.coords, row, strict=True)),
-                start=Fraction(0),
-            )
-            for row in self._complement_forms
-        )
+        den = math.lcm(*(c.denominator for c in cls.coords))
+        scaled = [c.numerator * (den // c.denominator) for c in cls.coords]
+        nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)
+        return nums, den
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"
@@ -173,29 +182,28 @@ def parabolic(
             "the quotient is a point, not a flag variety"
         )
 
-    theta_set = frozenset(th)
-    levi = tuple(g for g in rs.positive_roots if g.support() <= theta_set)
-    radical = tuple(g for g in rs.positive_roots if not (g.support() <= theta_set))
+    # A root lies in the Levi part iff its support avoids the complement.
+    theta_mask = sum(1 << (i - 1) for i in th)
+    levi: list[Root] = []
+    radical: list[Root] = []
+    forms: list[tuple[int, ...]] = []
+    for g, mask, form in zip(rs.positive_roots, rs.support_masks, rs.coroot_forms):
+        if mask & ~theta_mask:
+            radical.append(g)
+            forms.append(form)
+        else:
+            levi.append(g)
 
-    delta = [0] * rs.rank
-    for g in radical:
-        for k, c in enumerate(g.coeffs):
-            delta[k] += c
-    delta_p = Root(tuple(delta))
-    dw = rs.root_to_weight(delta_p)
+    delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
+    delta_p = Root(delta)
 
-    # Anticanonical pairings: integral everywhere, zero exactly on theta,
-    # strictly positive on the complement.  Cheap sanity net over every
-    # construction path, so enforced here rather than in tests only.
+    # Anticanonical pairings: zero exactly on theta, strictly positive on
+    # the complement.  Cheap sanity net over every construction path, so
+    # enforced here rather than in tests only.
     koszul: list[int] = []
     for i in range(1, rs.rank + 1):
-        v = dw.coords[i - 1]
-        if v.denominator != 1:
-            raise RuntimeError(
-                f"non-integral anticanonical pairing at node {i} of {rs.lie_type}"
-            )
-        n = int(v)
-        if i in theta_set:
+        n = sum(d * row[i - 1] for d, row in zip(delta, rs.cartan))
+        if i in th:
             if n != 0:
                 raise RuntimeError(
                     f"anticanonical pairing at Levi node {i} is {n}, expected 0"
@@ -208,46 +216,43 @@ def parabolic(
             koszul.append(n)
 
     koszul_t = tuple(koszul)
-    forms = tuple(rs.coroot_pairing_form(g) for g in radical)
     comp_forms = tuple(tuple(f[i - 1] for i in comp) for f in forms)
-    delta_pairings = tuple(
-        sum((k * v for k, v in zip(koszul_t, row, strict=True)), start=Fraction(0))
-        for row in comp_forms
-    )
-    rho_pairings = tuple(sum(f, start=Fraction(0)) for f in forms)
+    delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
+    rho_pairings = tuple(sum(f) for f in forms)
 
-    return ParabolicData(
+    # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as one
+    # exact division of big integers that must leave a positive quotient
+    # and no remainder.
+    num = math.factorial(len(radical)) * math.prod(delta_pairings)
+    den = math.prod(rho_pairings)
+    deg, rem = divmod(num, den)
+    p = ParabolicData(
         rs=rs,
         theta=th,
         complement=comp,
-        levi_roots=levi,
-        radical_roots=radical,
+        levi_roots=tuple(levi),
+        radical_roots=tuple(radical),
         delta_p=delta_p,
         koszul=koszul_t,
         _complement_forms=comp_forms,
         _delta_pairings=delta_pairings,
         _rho_pairings=rho_pairings,
+        _degree=deg,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _degree_cached(lie_type: LieType, theta: tuple[int, ...]) -> int:
-    p = parabolic(lie_type, theta)
-    val = Fraction(math.factorial(p.dim))
-    for dv, rv in zip(p._delta_pairings, p._rho_pairings, strict=True):
-        val *= dv / rv
-    if val.denominator != 1 or val <= 0:
+    if rem or deg <= 0:
         raise RuntimeError(
-            f"anticanonical degree of {p.describe()} is {val}, not a positive integer"
+            f"anticanonical degree of {p.describe()} is {Fraction(num, den)}, "
+            "not a positive integer"
         )
-    return int(val)
+    return p
 
 
 def degree(p: ParabolicData) -> int:
     """Anticanonical degree: dim! * prod over radical roots of
-    <delta_P, coroot(g)> / <rho, coroot(g)>.  Always a positive integer.
+    <delta_P, coroot(g)> / <rho, coroot(g)>.  Always a positive integer,
+    computed once when ``p`` is built.
     """
-    return _degree_cached(p.lie_type, p.theta)
+    return p._degree
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ coordinates on the complement nodes, and all are computed exactly:
 * trace and scalar curvature of invariant classes;
 * the two-sided degree bound combining all of the above.
 
+Arithmetic inside is integer: a class is paired with the radical coroots
+as integer numerators over one common denominator, and each public
+function builds a single `fractions.Fraction` for the value it returns.
+
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
 koszul numbers and the twisted existence test is a plain coordinate
@@ -165,10 +169,10 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     <xi, coroot(g)> / <delta_P, coroot(g)>.
     """
     x = _as_kahler(p, xi, "Kahler class")
-    val = Fraction(degree(p))
-    for xv, dv in zip(p.radical_pairings(x), p._delta_pairings, strict=True):
-        val *= xv / dv
-    return val
+    nums, den = p.radical_pairings(x)
+    return Fraction(
+        degree(p) * math.prod(nums), den**p.dim * math.prod(p._delta_pairings)
+    )
 
 
 def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
@@ -178,10 +182,10 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     touching the degree or delta_P, so the two routes check each other.
     """
     x = _as_kahler(p, xi, "Kahler class")
-    val = Fraction(math.factorial(p.dim))
-    for xv, rv in zip(p.radical_pairings(x), p._rho_pairings, strict=True):
-        val *= xv / rv
-    return val
+    nums, den = p.radical_pairings(x)
+    return Fraction(
+        math.factorial(p.dim) * math.prod(nums), den**p.dim * math.prod(p._rho_pairings)
+    )
 
 
 def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
@@ -193,10 +197,12 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     """
     w = _as_kahler(p, omega, "metric class")
     b = _as_class(p, beta, "traced class")
-    return sum(
-        (bv / wv for bv, wv in zip(p.radical_pairings(b), p.radical_pairings(w), strict=True)),
-        start=Fraction(0),
-    )
+    b_nums, b_den = p.radical_pairings(b)
+    w_nums, w_den = p.radical_pairings(w)
+    # sum_k (b_k/b_den) / (w_k/w_den), over the common multiple of the w_k
+    lcm = math.lcm(*w_nums)
+    total = sum(bn * (lcm // wn) for bn, wn in zip(b_nums, w_nums))
+    return Fraction(total * w_den, lcm * b_den)
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:

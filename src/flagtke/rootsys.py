@@ -2,8 +2,11 @@
 
 Everything downstream (parabolic data, anticanonical classes, volumes)
 reduces to integer linear algebra on root coordinates, so this module is
-deliberately dependency-free and exact: integers for roots,
-`fractions.Fraction` for weights and pairings, no floating point.
+deliberately dependency-free and exact, with no floating point.  Inside,
+everything is an integer: roots, the Cartan matrix, and the coroot form
+of every positive root (checked integral once, when the system is
+built).  `fractions.Fraction` appears only at the API boundary, in
+weights and in the values that public pairing functions return.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -253,9 +256,13 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[Fraction, ...]
     positive_roots: tuple[Root, ...]
-    _positive_set: frozenset[tuple[int, ...]] = field(repr=False)
-    # coeff tuple of a positive root -> its coroot pairing form
-    _coroot_forms: dict[tuple[int, ...], tuple[Fraction, ...]] = field(repr=False)
+    # Parallel to positive_roots: the integer coroot form of each root,
+    # <lam, coroot(g)> = sum_i lam_i * form[i], and its support as a
+    # bitmask (bit i-1 set iff alpha_i occurs in g).
+    coroot_forms: tuple[tuple[int, ...], ...] = field(repr=False)
+    support_masks: tuple[int, ...] = field(repr=False)
+    # coeff tuple of a positive root -> its integer coroot form
+    _form_of: dict[tuple[int, ...], tuple[int, ...]] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -273,20 +280,21 @@ class RootSystem:
 
     def is_root(self, gamma: Root) -> bool:
         c = gamma.coeffs
-        return c in self._positive_set or tuple(-v for v in c) in self._positive_set
+        return c in self._form_of or tuple(-v for v in c) in self._form_of
 
     def coroot_pairing_form(self, gamma: Root) -> tuple[Fraction, ...]:
         """Linear form v with pairing(lam, gamma) = sum_i lam.coords[i]*v[i].
 
-        Precomputed for every root; negative roots get the negated form.
+        Precomputed for every positive root; negative roots get the
+        negated form.
         """
-        form = self._coroot_forms.get(gamma.coeffs)
-        if form is not None:
-            return form
-        neg = self._coroot_forms.get(tuple(-c for c in gamma.coeffs))
-        if neg is not None:
-            return tuple(-v for v in neg)
-        raise ValueError(f"{gamma} is not a root of {self.lie_type}")
+        form = self._form_of.get(gamma.coeffs)
+        if form is None:
+            neg = self._form_of.get(tuple(-c for c in gamma.coeffs))
+            if neg is None:
+                raise ValueError(f"{gamma} is not a root of {self.lie_type}")
+            form = tuple(-v for v in neg)
+        return tuple(Fraction(v) for v in form)
 
     def pairing(self, lam: Weight, gamma: Root) -> Fraction:
         """<lam, coroot(gamma)> = 2(lam, gamma)/(gamma, gamma), exact.
@@ -339,6 +347,12 @@ class RootSystem:
             raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
 
 
+def _integral_form(t: LieType, gamma: Root, form: Sequence[Fraction]) -> tuple[int, ...]:
+    if any(v.denominator != 1 for v in form):
+        raise RuntimeError(f"coroot of {gamma} in {t} has non-integral form {form}")
+    return tuple(int(v) for v in form)
+
+
 @functools.lru_cache(maxsize=None)
 def build_root_system(lie_type: LieType | str) -> RootSystem:
     """Construct (and cache) the root system for a simple type."""
@@ -346,11 +360,15 @@ def build_root_system(lie_type: LieType | str) -> RootSystem:
     cartan = _cartan_matrix(t)
     d = _symmetrizer(cartan)
     positives = _positive_roots(cartan)
+    forms = tuple(_integral_form(t, r, coroot_form(cartan, d, r.coeffs)) for r in positives)
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=d,
         positive_roots=positives,
-        _positive_set=frozenset(r.coeffs for r in positives),
-        _coroot_forms={r.coeffs: coroot_form(cartan, d, r.coeffs) for r in positives},
+        coroot_forms=forms,
+        support_masks=tuple(
+            sum(1 << i for i, c in enumerate(r.coeffs) if c) for r in positives
+        ),
+        _form_of={r.coeffs: f for r, f in zip(positives, forms)},
     )

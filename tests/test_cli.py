@@ -295,6 +295,15 @@ def test_out_file_carries_json_even_in_text_mode(capsys, tmp_path):
     assert on_disk == json_out
 
 
+def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "flag", "A3", "--theta", "1", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_units_raw_annotates_but_does_not_rescale(capsys):
     _, plain, _ = run(capsys, "flag", "A3", "--complement", "2,3")
     _, raw, _ = run(capsys, "flag", "A3", "--complement", "2,3", "--units", "raw")

@@ -1,11 +1,15 @@
 """Parabolic quotients: index vectors, dimension, degree, degree bound."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+import flagtke.flag
 from flagtke import (
     KahlerClass,
+    LieType,
+    Root,
     anticanonical_class,
     build_root_system,
     degree,
@@ -13,6 +17,28 @@ from flagtke import (
     parabolic,
     snow_check,
 )
+
+
+def flags_up_to_rank(max_rank):
+    """(type, theta) for every flag variety of rank <= max_rank."""
+    for rank in range(1, max_rank + 1):
+        for series in "ABCDEFG":
+            try:
+                t = LieType(series, rank)
+            except ValueError:
+                continue
+            for mask in range(2**rank - 1):
+                yield t, tuple(i + 1 for i in range(rank) if mask >> i & 1)
+
+
+def fraction_route_pairings(lie_type, theta):
+    """<delta_P, coroot(g)> and <rho, coroot(g)> over the radical roots,
+    from the root system's Fraction pairings alone (no parabolic data)."""
+    rs = build_root_system(lie_type)
+    radical = [g for g in rs.positive_roots if not g.support() <= set(theta)]
+    delta = Root(tuple(map(sum, zip(*(g.coeffs for g in radical)))))
+    dw, rho = rs.root_to_weight(delta), rs.weyl_vector()
+    return [rs.pairing(dw, g) for g in radical], [rs.pairing(rho, g) for g in radical]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +200,9 @@ def test_radical_pairings_agree_with_direct_pairing():
     xi = KahlerClass.of((Fraction(3, 2), 1))
     w = p.class_weight(xi)
     direct = tuple(p.rs.pairing(w, g) for g in p.radical_roots)
-    assert p.radical_pairings(xi) == direct
+    nums, den = p.radical_pairings(xi)
+    assert all(isinstance(n, int) for n in nums) and den == 2
+    assert tuple(Fraction(n, den) for n in nums) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +224,39 @@ def test_degree_is_positive_integer_everywhere_small():
             theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)
             d = degree(parabolic(token, theta=theta))
             assert isinstance(d, int) and d > 0
+
+
+def test_degree_matches_hilbert_polynomial_oracle():
+    # P(k) = prod over radical g of (k<delta_P,g^v> + <rho,g^v>) / <rho,g^v>
+    # is dim H^0(G/P, -kK) by the Weyl dimension formula: integral at
+    # k = 0..n, n-th finite difference n! * leading coefficient = degree,
+    # and Serre duality P(-1-k) = (-1)^n P(k).
+    count = 0
+    for t, theta in flags_up_to_rank(5):
+        d, r = fraction_route_pairings(t, theta)
+        n = len(d)
+
+        def hilbert(k):
+            return math.prod((k * dv + rv) / rv for dv, rv in zip(d, r))
+
+        values = [hilbert(k) for k in range(n + 1)]
+        assert all(v.denominator == 1 for v in values), (t, theta)
+        diff = sum((-1) ** (n - j) * math.comb(n, j) * v for j, v in enumerate(values))
+        assert diff == degree(parabolic(t, theta)), (t, theta)
+        assert all(hilbert(-1 - k) == (-1) ** n * values[k] for k in range(n + 1)), (t, theta)
+        count += 1
+    assert count == 233
+
+
+def test_degree_does_not_rebuild_the_parabolic(monkeypatch):
+    p = parabolic("A9", complement=(2, 5, 7))
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("degree rebuilt the parabolic")
+
+    monkeypatch.setattr(flagtke.flag, "parabolic", rebuild)
+    d, r = fraction_route_pairings("A9", p.theta)
+    assert degree(p) == math.factorial(p.dim) * math.prod(a / b for a, b in zip(d, r))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,26 @@ def test_symmetrizer_rescaling_leaves_pairings_unchanged(t, scale):
         )
 
 
+def test_stored_coroot_forms_are_ints_equal_to_fraction_route():
+    for t in all_types(8):
+        rs = build_root_system(t)
+        assert len(rs.coroot_forms) == len(rs.support_masks) == len(rs.positive_roots)
+        for r, form, mask in zip(rs.positive_roots, rs.coroot_forms, rs.support_masks):
+            assert all(type(v) is int for v in form), (t, r)
+            assert form == coroot_form(rs.cartan, rs.symmetrizer, r.coeffs), (t, r)
+            assert mask == sum(1 << (i - 1) for i in r.support()), (t, r)
+
+
+def test_non_integral_coroot_form_rejected_at_build(monkeypatch):
+    import flagtke.rootsys as rootsys
+
+    monkeypatch.setattr(
+        rootsys, "coroot_form", lambda a, d, c: tuple(Fraction(v, 2) for v in c)
+    )
+    with pytest.raises(RuntimeError, match="non-integral"):
+        build_root_system.__wrapped__("A2")  # bypass the cache
+
+
 # ---------------------------------------------------------------------------
 # root_to_weight
 
