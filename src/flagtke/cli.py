@@ -17,7 +17,9 @@ the factor; it never changes a stored or serialized value.
 
 Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
-failure), 2 usage or validation error.
+failure, an internal cross check such as the two volume routes
+disagreeing), 2 usage or validation error.  Errors print one line to
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -589,6 +591,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # OSError: e.g. --out into a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # an internal check failed, e.g. volume routes disagree
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -28,9 +28,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence, Union
 
-from .rootsys import LieType, Rational, Root, RootSystem, Weight, build_root_system
+from .rootsys import LieType, Rational, Root, RootSystem, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -73,6 +73,9 @@ class KahlerClass(CohomologyClass):
             raise ValueError(f"Kahler class needs positive coordinates, got {self}")
 
 
+ClassLike = Union[CohomologyClass, Sequence[Rational]]
+
+
 @dataclass(frozen=True)
 class ParabolicData:
     """Root-theoretic data of one parabolic quotient G/P.
@@ -110,30 +113,38 @@ class ParabolicData:
     def picard_rank(self) -> int:
         return len(self.complement)
 
-    def class_weight(self, cls: CohomologyClass) -> Weight:
-        """Embed Picard coordinates as a weight supported on the complement."""
+    def checked_class(
+        self, values: ClassLike, what: str, *, positive: bool = False
+    ) -> CohomologyClass:
+        """The one check of a class argument: a sequence becomes a class of
+        `Fraction`s once, a `CohomologyClass` passes through; the arity must
+        be the Picard rank.  With ``positive`` (a Kahler slot) the result is
+        a `KahlerClass`, so it is strictly positive.
+        """
+        cls = values if isinstance(values, CohomologyClass) else CohomologyClass.of(values)
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
-                f"class has {len(cls.coords)} coordinates, "
-                f"complement has {self.picard_rank}"
+                f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
+                f"has Picard rank {self.picard_rank}"
             )
-        coords = [Fraction(0)] * self.rs.rank
-        for i, c in zip(self.complement, cls.coords, strict=True):
-            coords[i - 1] = c
-        return Weight(tuple(coords))
+        if positive and not isinstance(cls, KahlerClass):
+            try:  # KahlerClass's own invariant is the positivity test
+                cls = KahlerClass(cls.coords)
+            except ValueError:
+                raise ValueError(
+                    f"{what} must have strictly positive coordinates, got {cls}"
+                ) from None
+        return cls
 
-    def radical_pairings(self, cls: CohomologyClass) -> tuple[tuple[int, ...], int]:
+    def radical_pairings(self, cls: ClassLike) -> tuple[tuple[int, ...], int]:
         """Pairing of a Picard class with every radical coroot, in order.
 
+        ``cls`` goes through `checked_class` (arity only, any sign).
         Returned as integer numerators over one common denominator, the
         lcm of the class's coordinate denominators: the pairing with the
         k-th radical coroot is ``Fraction(nums[k], den)``.
         """
-        if len(cls.coords) != self.picard_rank:
-            raise ValueError(
-                f"class has {len(cls.coords)} coordinates, "
-                f"complement has {self.picard_rank}"
-            )
+        cls = self.checked_class(cls, "class")
         den = math.lcm(*(c.denominator for c in cls.coords))
         scaled = [c.numerator * (den // c.denominator) for c in cls.coords]
         nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)

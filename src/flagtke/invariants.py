@@ -19,6 +19,10 @@ customary 2*pi factor, so the anticanonical class IS the vector of
 koszul numbers and the twisted existence test is a plain coordinate
 comparison.  Twists may be any rationals, including negative ones;
 Kahler classes must be strictly positive.
+
+A class argument is a sequence of rationals or a `CohomologyClass` /
+`KahlerClass`, checked once by `ParabolicData.checked_class` (arity =
+Picard rank, Kahler arguments strictly positive) and handed on as is.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .flag import CohomologyClass, KahlerClass, ParabolicData, degree
-from .rootsys import Rational
+from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
 
 __all__ = [
     "CohomologyClass",
@@ -48,30 +51,6 @@ __all__ = [
     "scalar_curvature",
     "volume_bound_report",
 ]
-
-ClassLike = Union[CohomologyClass, Sequence[Rational]]
-
-
-def _as_class(p: ParabolicData, values: ClassLike, what: str) -> CohomologyClass:
-    if isinstance(values, KahlerClass):
-        cls = CohomologyClass(values.coords)
-    elif isinstance(values, CohomologyClass):
-        cls = values
-    else:
-        cls = CohomologyClass.of(values)
-    if len(cls.coords) != p.picard_rank:
-        raise ValueError(
-            f"{what} has {len(cls.coords)} coordinates but {p.describe()} "
-            f"has Picard rank {p.picard_rank}"
-        )
-    return cls
-
-
-def _as_kahler(p: ParabolicData, values: ClassLike, what: str) -> KahlerClass:
-    cls = _as_class(p, values, what)
-    if any(c <= 0 for c in cls.coords):
-        raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
-    return KahlerClass(cls.coords)
 
 
 @dataclass(frozen=True)
@@ -123,13 +102,13 @@ def tke_exists(p: ParabolicData, beta: ClassLike) -> TkeResult:
     Solvable iff every twist coordinate is strictly below the koszul
     number at its node; the solution class is then koszul - beta.
     """
-    b = _as_class(p, beta, "twist class")
+    b = p.checked_class(beta, "twist class")
     margins = {
         idx: Fraction(k) - c
         for idx, k, c in zip(p.complement, p.koszul, b.coords, strict=True)
     }
     ok = all(m > 0 for m in margins.values())
-    metric = KahlerClass.of(margins[idx] for idx in p.complement) if ok else None
+    metric = KahlerClass(tuple(margins.values())) if ok else None
     return TkeResult(exists=ok, metric=metric, margins=margins)
 
 
@@ -139,16 +118,16 @@ def tke_solve_from_kahler(p: ParabolicData, xi: ClassLike) -> TwistedSolution:
     For any positive xi the pair (omega, beta) = (xi, koszul - xi)
     solves Ric(omega) = omega + beta; this never fails on valid input.
     """
-    x = _as_kahler(p, xi, "Kahler class")
-    beta = CohomologyClass.of(
-        Fraction(k) - c for k, c in zip(p.koszul, x.coords, strict=True)
+    x = p.checked_class(xi, "Kahler class", positive=True)
+    beta = CohomologyClass(
+        tuple(Fraction(k) - c for k, c in zip(p.koszul, x.coords, strict=True))
     )
     return TwistedSolution(omega=x, beta=beta)
 
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
-    x = _as_kahler(p, xi, "Kahler class")
+    x = p.checked_class(xi, "Kahler class", positive=True)
     ratios = {
         idx: Fraction(k) / c
         for idx, k, c in zip(p.complement, p.koszul, x.coords, strict=True)
@@ -168,7 +147,7 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     equals the anticanonical degree: degree * prod over radical roots of
     <xi, coroot(g)> / <delta_P, coroot(g)>.
     """
-    x = _as_kahler(p, xi, "Kahler class")
+    x = p.checked_class(xi, "Kahler class", positive=True)
     nums, den = p.radical_pairings(x)
     return Fraction(
         degree(p) * math.prod(nums), den**p.dim * math.prod(p._delta_pairings)
@@ -181,11 +160,22 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     Algebraically equal to volume_class, but evaluated without ever
     touching the degree or delta_P, so the two routes check each other.
     """
-    x = _as_kahler(p, xi, "Kahler class")
+    x = p.checked_class(xi, "Kahler class", positive=True)
     nums, den = p.radical_pairings(x)
     return Fraction(
         math.factorial(p.dim) * math.prod(nums), den**p.dim * math.prod(p._rho_pairings)
     )
+
+
+def _ratio_sum(
+    p: ParabolicData, w: KahlerClass, b_nums: Sequence[int], b_den: int
+) -> Fraction:
+    """sum_k (b_nums[k]/b_den) / (w_k/w_den), w_k/w_den the radical pairings
+    of ``w``, summed over the common multiple of the w_k."""
+    w_nums, w_den = p.radical_pairings(w)
+    lcm = math.lcm(*w_nums)
+    total = sum(bn * (lcm // wn) for bn, wn in zip(b_nums, w_nums))
+    return Fraction(total * w_den, lcm * b_den)
 
 
 def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
@@ -195,22 +185,19 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     radical root g with eigenvalue <lambda, coroot(g)>, so the trace is
     the sum over radical roots of the beta/omega eigenvalue ratios.
     """
-    w = _as_kahler(p, omega, "metric class")
-    b = _as_class(p, beta, "traced class")
-    b_nums, b_den = p.radical_pairings(b)
-    w_nums, w_den = p.radical_pairings(w)
-    # sum_k (b_k/b_den) / (w_k/w_den), over the common multiple of the w_k
-    lcm = math.lcm(*w_nums)
-    total = sum(bn * (lcm // wn) for bn, wn in zip(b_nums, w_nums))
-    return Fraction(total * w_den, lcm * b_den)
+    w = p.checked_class(omega, "metric class", positive=True)
+    b = p.checked_class(beta, "traced class")
+    return _ratio_sum(p, w, *p.radical_pairings(b))
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
     """Scalar curvature of the invariant metric in the class omega:
     the trace of the anticanonical class against omega.  Constant, and
-    equal to dim when omega is the anticanonical class itself.
+    equal to dim when omega is the anticanonical class itself.  The
+    anticanonical pairings are the ones stored on ``p``.
     """
-    return trace(p, omega, CohomologyClass.of(p.koszul))
+    w = p.checked_class(omega, "metric class", positive=True)
+    return _ratio_sum(p, w, p._delta_pairings, 1)
 
 
 def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
@@ -220,7 +207,7 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     the left one is an equality precisely when xi is proportional to the
     anticanonical class, the right one precisely for projective space.
     """
-    x = _as_kahler(p, xi, "Kahler class")
+    x = p.checked_class(xi, "Kahler class", positive=True)
     n = p.dim
     r = grlb(p, x)
     vol = volume_class(p, x)

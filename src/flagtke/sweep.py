@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .flag import ParabolicData, parabolic, snow_check
+from .flag import KahlerClass, ParabolicData, parabolic, snow_check
 from .invariants import (
     scalar_curvature,
     tke_exists,
@@ -156,12 +156,9 @@ def enumerate_flags(max_rank: int) -> Iterator[ParabolicData]:
                 yield parabolic(t, theta)
 
 
-def _spec_string(p: ParabolicData, xi: tuple[Fraction, ...] | None) -> str:
-    theta = ",".join(str(i) for i in p.theta)
-    out = f"{p.lie_type} --theta \"{theta}\""
-    if xi is not None:
-        out += " --xi " + ",".join(str(c) for c in xi)
-    return out
+# The CLI command that reruns each check's input (none computes S or a trace).
+_REPRODUCE = {"snow": "flag", "cross": "volume", "volbound": "report",
+              "cscK": "report", "roundtrip": "tke"}
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -169,8 +166,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Per flag: the degree bound once, then for each seeded sample one
     positive class (and a signed twist when the roundtrip check is on).
-    Returns all failures with one reproducer line each; an empty failure
-    list is the expected outcome on a correct build.
+    Returns all failures, each with a runnable `flagtke` command line that
+    reproduces it; an empty failure list is the expected outcome on a
+    correct build.
     """
     rng = SplitMix64(config.seed)
     failures: list[SweepFailure] = []
@@ -179,14 +177,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     checks_run = 0
 
     def fail(p: ParabolicData, check: str, detail: str, xi=None) -> None:
-        failures.append(
-            SweepFailure(
-                flag=p.describe(),
-                check=check,
-                detail=detail,
-                reproducer=f"check={check} {_spec_string(p, xi)}",
-            )
-        )
+        theta = ",".join(str(i) for i in p.theta)
+        cmd = f"flagtke {_REPRODUCE[check]} {p.lie_type} --theta \"{theta}\""
+        if check == "roundtrip":  # "=" keeps a negative twist from reading as an option
+            cmd += " --beta=" + ",".join(str(k - c) for k, c in zip(p.koszul, xi.coords))
+        elif xi is not None:
+            cmd += " --xi " + ",".join(str(c) for c in xi.coords)
+        failures.append(SweepFailure(p.describe(), check, detail, reproducer=cmd))
 
     per_sample = [c for c in config.checks if c != "snow"]
     for p in enumerate_flags(config.max_rank):
@@ -200,7 +197,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             continue
         for _ in range(config.samples_per_flag):
             samples += 1
-            xi = draw_kahler(rng, p.picard_rank)
+            xi = KahlerClass(draw_kahler(rng, p.picard_rank))
             for check in per_sample:
                 checks_run += 1
                 if check == "volbound":
@@ -225,9 +222,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         fail(p, check, f"S - trace = {gap}, dim = {p.dim}", xi)
                 elif check == "roundtrip":
                     sol = tke_solve_from_kahler(p, xi)
-                    back = tke_exists(p, sol.beta)
-                    if not back.exists or back.metric is None or back.metric.coords != xi:
-                        fail(p, check, f"recovered {back.metric}, expected {xi}", xi)
+                    back = tke_exists(p, sol.beta).metric  # None iff no solution
+                    if back is None or back.coords != xi.coords:
+                        fail(p, check, f"recovered {back}, expected {xi.coords}", xi)
     return SweepResult(
         config=config,
         flags=flags,

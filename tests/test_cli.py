@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -302,6 +303,15 @@ def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_internal_verification_error_is_one_line_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr("flagtke.cli.volume_cross_check", lambda p, xi: Fraction(-1))
+    code, out, err = run(capsys, "volume", "A2", "--theta", "", "--xi", "1,2")
+    assert code == EXIT_VERIFY
+    assert err.startswith("error: volume routes disagree") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_units_raw_annotates_but_does_not_rescale(capsys):

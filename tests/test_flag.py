@@ -10,6 +10,7 @@ from flagtke import (
     KahlerClass,
     LieType,
     Root,
+    Weight,
     anticanonical_class,
     build_root_system,
     degree,
@@ -174,14 +175,6 @@ def test_dim_shrinks_as_theta_grows():
 # cohomology classes
 
 
-def test_class_weight_and_arity():
-    p = parabolic("A3", complement=(2, 3))
-    w = p.class_weight(KahlerClass.of((1, 2)))
-    assert w.coords == (0, 1, 2)
-    with pytest.raises(ValueError):
-        p.class_weight(KahlerClass.of((1, 2, 3)))
-
-
 def test_kahler_class_requires_positive_entries():
     with pytest.raises(ValueError):
         KahlerClass.of((1, 0))
@@ -198,7 +191,10 @@ def test_anticanonical_class_matches_koszul():
 def test_radical_pairings_agree_with_direct_pairing():
     p = parabolic("B3", theta=(2,))
     xi = KahlerClass.of((Fraction(3, 2), 1))
-    w = p.class_weight(xi)
+    coords = [Fraction(0)] * p.rs.rank  # xi as a weight supported on the complement
+    for i, c in zip(p.complement, xi.coords, strict=True):
+        coords[i - 1] = c
+    w = Weight(tuple(coords))
     direct = tuple(p.rs.pairing(w, g) for g in p.radical_roots)
     nums, den = p.radical_pairings(xi)
     assert all(isinstance(n, int) for n in nums) and den == 2

@@ -250,6 +250,16 @@ def test_scalar_curvature_minus_twist_trace_is_dim_at_solutions():
             assert scalar_curvature(p, om) - trace(p, om, beta) == p.dim
 
 
+def test_scalar_curvature_matches_trace_of_anticanonical_class():
+    # scalar_curvature reads the stored delta_P pairings; the oracle pairs
+    # the koszul class with every radical coroot through trace
+    rng = SplitMix64(4242)
+    for p in small_flags(4):
+        for _ in range(5):
+            om = draw_kahler(rng, p.picard_rank)
+            assert scalar_curvature(p, om) == trace(p, om, p.koszul)
+
+
 def test_trace_splits_scalar_curvature():
     p = A2FULL
     om = (Fraction(3, 2), Fraction(2))
@@ -325,6 +335,50 @@ def test_class_inputs_accept_sequences_and_classes():
     assert volume_class(P2, KahlerClass.of((2,))) == 4
     assert volume_class(P2, [2]) == 4
     assert volume_class(P2, (Fraction(2),)) == 4
+    for xi in ((1,), CohomologyClass.of((1,)), KahlerClass.of((1,))):
+        sol = tke_solve_from_kahler(P2, xi)
+        assert type(sol.omega) is KahlerClass and type(sol.beta) is CohomologyClass
+        assert sol.beta.coords == (Fraction(2),) and type(sol.beta.coords[0]) is Fraction
+        back = tke_exists(P2, sol.beta)
+        assert type(back.metric) is KahlerClass and back.metric.coords == (Fraction(1),)
+        assert all(type(m) is Fraction for m in (*back.margins.values(), *back.metric.coords))
+
+
+# Every public class argument: (name, call with the class in that slot,
+# whether the slot takes a Kahler class).  A2FULL has Picard rank 2.
+CLASS_SLOTS = (
+    ("tke_exists", lambda c: tke_exists(A2FULL, c), False),
+    ("tke_solve_from_kahler", lambda c: tke_solve_from_kahler(A2FULL, c), True),
+    ("grlb", lambda c: grlb(A2FULL, c), True),
+    ("grlb_report", lambda c: grlb_report(A2FULL, c), True),
+    ("volume_class", lambda c: volume_class(A2FULL, c), True),
+    ("volume_cross_check", lambda c: volume_cross_check(A2FULL, c), True),
+    ("trace_omega", lambda c: trace(A2FULL, c, (1, -2)), True),
+    ("trace_beta", lambda c: trace(A2FULL, (1, 2), c), False),
+    ("scalar_curvature", lambda c: scalar_curvature(A2FULL, c), True),
+    ("volume_bound_report", lambda c: volume_bound_report(A2FULL, c), True),
+    ("radical_pairings", lambda c: A2FULL.radical_pairings(c), False),
+)
+
+
+@pytest.mark.parametrize("wrap", (tuple, CohomologyClass.of), ids=("sequence", "class"))
+@pytest.mark.parametrize(
+    "call, kahler", [s[1:] for s in CLASS_SLOTS], ids=[s[0] for s in CLASS_SLOTS]
+)
+def test_every_class_argument_is_checked_at_the_boundary(call, kahler, wrap):
+    for bad in ((1,), (1, 2, 3)):
+        arity = f"has {len(bad)} coordinates but .* has Picard rank 2"
+        with pytest.raises(ValueError, match=arity):
+            call(wrap(bad))
+        with pytest.raises(ValueError, match=arity):
+            call(KahlerClass.of(bad))
+    for nonpositive in ((1, 0), (-1, 2)):
+        if kahler:
+            with pytest.raises(ValueError, match="must have strictly positive coordinates"):
+                call(wrap(nonpositive))
+        else:
+            call(wrap(nonpositive))
+    call(wrap((1, 2)))
 
 
 def test_twist_may_be_any_sign_but_kahler_may_not():

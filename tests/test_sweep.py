@@ -1,7 +1,15 @@
 """Randomized verification sweeps and the deterministic generator."""
 
+import dataclasses
+import shlex
+from fractions import Fraction
+
 import pytest
 
+import flagtke.sweep
+from flagtke.cli import main
+from flagtke.flag import SnowCheck
+from flagtke.invariants import TkeResult
 from flagtke.sweep import (
     CHECKS,
     SplitMix64,
@@ -130,3 +138,30 @@ def test_sweep_snow_only_counts_flags_not_samples():
 def test_sweep_is_deterministic():
     cfg = SweepConfig(max_rank=2, samples_per_flag=4, seed=314)
     assert run_sweep(cfg) == run_sweep(cfg)
+
+
+def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
+    # break every check, then run each printed reproducer through the CLI
+    real_bound = flagtke.sweep.volume_bound_report
+    broken = {
+        "snow_check": lambda p: SnowCheck(degree=1, bound=0, ok=False, equality=False),
+        "volume_bound_report": lambda p, xi: dataclasses.replace(
+            real_bound(p, xi), left_ok=False
+        ),
+        "volume_cross_check": lambda p, xi: Fraction(-1),
+        "scalar_curvature": lambda p, omega: Fraction(0),
+        "tke_exists": lambda p, beta: TkeResult(exists=False, metric=None, margins={}),
+    }
+    for name, fn in broken.items():
+        monkeypatch.setattr(flagtke.sweep, name, fn)
+    res = run_sweep(SweepConfig(max_rank=2, samples_per_flag=1, seed=5))
+    assert len(res.failures) == res.checks_run == 13 * len(CHECKS)
+    command = {"snow": "flag", "volbound": "report", "cross": "volume",
+               "cscK": "report", "roundtrip": "tke"}
+    for f in res.failures:
+        argv = shlex.split(f.reproducer)
+        assert argv[:2] == ["flagtke", command[f.check]], f.reproducer
+        assert main(argv[1:]) == 0, f.reproducer
+        capsys.readouterr()
+    full = [f.reproducer for f in res.failures if f.flag.startswith("A1/")]
+    assert all(shlex.split(r)[3:5] == ["--theta", ""] for r in full)
