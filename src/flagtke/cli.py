@@ -5,6 +5,12 @@ Every command prints deterministic text, or a canonical JSON envelope
 {command, input, result, warnings} with --json; --out FILE additionally
 writes that JSON envelope to a file.
 
+Layout: `_emit` is the only writer of the envelope, the --out file and
+the text.  The five flag commands (flag, tke, grlb, volume, report) are
+rows of one table; `_run_flag` parses the type, builds the parabolic and
+the flag input, and hands the flag to the row's body, which returns the
+result dict and its text lines, both built from the same exact values.
+
 Serialization rules: rationals as "p/q" strings in lowest terms (plain
 "p" when integral), big integers as decimal strings, everything else
 native JSON.  Decimal renderings in text output are display hints only
@@ -14,6 +20,10 @@ anywhere uses floating point.
 Units: stored class coordinates absorb the conventional 2*pi factor.
 --units=raw only annotates rendered class vectors (and volumes) with
 the factor; it never changes a stored or serialized value.
+
+Limits: a type token of rank above MAX_TYPE_RANK (32) and a sweep with
+--max-rank above MAX_SWEEP_RANK (8) are rejected as usage errors before
+any root system is built; the cost of both grows steeply with the rank.
 
 Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
@@ -25,6 +35,7 @@ stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import sys
@@ -34,11 +45,7 @@ from typing import Optional, Sequence
 from .catalog import catalog_rows
 from .flag import ParabolicData, flag_report, parabolic
 from .invariants import (
-    grlb_report,
-    tke_exists,
-    volume_bound_report,
-    volume_class,
-    volume_cross_check,
+    grlb_report, tke_exists, volume_bound_report, volume_class, volume_cross_check,
 )
 from .rootsys import LieType, build_root_system
 from .sweep import CHECKS, SweepConfig, run_sweep
@@ -49,20 +56,20 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
+MAX_TYPE_RANK = 32
+MAX_SWEEP_RANK = 8
+
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
 def _indices_arg(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _rationals_arg(text: str) -> tuple[Fraction, ...]:
@@ -85,59 +92,21 @@ def _seed_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
 
 
-def _add_output_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--json", action="store_true", help="print a JSON envelope instead of text")
-    sp.add_argument(
-        "--units",
-        choices=("2pi", "raw"),
-        default="2pi",
-        help="display units for class coordinates (annotation only; default 2pi)",
-    )
-    sp.add_argument("--digits", type=int, default=6, help="significant digits for decimal hints")
-    sp.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
-
-
-def _add_flag_spec(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("type", help="simple type token, e.g. A2, D5, E7")
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument(
-        "--theta",
-        type=_indices_arg,
-        default=None,
-        help='Levi node set, e.g. 1,3 (use --theta "" for the full flag)',
-    )
-    g.add_argument(
-        "--complement",
-        type=_indices_arg,
-        default=None,
-        help="complement node set, e.g. 4,5 (alternative to --theta)",
-    )
-
-
-def _parabolic_from(args: argparse.Namespace) -> ParabolicData:
-    t = LieType.parse(args.type)
-    if args.complement is not None:
-        return parabolic(t, complement=args.complement)
-    return parabolic(t, args.theta)
+def _lie_type(token: str) -> LieType:
+    t = LieType.parse(token)
+    if t.rank > MAX_TYPE_RANK:
+        raise ValueError(f"type {t} has rank {t.rank}; the CLI accepts rank <= {MAX_TYPE_RANK}")
+    return t
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# rendering
 
-def _approx(x: Fraction, digits: int) -> str:
-    ctx = decimal.Context(prec=max(1, digits))
-    d = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
-    return str(d)
-
-
-def _q_text(x: Fraction, digits: int) -> str:
+def _q_text(x: Fraction | int, digits: int) -> str:
     if x.denominator == 1 and abs(x.numerator) < 10**12:
         return str(x)
-    return f"{x} (~{_approx(x, digits)})"
-
-
-def _int_text(n: int, digits: int) -> str:
-    return _q_text(Fraction(n), digits)
+    ctx = decimal.Context(prec=max(1, digits))
+    return f"{x} (~{ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))})"
 
 
 def _vec_text(values: Sequence, units: str) -> str:
@@ -145,275 +114,198 @@ def _vec_text(values: Sequence, units: str) -> str:
     return (body + " * 2pi") if units == "raw" else body
 
 
-def _q_json(x: Fraction) -> str:
-    return str(x)
+def _check_text(ok: bool, equality: bool) -> str:
+    return f"{'ok' if ok else 'VIOLATED'} ({'equality' if equality else 'strict'})"
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
-    payload = _dump(doc)
+def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str],
+          warnings: Sequence[str] = ()) -> None:
+    """Write the envelope to --out, then print it (--json) or the text lines."""
+    doc = {
+        "command": args.command,
+        "input": {**inputs, "units": args.units},
+        "result": result,
+        "warnings": list(warnings),
+    }
+    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     if args.json:
         sys.stdout.write(payload)
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
-def _flag_input(args: argparse.Namespace, p: ParabolicData) -> dict:
-    return {
-        "type": str(p.lie_type),
-        "theta": list(p.theta),
-        "complement": list(p.complement),
-        "units": args.units,
+# ---------------------------------------------------------------------------
+# flag commands: each body maps (args, flag) to (result dict, text lines)
+
+def _run_flag(args: argparse.Namespace) -> int:
+    p = parabolic(_lie_type(args.type), args.theta, complement=args.complement)
+    inputs = {"type": str(p.lie_type), "theta": list(p.theta), "complement": list(p.complement)}
+    if args.class_option:
+        inputs[args.class_option] = [str(c) for c in getattr(args, args.class_option)]
+    result, lines = args.body(args, p)
+    theta, complement = (",".join(map(str, nodes)) for nodes in (p.theta, p.complement))
+    spec = [f"type: {p.lie_type}", f"theta: {theta or '(empty)'}", f"complement: {complement}"]
+    _emit(args, inputs, result, spec + lines)
+    return EXIT_OK
+
+
+def _flag(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+    rep = flag_report(p)
+    result = {
+        "dim": rep.dim,
+        "picard_rank": rep.picard_rank,
+        "koszul": list(rep.koszul),
+        "degree": str(rep.degree),
+        "snow_bound": str(rep.snow.bound),
+        "snow_ok": rep.snow.ok,
+        "snow_equality": rep.snow.equality,
     }
-
-
-def _theta_text(p: ParabolicData) -> str:
-    return ",".join(str(i) for i in p.theta) if p.theta else "(empty)"
-
-
-def _spec_lines(p: ParabolicData) -> list[str]:
-    return [
-        f"type: {p.lie_type}",
-        f"theta: {_theta_text(p)}",
-        f"complement: {','.join(str(i) for i in p.complement)}",
+    return result, [
+        f"dim: {rep.dim}",
+        f"picard rank: {rep.picard_rank}",
+        f"koszul: {_vec_text(rep.koszul, args.units)}",
+        f"degree: {_q_text(rep.degree, args.digits)}",
+        f"snow bound (n+1)^n: {_q_text(rep.snow.bound, args.digits)}",
+        f"degree <= bound: {_check_text(rep.snow.ok, rep.snow.equality)}",
     ]
 
 
+def _tke(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+    res = tke_exists(p, args.beta)
+    metric = res.metric.coords if res.metric else None
+    result = {
+        "koszul": list(p.koszul),
+        "exists": res.exists,
+        "margins": {str(i): str(m) for i, m in res.margins.items()},
+        "metric": [str(c) for c in metric] if metric else None,
+    }
+    return result, [
+        f"thresholds (koszul): {_vec_text(p.koszul, args.units)}",
+        f"twist beta: {_vec_text(args.beta, args.units)}",
+        "margins: " + "; ".join(f"node {i}: {res.margins[i]}" for i in p.complement),
+        f"tke exists: {'yes' if res.exists else 'no'}",
+        "metric omega: "
+        + (_vec_text(metric, args.units) if metric else "(none; some margin is not positive)"),
+    ]
+
+
+def _grlb(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+    rep = grlb_report(p, args.xi)
+    return {"value": str(rep.value), "argmin": list(rep.argmin)}, [
+        f"xi: {_vec_text(args.xi, args.units)}",
+        f"greatest Ricci lower bound: {_q_text(rep.value, args.digits)}",
+        f"argmin nodes: {_vec_text(rep.argmin, '2pi')}",
+    ]
+
+
+def _volume_suffix(args: argparse.Namespace, p: ParabolicData) -> str:
+    return f" * (2pi)^{p.dim}" if args.units == "raw" else ""
+
+
+def _volume(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+    v = volume_class(p, args.xi)
+    v2 = volume_cross_check(p, args.xi)
+    if v != v2:
+        raise RuntimeError(f"volume routes disagree on {p.describe()}: {v} vs {v2}")
+    return {"volume": str(v), "cross_check": str(v2), "dim": p.dim}, [
+        f"xi: {_vec_text(args.xi, args.units)}",
+        f"volume: {_q_text(v, args.digits)}{_volume_suffix(args, p)}",
+        "cross check: agrees (independent product formula)",
+    ]
+
+
+def _report(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+    rep = volume_bound_report(p, args.xi)
+    g = rep.grlb
+    result = {
+        "dim": p.dim,
+        "koszul": list(p.koszul),
+        "grlb": str(g.value),
+        "argmin": list(g.argmin),
+        "volume": str(rep.volume),
+        "r_pow_vol": str(rep.r_pow_vol),
+        "degree": str(rep.degree),
+        "snow_bound": str(rep.snow),
+        "left_ok": rep.left_ok,
+        "left_equality": rep.left_equality,
+        "right_ok": rep.right_ok,
+        "right_equality": rep.right_equality,
+    }
+    digits = args.digits
+    return result, [
+        f"dim: {p.dim}",
+        f"koszul: {_vec_text(p.koszul, args.units)}",
+        f"xi: {_vec_text(args.xi, args.units)}",
+        f"grlb: {_q_text(g.value, digits)} (argmin nodes {list(g.argmin)})",
+        f"volume: {_q_text(rep.volume, digits)}{_volume_suffix(args, p)}",
+        f"bound chain: grlb^n * vol = {_q_text(rep.r_pow_vol, digits)}"
+        f" <= degree = {_q_text(rep.degree, digits)}"
+        f" <= (n+1)^n = {_q_text(rep.snow, digits)}",
+        f"left: {_check_text(rep.left_ok, rep.left_equality)}"
+        f"   right: {_check_text(rep.right_ok, rep.right_equality)}",
+    ]
+
+
+# (name, help, class option, body)
+_FLAG_COMMANDS = (
+    ("flag", "parabolic data: dimension, koszul numbers, degree", None, _flag),
+    ("tke", "twisted Einstein existence for a twist class", "beta", _tke),
+    ("grlb", "greatest Ricci lower bound of a Kahler class", "xi", _grlb),
+    ("volume", "volume of a Kahler class (two independent routes)", "xi", _volume),
+    ("report", "full bound chain grlb^n*vol <= degree <= (n+1)^n", "xi", _report),
+)
+_CLASS_HELP = {"beta": "twist coordinates, e.g. 5/2,1", "xi": "positive class coordinates"}
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# the other commands
 
 def _cmd_roots(args: argparse.Namespace) -> int:
-    rs = build_root_system(LieType.parse(args.type))
+    rs = build_root_system(_lie_type(args.type))
     mu = rs.maximal_root()
-    doc = {
-        "command": "roots",
-        "input": {"type": str(rs.lie_type), "units": args.units},
-        "result": {
-            "rank": rs.rank,
-            "count": len(rs.positive_roots),
-            "cartan": [list(row) for row in rs.cartan],
-            "symmetrizer": [_q_json(d) for d in rs.symmetrizer],
-            "maximal_root": list(mu.coeffs),
-            "heights_in_max": [rs.height_in_max(i) for i in range(1, rs.rank + 1)],
-            "positive_roots": [list(g.coeffs) for g in rs.positive_roots],
-        },
-        "warnings": [],
+    heights = [rs.height_in_max(i) for i in range(1, rs.rank + 1)]
+    result = {
+        "rank": rs.rank,
+        "count": len(rs.positive_roots),
+        "cartan": [list(row) for row in rs.cartan],
+        "symmetrizer": [str(d) for d in rs.symmetrizer],
+        "maximal_root": list(mu.coeffs),
+        "heights_in_max": heights,
+        "positive_roots": [list(g.coeffs) for g in rs.positive_roots],
     }
     lines = [
         f"type: {rs.lie_type}",
         f"rank: {rs.rank}",
         f"positive roots: {len(rs.positive_roots)}",
         f"maximal root: {mu} (height {mu.height})",
-        f"heights in maximal root: {_vec_text([rs.height_in_max(i) for i in range(1, rs.rank + 1)], '2pi')}",
+        f"heights in maximal root: {_vec_text(heights, '2pi')}",
         "roots (simple-root coefficients, by height):",
     ]
     lines.extend(f"  {g}" for g in rs.positive_roots)
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_flag(args: argparse.Namespace) -> int:
-    p = _parabolic_from(args)
-    rep = flag_report(p)
-    doc = {
-        "command": "flag",
-        "input": _flag_input(args, p),
-        "result": {
-            "dim": rep.dim,
-            "picard_rank": rep.picard_rank,
-            "koszul": list(rep.koszul),
-            "degree": str(rep.degree),
-            "snow_bound": str(rep.snow.bound),
-            "snow_ok": rep.snow.ok,
-            "snow_equality": rep.snow.equality,
-        },
-        "warnings": [],
-    }
-    lines = _spec_lines(p) + [
-        f"dim: {rep.dim}",
-        f"picard rank: {rep.picard_rank}",
-        f"koszul: {_vec_text(rep.koszul, args.units)}",
-        f"degree: {_int_text(rep.degree, args.digits)}",
-        f"snow bound (n+1)^n: {_int_text(rep.snow.bound, args.digits)}",
-        f"degree <= bound: {'ok' if rep.snow.ok else 'VIOLATED'}"
-        f" ({'equality' if rep.snow.equality else 'strict'})",
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_tke(args: argparse.Namespace) -> int:
-    p = _parabolic_from(args)
-    res = tke_exists(p, args.beta)
-    doc = {
-        "command": "tke",
-        "input": {**_flag_input(args, p), "beta": [_q_json(c) for c in args.beta]},
-        "result": {
-            "koszul": list(p.koszul),
-            "exists": res.exists,
-            "margins": {str(i): _q_json(m) for i, m in res.margins.items()},
-            "metric": [_q_json(c) for c in res.metric.coords] if res.metric else None,
-        },
-        "warnings": [],
-    }
-    lines = _spec_lines(p) + [
-        f"thresholds (koszul): {_vec_text(p.koszul, args.units)}",
-        f"twist beta: {_vec_text(args.beta, args.units)}",
-        "margins: "
-        + "; ".join(f"node {i}: {res.margins[i]}" for i in p.complement),
-        f"tke exists: {'yes' if res.exists else 'no'}",
-    ]
-    if res.metric is not None:
-        lines.append(f"metric omega: {_vec_text(res.metric.coords, args.units)}")
-    else:
-        lines.append("metric omega: (none; some margin is not positive)")
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_grlb(args: argparse.Namespace) -> int:
-    p = _parabolic_from(args)
-    rep = grlb_report(p, args.xi)
-    doc = {
-        "command": "grlb",
-        "input": {**_flag_input(args, p), "xi": [_q_json(c) for c in args.xi]},
-        "result": {
-            "value": _q_json(rep.value),
-            "argmin": list(rep.argmin),
-        },
-        "warnings": [],
-    }
-    lines = _spec_lines(p) + [
-        f"xi: {_vec_text(args.xi, args.units)}",
-        f"greatest Ricci lower bound: {_q_text(rep.value, args.digits)}",
-        f"argmin nodes: {_vec_text(rep.argmin, '2pi')}",
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_volume(args: argparse.Namespace) -> int:
-    p = _parabolic_from(args)
-    v = volume_class(p, args.xi)
-    v2 = volume_cross_check(p, args.xi)
-    if v != v2:
-        raise RuntimeError(
-            f"volume routes disagree on {p.describe()}: {v} vs {v2}"
-        )
-    suffix = f" * (2pi)^{p.dim}" if args.units == "raw" else ""
-    doc = {
-        "command": "volume",
-        "input": {**_flag_input(args, p), "xi": [_q_json(c) for c in args.xi]},
-        "result": {
-            "volume": _q_json(v),
-            "cross_check": _q_json(v2),
-            "dim": p.dim,
-        },
-        "warnings": [],
-    }
-    lines = _spec_lines(p) + [
-        f"xi: {_vec_text(args.xi, args.units)}",
-        f"volume: {_q_text(v, args.digits)}{suffix}",
-        "cross check: agrees (independent product formula)",
-    ]
-    _emit(args, doc, lines)
-    return EXIT_OK
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    p = _parabolic_from(args)
-    g = grlb_report(p, args.xi)
-    vol = volume_class(p, args.xi)
-    rep = volume_bound_report(p, args.xi)
-    doc = {
-        "command": "report",
-        "input": {**_flag_input(args, p), "xi": [_q_json(c) for c in args.xi]},
-        "result": {
-            "dim": p.dim,
-            "koszul": list(p.koszul),
-            "grlb": _q_json(g.value),
-            "argmin": list(g.argmin),
-            "volume": _q_json(vol),
-            "r_pow_vol": _q_json(rep.r_pow_vol),
-            "degree": str(rep.degree),
-            "snow_bound": str(rep.snow),
-            "left_ok": rep.left_ok,
-            "left_equality": rep.left_equality,
-            "right_ok": rep.right_ok,
-            "right_equality": rep.right_equality,
-        },
-        "warnings": [],
-    }
-    suffix = f" * (2pi)^{p.dim}" if args.units == "raw" else ""
-    lines = _spec_lines(p) + [
-        f"dim: {p.dim}",
-        f"koszul: {_vec_text(p.koszul, args.units)}",
-        f"xi: {_vec_text(args.xi, args.units)}",
-        f"grlb: {_q_text(g.value, args.digits)} (argmin nodes {list(g.argmin)})",
-        f"volume: {_q_text(vol, args.digits)}{suffix}",
-        "bound chain: grlb^n * vol = "
-        + _q_text(rep.r_pow_vol, args.digits)
-        + " <= degree = "
-        + _int_text(rep.degree, args.digits)
-        + " <= (n+1)^n = "
-        + _int_text(rep.snow, args.digits),
-        f"left: {'ok' if rep.left_ok else 'VIOLATED'}"
-        f" ({'equality' if rep.left_equality else 'strict'})"
-        f"   right: {'ok' if rep.right_ok else 'VIOLATED'}"
-        f" ({'equality' if rep.right_equality else 'strict'})",
-    ]
-    _emit(args, doc, lines)
+    _emit(args, {"type": str(rs.lie_type)}, result, lines)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        max_rank=args.max_rank,
-        samples_per_flag=args.samples,
-        seed=args.seed,
-        checks=args.checks,
-    )
+    if args.max_rank > MAX_SWEEP_RANK:
+        raise ValueError(f"--max-rank {args.max_rank} is above the sweep limit {MAX_SWEEP_RANK}"
+                         " (a sweep walks 2^rank flags per series)")
+    config = SweepConfig(args.max_rank, args.samples, args.seed, args.checks)
     res = run_sweep(config)
-    doc = {
-        "command": "sweep",
-        "input": {
-            "max_rank": config.max_rank,
-            "samples_per_flag": config.samples_per_flag,
-            "seed": config.seed,
-            "checks": list(config.checks),
-            "units": args.units,
-        },
-        "result": {
-            "flags": res.flags,
-            "samples": res.samples,
-            "checks_run": res.checks_run,
-            "ok": res.ok,
-            "failures": [
-                {
-                    "flag": f.flag,
-                    "check": f.check,
-                    "detail": f.detail,
-                    "reproducer": f.reproducer,
-                }
-                for f in res.failures
-            ],
-        },
-        "warnings": [],
+    result = {
+        "flags": res.flags,
+        "samples": res.samples,
+        "checks_run": res.checks_run,
+        "ok": res.ok,
+        "failures": [dataclasses.asdict(f) for f in res.failures],
     }
     lines = [
-        "sweep: max_rank={} samples={} seed={} checks={}".format(
-            config.max_rank,
-            config.samples_per_flag,
-            config.seed,
-            ",".join(config.checks),
-        ),
+        f"sweep: max_rank={config.max_rank} samples={config.samples_per_flag}"
+        f" seed={config.seed} checks={','.join(config.checks)}",
         f"flags: {res.flags}",
         f"samples: {res.samples}",
         f"checks run: {res.checks_run}",
@@ -422,7 +314,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for f in res.failures:
         lines.append(f"FAIL [{f.check}] {f.flag}: {f.detail}")
         lines.append(f"  reproduce: {f.reproducer}")
-    _emit(args, doc, lines)
+    _emit(args, dataclasses.asdict(config), result, lines)
     return EXIT_OK if res.ok else EXIT_VERIFY
 
 
@@ -433,79 +325,31 @@ def _cmd_table(args: argparse.Namespace) -> int:
     inconsistent = sum(1 for r in rows if not r.family_consistent)
     warnings = sorted({r.note for r in rows if r.note})
     if not rows:
-        warnings.append(
-            f"no rows within rank bound {args.max_rank} for family "
-            f"{args.family} (type III starts at rank 6)"
-        )
-    doc = {
-        "command": "table",
-        "input": {
-            "family": args.family,
-            "max_rank": args.max_rank,
-            "units": args.units,
-        },
-        "result": {
-            "count": len(rows),
-            "mismatches": mismatches,
-            "family_inconsistencies": inconsistent,
-            "rows": [
-                {
-                    "family": r.family,
-                    "group": r.group,
-                    "type": str(r.lie_type),
-                    "complement": list(r.complement),
-                    "params": dict(r.params),
-                    "expected": list(r.expected),
-                    "computed": list(r.computed),
-                    "match": r.match,
-                    "heights": list(r.heights),
-                    "summands": r.summands,
-                    "family_consistent": r.family_consistent,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-        },
-        "warnings": warnings,
+        warnings.append(f"no rows within rank bound {args.max_rank} for family "
+                        f"{args.family} (type III starts at rank 6)")
+    result = {
+        "count": len(rows),
+        "mismatches": mismatches,
+        "family_inconsistencies": inconsistent,
+        "rows": [  # every field, with the type as a token and params as an object
+            {k: v for k, v in vars(r).items() if k != "lie_type"}
+            | {"type": str(r.lie_type), "params": dict(r.params)}
+            for r in rows
+        ],
     }
-    header = (
-        "family",
-        "type",
-        "complement",
-        "expected",
-        "computed",
-        "match",
-        "summands",
-        "heights",
-        "group",
-    )
+    header = ("family", "type", "complement", "expected", "computed", "match",
+              "summands", "heights", "group")
     body = [
-        (
-            r.family,
-            str(r.lie_type),
-            "{%s}" % ",".join(str(i) for i in r.complement),
-            str(r.expected),
-            str(r.computed),
-            "yes" if r.match else "NO",
-            str(r.summands),
-            str(r.heights),
-            r.group,
-        )
+        (r.family, str(r.lie_type), "{%s}" % ",".join(map(str, r.complement)), str(r.expected),
+         str(r.computed), "yes" if r.match else "NO", str(r.summands), str(r.heights), r.group)
         for r in rows
     ]
-    widths = [
-        max(len(header[k]), *(len(row[k]) for row in body)) if body else len(header[k])
-        for k in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append(
-        f"rows: {len(rows)}, mismatches: {mismatches}, "
-        f"family inconsistencies: {inconsistent}"
-    )
+    widths = [max([len(h), *(len(row[k]) for row in body)]) for k, h in enumerate(header)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (header, *body)]
+    lines.append(f"rows: {len(rows)}, mismatches: {mismatches}, "
+                 f"family inconsistencies: {inconsistent}")
     lines.extend(f"note: {w}" for w in warnings)
-    _emit(args, doc, lines)
+    _emit(args, {"family": args.family, "max_rank": args.max_rank}, result, lines, warnings)
     return EXIT_OK if mismatches == 0 and inconsistent == 0 else EXIT_VERIFY
 
 
@@ -522,60 +366,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    type_help = "simple type token, e.g. A2, D5, E7"
 
     sp = sub.add_parser("roots", help="positive roots and Cartan data of a simple type")
-    sp.add_argument("type", help="simple type token, e.g. A2, D5, E7")
-    _add_output_options(sp)
+    sp.add_argument("type", help=type_help)
     sp.set_defaults(handler=_cmd_roots)
 
-    sp = sub.add_parser("flag", help="parabolic data: dimension, koszul numbers, degree")
-    _add_flag_spec(sp)
-    _add_output_options(sp)
-    sp.set_defaults(handler=_cmd_flag)
-
-    sp = sub.add_parser("tke", help="twisted Einstein existence for a twist class")
-    _add_flag_spec(sp)
-    sp.add_argument("--beta", type=_rationals_arg, required=True, help="twist coordinates, e.g. 5/2,1")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_cmd_tke)
-
-    sp = sub.add_parser("grlb", help="greatest Ricci lower bound of a Kahler class")
-    _add_flag_spec(sp)
-    sp.add_argument("--xi", type=_rationals_arg, required=True, help="positive class coordinates")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_cmd_grlb)
-
-    sp = sub.add_parser("volume", help="volume of a Kahler class (two independent routes)")
-    _add_flag_spec(sp)
-    sp.add_argument("--xi", type=_rationals_arg, required=True, help="positive class coordinates")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_cmd_volume)
-
-    sp = sub.add_parser("report", help="full bound chain grlb^n*vol <= degree <= (n+1)^n")
-    _add_flag_spec(sp)
-    sp.add_argument("--xi", type=_rationals_arg, required=True, help="positive class coordinates")
-    _add_output_options(sp)
-    sp.set_defaults(handler=_cmd_report)
+    for name, help_text, class_option, body in _FLAG_COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("type", help=type_help)
+        g = sp.add_mutually_exclusive_group(required=True)
+        g.add_argument("--theta", type=_indices_arg,
+                       help='Levi node set, e.g. 1,3 (use --theta "" for the full flag)')
+        g.add_argument("--complement", type=_indices_arg,
+                       help="complement node set, e.g. 4,5 (alternative to --theta)")
+        if class_option:
+            sp.add_argument(f"--{class_option}", type=_rationals_arg, required=True,
+                            help=_CLASS_HELP[class_option])
+        sp.set_defaults(handler=_run_flag, body=body, class_option=class_option)
 
     sp = sub.add_parser("sweep", help="bulk verification over all flags up to a rank bound")
     sp.add_argument("--max-rank", type=int, default=4)
     sp.add_argument("--samples", type=int, default=10, help="random classes per flag")
     sp.add_argument("--seed", type=_seed_arg, default=0, help="64-bit PRNG seed")
-    sp.add_argument(
-        "--checks",
-        type=_checks_arg,
-        default=CHECKS,
-        help="comma list from: " + ",".join(CHECKS),
-    )
-    _add_output_options(sp)
+    sp.add_argument("--checks", type=_checks_arg, default=CHECKS,
+                    help="comma list from: " + ",".join(CHECKS))
     sp.set_defaults(handler=_cmd_sweep)
 
     sp = sub.add_parser("table", help="Picard-rank-two classification rows, verified")
     sp.add_argument("--family", choices=("I", "II", "III", "all"), default="all")
     sp.add_argument("--max-rank", type=int, default=9)
-    _add_output_options(sp)
     sp.set_defaults(handler=_cmd_table)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true", help="print a JSON envelope instead of text")
+        sp.add_argument("--units", choices=("2pi", "raw"), default="2pi",
+                        help="display units for class coordinates (annotation only; default 2pi)")
+        sp.add_argument("--digits", type=int, default=6,
+                        help="significant digits for decimal hints")
+        sp.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
     return parser
 
 
@@ -584,8 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles help/usage itself
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:  # OSError: e.g. --out into a missing directory

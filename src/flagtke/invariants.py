@@ -85,8 +85,11 @@ class GrlbReport:
 
 @dataclass(frozen=True)
 class VolumeBoundReport:
-    """Both sides of r^n * Vol <= degree <= (n+1)^n, exactly evaluated."""
+    """Both sides of r^n * Vol <= degree <= (n+1)^n, exactly evaluated,
+    with the grlb report and the volume they were built from."""
 
+    grlb: GrlbReport
+    volume: Fraction
     r_pow_vol: Fraction
     degree: int
     snow: int
@@ -209,12 +212,14 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
     n = p.dim
-    r = grlb(p, x)
+    g = grlb_report(p, x)
     vol = volume_class(p, x)
-    rv = r**n * vol
+    rv = g.value**n * vol
     d = degree(p)
     snow = (n + 1) ** n
     return VolumeBoundReport(
+        grlb=g,
+        volume=vol,
         r_pow_vol=rv,
         degree=d,
         snow=snow,

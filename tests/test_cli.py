@@ -335,3 +335,83 @@ def test_console_script_entry_point_is_exposed():
     import flagtke.cli as cli
 
     assert callable(cli.main)
+
+
+def test_result_shape_is_typed_per_command(capsys, schema):
+    _, doc, _ = run_json(capsys, "flag", "A3", "--complement", "2,3")
+    jsonschema.validate(doc, schema)
+    bad = [
+        {**doc, "result": {**doc["result"], "extra": 1}},
+        {**doc, "result": {k: v for k, v in doc["result"].items() if k != "degree"}},
+        {**doc, "result": {**doc["result"], "degree": 4500}},
+        {**doc, "command": "volume"},
+    ]
+    for d in bad:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(d, schema)
+
+
+# ---------------------------------------------------------------------------
+# work per command and rank limits
+
+
+def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
+    import flagtke.cli as cli
+    import flagtke.invariants as inv
+    from flagtke.flag import ParabolicData
+
+    calls = {"grlb_report": 0, "volume_class": 0, "radical_pairings": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in ("grlb_report", "volume_class"):  # wherever the caller looks it up
+        wrapper = counted(name, getattr(inv, name))
+        monkeypatch.setattr(inv, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setattr(
+        ParabolicData,
+        "radical_pairings",
+        counted("radical_pairings", ParabolicData.radical_pairings),
+    )
+    code, out, _ = run(capsys, "report", "E8", "--theta", "", "--xi", "1,2,3,4,5,6,7,8")
+    assert code == EXIT_OK
+    assert "bound chain:" in out
+    assert calls == {"grlb_report": 1, "volume_class": 1, "radical_pairings": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flag", "A200", "--theta", ""),
+        ("roots", "D33"),
+        ("report", "B40", "--theta", "", "--xi", "1"),
+        ("sweep", "--max-rank", "30"),
+        ("sweep", "--max-rank", "9", "--json"),
+    ],
+    ids=lambda a: " ".join(a[:3]),
+)
+def test_rank_limits_reject_before_any_root_system(capsys, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("build_root_system called past the rank limit")
+
+    for module in ("flagtke.rootsys", "flagtke.flag", "flagtke.cli"):
+        monkeypatch.setattr(f"{module}.build_root_system", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_rank_limits_admit_the_largest_allowed_rank(capsys):
+    from flagtke.cli import MAX_SWEEP_RANK, MAX_TYPE_RANK
+
+    assert (MAX_TYPE_RANK, MAX_SWEEP_RANK) == (32, 8)
+    code, doc, _ = run_json(capsys, "flag", "A32", "--complement", "1")
+    assert code == EXIT_OK
+    assert doc["result"]["dim"] == 32
