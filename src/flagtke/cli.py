@@ -21,9 +21,10 @@ Units: stored class coordinates absorb the conventional 2*pi factor.
 --units=raw only annotates rendered class vectors (and volumes) with
 the factor; it never changes a stored or serialized value.
 
-Limits: a type token of rank above MAX_TYPE_RANK (32) and a sweep with
---max-rank above MAX_SWEEP_RANK (8) are rejected as usage errors before
-any root system is built; the cost of both grows steeply with the rank.
+Limits: a type token or a table --max-rank above MAX_TYPE_RANK (32) and
+a sweep with --max-rank above MAX_SWEEP_RANK (8) are rejected as usage
+errors before any root system is built; their cost grows steeply with
+the rank.
 
 Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
@@ -319,6 +320,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.max_rank > MAX_TYPE_RANK:
+        raise ValueError(f"--max-rank {args.max_rank} is above the rank limit {MAX_TYPE_RANK}")
     family = None if args.family == "all" else args.family
     rows = catalog_rows(args.max_rank, family)
     mismatches = sum(1 for r in rows if not r.match)

@@ -17,6 +17,13 @@ Construction is integer arithmetic throughout (integer coroot forms from
 degree); `fractions.Fraction` appears only in the classes of the public
 API.
 
+A `ParabolicData` pairs each class with its radical coroots once: it
+remembers the integer pairings of the last `PAIRING_MEMO_SIZE` classes
+it paired, keyed by the class's integer form (common denominator, then
+the numerators scaled to it), so the volume, trace and curvature of one
+class share a single pairing pass.  The memo is private state; it takes
+no part in equality or hashing.
+
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
 the CLI for the display-only "raw" toggle.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -58,7 +66,9 @@ class CohomologyClass:
 
     @classmethod
     def of(cls, values: Iterable[Rational]) -> "CohomologyClass":
-        return cls(tuple(Fraction(v) for v in values))
+        # An exact Fraction is kept as is: Fraction(Fraction) pays an abc
+        # isinstance check per coordinate.
+        return cls(tuple(v if type(v) is Fraction else Fraction(v) for v in values))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -75,6 +85,23 @@ class KahlerClass(CohomologyClass):
 
 ClassLike = Union[CohomologyClass, Sequence[Rational]]
 
+# How many classes one ParabolicData remembers the radical pairings of;
+# the oldest is dropped first.
+PAIRING_MEMO_SIZE = 4
+
+
+class _Pairing:
+    """Memo entry: the radical pairings of one class as ``nums`` over
+    ``den``; for a Kahler class, once asked for, ``weights`` = (lcm of
+    ``nums``, ``lcm // n`` for each pairing n)."""
+
+    __slots__ = ("nums", "den", "weights")
+
+    def __init__(self, nums: tuple[int, ...], den: int) -> None:
+        self.nums = nums
+        self.den = den
+        self.weights: tuple[int, tuple[int, ...]] | None = None
+
 
 @dataclass(frozen=True)
 class ParabolicData:
@@ -86,6 +113,8 @@ class ParabolicData:
     with every radical coroot, and the degree.  They exist so that the
     volume and trace product formulas of downstream modules are small
     integer dot products instead of repeated root-system lookups.
+    ``_paired`` is the pairing memo (at most `PAIRING_MEMO_SIZE` classes),
+    left out of equality, hashing and repr.
     """
 
     rs: RootSystem
@@ -99,6 +128,9 @@ class ParabolicData:
     _delta_pairings: tuple[int, ...] = field(repr=False)
     _rho_pairings: tuple[int, ...] = field(repr=False)
     _degree: int = field(repr=False)
+    _paired: OrderedDict[tuple[int, ...], _Pairing] = field(
+        default_factory=OrderedDict, init=False, compare=False, repr=False
+    )
 
     @property
     def lie_type(self) -> LieType:
@@ -142,13 +174,37 @@ class ParabolicData:
         ``cls`` goes through `checked_class` (arity only, any sign).
         Returned as integer numerators over one common denominator, the
         lcm of the class's coordinate denominators: the pairing with the
-        k-th radical coroot is ``Fraction(nums[k], den)``.
+        k-th radical coroot is ``Fraction(nums[k], den)``.  Served from the
+        memo when ``cls`` is one of the last `PAIRING_MEMO_SIZE` classes
+        paired on this flag.
         """
-        cls = self.checked_class(cls, "class")
-        den = math.lcm(*(c.denominator for c in cls.coords))
-        scaled = [c.numerator * (den // c.denominator) for c in cls.coords]
-        nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)
-        return nums, den
+        entry = self._pairing(cls)
+        return entry.nums, entry.den
+
+    def _pairing(self, cls: ClassLike) -> _Pairing:
+        """The memo entry of ``cls``, pairing it with the radical coroots
+        only if none of the last `PAIRING_MEMO_SIZE` classes equals it."""
+        coords = self.checked_class(cls, "class").coords
+        den = math.lcm(*(c.denominator for c in coords))
+        key = (den, *[c.numerator * (den // c.denominator) for c in coords])
+        memo = self._paired
+        entry = memo.get(key)
+        if entry is None:
+            scaled = key[1:]
+            nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)
+            entry = memo[key] = _Pairing(nums, den)
+            if len(memo) > PAIRING_MEMO_SIZE:
+                memo.popitem(last=False)
+        return entry
+
+    def _reciprocal_weights(self, cls: KahlerClass) -> tuple[int, tuple[int, ...], int]:
+        """For a Kahler class, whose radical pairings n are all positive:
+        their lcm, ``lcm // n`` for each, and the pairings' denominator."""
+        entry = self._pairing(cls)
+        if entry.weights is None:  # one attribute store, so a reader never sees half of it
+            lcm = math.lcm(*entry.nums)
+            entry.weights = (lcm, tuple(lcm // n for n in entry.nums))
+        return (*entry.weights, entry.den)
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"

@@ -13,6 +13,11 @@ coordinates on the complement nodes, and all are computed exactly:
 Arithmetic inside is integer: a class is paired with the radical coroots
 as integer numerators over one common denominator, and each public
 function builds a single `fractions.Fraction` for the value it returns.
+Those pairings come from the flag's memo (see `flag`): the last
+`PAIRING_MEMO_SIZE` classes paired on a flag, keyed by their integer
+form, are not paired again, and a metric class also keeps the lcm of
+its pairings and the reciprocal weights ``lcm // n`` that `trace` and
+`scalar_curvature` sum against.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -28,6 +33,7 @@ Picard rank, Kahler arguments strictly positive) and handed on as is.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -174,10 +180,10 @@ def _ratio_sum(
     p: ParabolicData, w: KahlerClass, b_nums: Sequence[int], b_den: int
 ) -> Fraction:
     """sum_k (b_nums[k]/b_den) / (w_k/w_den), w_k/w_den the radical pairings
-    of ``w``, summed over the common multiple of the w_k."""
-    w_nums, w_den = p.radical_pairings(w)
-    lcm = math.lcm(*w_nums)
-    total = sum(bn * (lcm // wn) for bn, wn in zip(b_nums, w_nums))
+    of ``w``, summed over the lcm of the w_k with the memo's reciprocal
+    weights lcm // w_k."""
+    lcm, recips, w_den = p._reciprocal_weights(w)
+    total = sum(map(operator.mul, b_nums, recips))
     return Fraction(total * w_den, lcm * b_den)
 
 

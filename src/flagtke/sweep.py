@@ -165,7 +165,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the selected checks on every flag up to the rank bound.
 
     Per flag: the degree bound once, then for each seeded sample one
-    positive class (and a signed twist when the roundtrip check is on).
+    positive class, whose solved twist (cscK, roundtrip) is computed once,
+    and whose volume `cross` takes from the `volbound` report when that
+    check has already run on the sample.
     Returns all failures, each with a runnable `flagtke` command line that
     reproduces it; an empty failure list is the expected outcome on a
     correct build.
@@ -198,6 +200,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         for _ in range(config.samples_per_flag):
             samples += 1
             xi = KahlerClass(draw_kahler(rng, p.picard_rank))
+            rep = sol = None  # shared by the checks of this sample
             for check in per_sample:
                 checks_run += 1
                 if check == "volbound":
@@ -211,17 +214,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                             xi,
                         )
                 elif check == "cross":
-                    v1 = volume_class(p, xi)
+                    v1 = volume_class(p, xi) if rep is None else rep.volume
                     v2 = volume_cross_check(p, xi)
                     if v1 != v2:
                         fail(p, check, f"volume_class={v1} cross_check={v2}", xi)
                 elif check == "cscK":
-                    sol = tke_solve_from_kahler(p, xi)
+                    sol = sol or tke_solve_from_kahler(p, xi)
                     gap = scalar_curvature(p, xi) - trace(p, xi, sol.beta)
                     if gap != p.dim:
                         fail(p, check, f"S - trace = {gap}, dim = {p.dim}", xi)
                 elif check == "roundtrip":
-                    sol = tke_solve_from_kahler(p, xi)
+                    sol = sol or tke_solve_from_kahler(p, xi)
                     back = tke_exists(p, sol.beta).metric  # None iff no solution
                     if back is None or back.coords != xi.coords:
                         fail(p, check, f"recovered {back}, expected {xi.coords}", xi)

@@ -392,6 +392,8 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
         ("report", "B40", "--theta", "", "--xi", "1"),
         ("sweep", "--max-rank", "30"),
         ("sweep", "--max-rank", "9", "--json"),
+        ("table", "--max-rank", "33"),
+        ("table", "--json", "--max-rank", "33"),
     ],
     ids=lambda a: " ".join(a[:3]),
 )

@@ -1,5 +1,8 @@
 """Twisted-metric existence, lower bound, volumes, scalar curvature."""
 
+import dataclasses
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from flagtke import (
     CohomologyClass,
     KahlerClass,
+    Weight,
     anticanonical_class,
     degree,
     grlb,
@@ -23,6 +27,7 @@ from flagtke import (
     volume_class,
     volume_cross_check,
 )
+from flagtke.flag import PAIRING_MEMO_SIZE
 from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
 
 P1 = parabolic("A1", theta=())
@@ -385,3 +390,143 @@ def test_twist_may_be_any_sign_but_kahler_may_not():
     assert tke_exists(P2, CohomologyClass.of((-1,))).exists
     with pytest.raises(ValueError):
         tke_solve_from_kahler(P2, (-1,))
+
+
+# ---------------------------------------------------------------------------
+# the per-flag pairing memo
+
+
+def weight_route_pairings(p, cls):
+    """<cls, coroot(g)> over the radical roots via Weight and RootSystem.pairing."""
+    coords = [Fraction(0)] * p.rs.rank  # the class as a weight on the complement
+    for i, c in zip(p.complement, cls, strict=True):
+        coords[i - 1] = Fraction(c)
+    w = Weight(tuple(coords))
+    return tuple(p.rs.pairing(w, g) for g in p.radical_roots)
+
+
+def test_pairing_memo_evicts_and_refills_without_changing_any_answer():
+    # more classes than the memo holds, revisited in an order that evicts
+    # entries and brings them back; every answer equals a fresh flag's
+    rng = SplitMix64(2024)
+    order = (0, 1, 2, 3, 4, 5, 0, 1, 5, 2, 0, 3)
+    calls = (
+        lambda p, xi, beta: p.radical_pairings(xi),
+        lambda p, xi, beta: p.radical_pairings(beta),
+        lambda p, xi, beta: trace(p, xi, beta),
+        lambda p, xi, beta: scalar_curvature(p, xi),
+        lambda p, xi, beta: volume_class(p, xi),
+        lambda p, xi, beta: volume_cross_check(p, xi),
+    )
+    for p in small_flags(4):
+        xis = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 2)]
+        betas = [draw_twist(rng, p.picard_rank) for _ in xis]
+        for step, i in enumerate(order):
+            xi, beta = xis[i], betas[i]
+            for call in calls[step % len(calls):] + calls[:step % len(calls)]:
+                fresh = parabolic(p.lie_type, p.theta)
+                assert call(p, xi, beta) == call(fresh, xi, beta), (p.describe(), i)
+                assert len(p._paired) <= PAIRING_MEMO_SIZE
+            for cls in (xi, beta):
+                nums, den = p.radical_pairings(cls)
+                assert tuple(Fraction(n, den) for n in nums) == weight_route_pairings(p, cls)
+
+
+def test_equal_classes_share_one_memo_entry_and_scales_do_not_collide():
+    p = parabolic("A2", theta=())
+    half = (Fraction(1, 2), 1)
+    assert sorted(p.radical_pairings(half)[0]) == [1, 2, 3]
+    for cls in (half, (Fraction(2, 4), Fraction(1)), CohomologyClass.of(half),
+                KahlerClass.of(half)):
+        assert p.radical_pairings(cls)[1] == 2
+    assert len(p._paired) == 1
+    # the same numerators over another denominator are another class
+    assert p.radical_pairings((1, 2)) == (p.radical_pairings(half)[0], 1)
+    assert len(p._paired) == 2
+    assert trace(p, half, (1, 2)) == 2 * p.dim
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # the root system's lookup dict is unhashable
+        return str(exc)
+
+
+def test_pairing_memo_leaves_equality_and_hash_alone():
+    p = parabolic("B3", theta=(2,))
+    before = hash_or_error(p)
+    for k in range(PAIRING_MEMO_SIZE + 1):
+        xi = (Fraction(k + 1, 3), 2)
+        volume_class(p, xi)
+        trace(p, xi, (1, -1))
+    assert p._paired
+    fresh = parabolic("B3", theta=(2,))
+    assert p == fresh and not fresh._paired
+    assert hash_or_error(p) == before == hash_or_error(fresh)
+    memo = next(f for f in dataclasses.fields(p) if f.name == "_paired")
+    assert not (memo.compare or memo.hash or memo.repr or memo.init)
+    assert "_paired" not in repr(p)
+
+
+def test_pairing_memo_shared_by_threads_gives_single_thread_answers():
+    # more threads than cores share one flag's memo; a tiny switch interval
+    # interleaves fills, hits and evictions of the same entries
+    p = parabolic("B4", theta=())
+    rng = SplitMix64(77)
+    classes = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
+    fresh = parabolic("B4", theta=())
+    expected = [(scalar_curvature(fresh, xi), trace(fresh, xi, p.koszul),
+                 volume_class(fresh, xi)) for xi in classes]
+    wrong = []
+    start = threading.Barrier(8)
+
+    def work(offset):
+        start.wait(timeout=60)
+        for k in range(300):
+            i = (k * (offset + 1) + offset) % len(classes)
+            xi = classes[i]
+            got = (scalar_curvature(p, xi), trace(p, xi, p.koszul), volume_class(p, xi))
+            if got != expected[i]:
+                wrong.append((offset, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(p._paired) <= PAIRING_MEMO_SIZE
+
+
+class CountedRows(tuple):
+    """A tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountedRows.passes += 1
+        return super().__iter__()
+
+
+def test_class_bundle_pairs_each_distinct_class_once():
+    # the seven-call per-class bundle pairs xi and koszul - xi: two passes
+    # over the radical coroot rows, not one per call
+    p = parabolic("E8", theta=())
+    object.__setattr__(p, "_complement_forms", CountedRows(p._complement_forms))
+    CountedRows.passes = 0
+    xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
+    beta = tuple(k - x for k, x in zip(p.koszul, xi))
+    v1 = volume_class(p, xi)
+    assert volume_cross_check(p, xi) == v1
+    grlb_report(p, xi)
+    assert scalar_curvature(p, xi) - trace(p, xi, beta) == p.dim
+    assert tke_exists(p, beta).exists
+    assert volume_bound_report(p, xi).volume == v1
+    assert CountedRows.passes == 2

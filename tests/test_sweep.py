@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import flagtke.invariants
 import flagtke.sweep
 from flagtke.cli import main
 from flagtke.flag import SnowCheck
@@ -165,3 +166,22 @@ def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
         capsys.readouterr()
     full = [f.reproducer for f in res.failures if f.flag.startswith("A1/")]
     assert all(shlex.split(r)[3:5] == ["--theta", ""] for r in full)
+
+
+def test_each_sample_pays_for_its_volume_and_solution_once(monkeypatch):
+    calls = {"volume_class": 0, "tke_solve_from_kahler": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in calls:  # wherever the caller looks it up
+        wrapper = counted(name, getattr(flagtke.invariants, name))
+        monkeypatch.setattr(flagtke.invariants, name, wrapper)
+        monkeypatch.setattr(flagtke.sweep, name, wrapper)
+    res = run_sweep(SweepConfig(max_rank=3, samples_per_flag=2))
+    assert res.ok and res.samples > 0
+    assert calls == {"volume_class": res.samples, "tke_solve_from_kahler": res.samples}
