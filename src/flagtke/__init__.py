@@ -1,29 +1,28 @@
 """Exact root-system combinatorics for twisted Einstein geometry on
 generalized flag varieties.
 
-Layering: `rootsys` (root systems and pairings) -> `flag` (parabolic
-data, anticanonical class, degree) -> `invariants` (existence, Ricci
-lower bound, volumes, curvature) -> `families`/`catalog` (named
-examples and the Picard-rank-two classification) -> `sweep`/`cli`
+Layering: `rootsys` (root systems and integer coroot forms) -> `flag`
+(parabolic data, anticanonical class, degree) -> `invariants`
+(existence, Ricci lower bound, volumes, curvature) -> `families`/`catalog`
+(named examples and the Picard-rank-two classification) -> `sweep`/`cli`
 (bulk verification and the command line).  All arithmetic is exact.
+
+The package exports the entry points; the types they return, and the
+sweep, are imported from their submodules (e.g. `flagtke.flag`,
+`flagtke.sweep`).
 """
 
+from . import sweep  # noqa: F401  (every layer loads with the package)
 from .catalog import (
     Family,
-    Picard2Class,
-    TableRow,
     catalog_rows,
     classify_picard2,
     example_full_flag,
     example_projectivized_tangent,
 )
-from .families import CatalogRow, rows_within
 from .flag import (
     CohomologyClass,
-    FlagReport,
     KahlerClass,
-    ParabolicData,
-    SnowCheck,
     anticanonical_class,
     degree,
     flag_report,
@@ -31,10 +30,6 @@ from .flag import (
     snow_check,
 )
 from .invariants import (
-    GrlbReport,
-    TkeResult,
-    TwistedSolution,
-    VolumeBoundReport,
     grlb,
     grlb_report,
     scalar_curvature,
@@ -45,39 +40,20 @@ from .invariants import (
     volume_class,
     volume_cross_check,
 )
-from .rootsys import LieType, Root, RootSystem, Weight, build_root_system
-from .sweep import (
-    CHECKS,
-    SplitMix64,
-    SweepConfig,
-    SweepFailure,
-    SweepResult,
-    enumerate_flags,
-    run_sweep,
-)
+from .rootsys import LieType, build_root_system
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LieType",
-    "Root",
-    "Weight",
-    "RootSystem",
     "build_root_system",
     "CohomologyClass",
     "KahlerClass",
-    "ParabolicData",
-    "SnowCheck",
-    "FlagReport",
     "parabolic",
     "degree",
     "snow_check",
     "anticanonical_class",
     "flag_report",
-    "TkeResult",
-    "TwistedSolution",
-    "GrlbReport",
-    "VolumeBoundReport",
     "tke_exists",
     "tke_solve_from_kahler",
     "grlb",
@@ -88,20 +64,9 @@ __all__ = [
     "scalar_curvature",
     "volume_bound_report",
     "Family",
-    "Picard2Class",
-    "TableRow",
-    "CatalogRow",
-    "rows_within",
     "classify_picard2",
     "catalog_rows",
     "example_projectivized_tangent",
     "example_full_flag",
-    "SplitMix64",
-    "CHECKS",
-    "SweepConfig",
-    "SweepFailure",
-    "SweepResult",
-    "enumerate_flags",
-    "run_sweep",
     "__version__",
 ]

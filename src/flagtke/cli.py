@@ -24,7 +24,11 @@ the factor; it never changes a stored or serialized value.
 Limits: a type token or a table --max-rank above MAX_TYPE_RANK (32) and
 a sweep with --max-rank above MAX_SWEEP_RANK (8) are rejected as usage
 errors before any root system is built; their cost grows steeply with
-the rank.
+the rank.  A rational token longer than MAX_RATIONAL_CHARS (100) or with
+an exponent beyond MAX_RATIONAL_EXPONENT (300) in size is rejected the
+same way, before `Fraction` parses it.  Answers are rendered in full,
+however many digits they have: CPython's limit on int -> str conversion
+is lifted while a command runs and restored when `main` returns.
 
 Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
@@ -39,6 +43,7 @@ import argparse
 import dataclasses
 import decimal
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,6 +64,11 @@ EXIT_USAGE = 2
 
 MAX_TYPE_RANK = 32
 MAX_SWEEP_RANK = 8
+# Bounds on one rational token: Fraction("1e3000000") alone takes seconds,
+# and an answer grows with the size of its input.
+MAX_RATIONAL_CHARS = 100
+MAX_RATIONAL_EXPONENT = 300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +83,23 @@ def _indices_arg(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _rational(tok: str) -> Fraction:
+    # OverflowError, not ValueError, so that argparse prints no usage block:
+    # main reports it as one line.
+    if len(tok) > MAX_RATIONAL_CHARS:
+        raise OverflowError(f"a rational token has {len(tok)} characters; "
+                            f"the CLI accepts at most {MAX_RATIONAL_CHARS}")
+    exponent = _EXPONENT.search(tok)
+    if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
+        raise OverflowError(
+            f"rational {tok!r} has exponent {int(exponent.group(1))}; the CLI accepts "
+            f"exponents from -{MAX_RATIONAL_EXPONENT} to {MAX_RATIONAL_EXPONENT}")
+    return Fraction(tok)
+
+
 def _rationals_arg(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.strip().split(","))
+        return tuple(_rational(tok.strip()) for tok in text.strip().split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated rationals like 2,5/3, got {text!r}"
@@ -268,7 +292,7 @@ _CLASS_HELP = {"beta": "twist coordinates, e.g. 5/2,1", "xi": "positive class co
 def _cmd_roots(args: argparse.Namespace) -> int:
     rs = build_root_system(_lie_type(args.type))
     mu = rs.maximal_root()
-    heights = [rs.height_in_max(i) for i in range(1, rs.rank + 1)]
+    heights = list(mu.coeffs)
     result = {
         "rank": rs.rank,
         "count": len(rs.positive_roots),
@@ -417,6 +441,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles help/usage itself
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OverflowError as exc:  # a rational token beyond the input bounds
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # An exact answer may have more digits than CPython's default limit on
+    # int -> str conversion (4300); its size is bounded by the input's.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython >= 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:  # OSError: e.g. --out into a missing directory
@@ -425,6 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:  # an internal check failed, e.g. volume routes disagree
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ reduces to integer linear algebra on root coordinates, so this module is
 deliberately dependency-free and exact, with no floating point.  Inside,
 everything is an integer: roots, the Cartan matrix, and the coroot form
 of every positive root (checked integral once, when the system is
-built).  `fractions.Fraction` appears only at the API boundary, in
-weights and in the values that public pairing functions return.
+built).  `fractions.Fraction` appears only in the symmetrizer and in
+`coroot_form`, the construction-time route to those integer forms.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -16,10 +16,10 @@ Conventions, fixed once here and relied on everywhere else:
   E-series branch node is 2, attached to node 4, with the long chain
   1-3-4-5-6(-7-8); F4 is 1-2=>3-4 (3, 4 short); G2 has alpha_1 short.
 * ``cartan[i][j]`` is <alpha_i, coroot(alpha_j)>.  Rows therefore give
-  the weight coordinates of a simple root (see ``root_to_weight``) and
-  columns pair against a fixed simple coroot.
-* Roots are integer vectors in simple-root coordinates; weights are
-  rational vectors in fundamental-weight coordinates.
+  the fundamental-weight coordinates of a simple root and columns pair
+  against a fixed simple coroot.
+* Roots are integer vectors in simple-root coordinates; a coroot form
+  pairs with a weight given in fundamental-weight coordinates.
 * The symmetrizer ``d`` makes ``d[j] * cartan[i][j]`` symmetric, i.e.
   d[j] is proportional to half the squared length of alpha_j.  Every
   pairing is a ratio, so any positive rescaling of d gives identical
@@ -31,12 +31,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "LieType",
     "Root",
-    "Weight",
     "RootSystem",
     "build_root_system",
     "coroot_form",
@@ -105,39 +104,8 @@ class Root:
     def height(self) -> int:
         return sum(self.coeffs)
 
-    def support(self) -> frozenset[int]:
-        """1-based indices of the simple roots appearing in this root."""
-        return frozenset(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates (exact rationals)."""
-
-    coords: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values: Iterable[Rational]) -> "Weight":
-        return cls(tuple(Fraction(v) for v in values))
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def scale(self, t: Rational) -> "Weight":
-        t = Fraction(t)
-        return Weight(tuple(t * a for a in self.coords))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 def _cartan_matrix(t: LieType) -> list[list[int]]:
@@ -261,73 +229,10 @@ class RootSystem:
     # bitmask (bit i-1 set iff alpha_i occurs in g).
     coroot_forms: tuple[tuple[int, ...], ...] = field(repr=False)
     support_masks: tuple[int, ...] = field(repr=False)
-    # coeff tuple of a positive root -> its integer coroot form
-    _form_of: dict[tuple[int, ...], tuple[int, ...]] = field(repr=False)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    def simple_root(self, i: int) -> Root:
-        """The simple root alpha_i (1-based)."""
-        self._check_index(i)
-        return Root(tuple(int(k == i - 1) for k in range(self.rank)))
-
-    def fundamental_weight(self, i: int) -> Weight:
-        """The fundamental weight w_i (1-based)."""
-        self._check_index(i)
-        return Weight(tuple(Fraction(int(k == i - 1)) for k in range(self.rank)))
-
-    def is_root(self, gamma: Root) -> bool:
-        c = gamma.coeffs
-        return c in self._form_of or tuple(-v for v in c) in self._form_of
-
-    def coroot_pairing_form(self, gamma: Root) -> tuple[Fraction, ...]:
-        """Linear form v with pairing(lam, gamma) = sum_i lam.coords[i]*v[i].
-
-        Precomputed for every positive root; negative roots get the
-        negated form.
-        """
-        form = self._form_of.get(gamma.coeffs)
-        if form is None:
-            neg = self._form_of.get(tuple(-c for c in gamma.coeffs))
-            if neg is None:
-                raise ValueError(f"{gamma} is not a root of {self.lie_type}")
-            form = tuple(-v for v in neg)
-        return tuple(Fraction(v) for v in form)
-
-    def pairing(self, lam: Weight, gamma: Root) -> Fraction:
-        """<lam, coroot(gamma)> = 2(lam, gamma)/(gamma, gamma), exact.
-
-        gamma must be an actual (positive or negative) root; the inner
-        products are evaluated through the symmetrizer, so the value does
-        not depend on its overall scale.
-        """
-        form = self.coroot_pairing_form(gamma)
-        return sum(
-            (l * v for l, v in zip(lam.coords, form, strict=True)),
-            start=Fraction(0),
-        )
-
-    def _to_weight_coords(self, coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-        a = self.cartan
-        m = self.rank
-        return tuple(
-            Fraction(sum(coeffs[j] * a[j][i] for j in range(m))) for i in range(m)
-        )
-
-    def root_to_weight(self, gamma: Root | Sequence[int]) -> Weight:
-        """Rewrite simple-root coordinates in the fundamental-weight basis.
-
-        Linear, so any integer combination of roots (e.g. a root sum) is
-        accepted, not just roots.
-        """
-        coeffs = gamma.coeffs if isinstance(gamma, Root) else tuple(gamma)
-        return Weight(self._to_weight_coords(coeffs))
-
-    def weyl_vector(self) -> Weight:
-        """Sum of the fundamental weights = half the sum of positive roots."""
-        return Weight(tuple(Fraction(1) for _ in range(self.rank)))
 
     def maximal_root(self) -> Root:
         """The unique positive root dominating all others coefficientwise."""
@@ -336,15 +241,6 @@ class RootSystem:
             if any(mc < gc for mc, gc in zip(mu.coeffs, g.coeffs, strict=True)):
                 raise RuntimeError(f"no dominating root in {self.lie_type}")
         return mu
-
-    def height_in_max(self, i: int) -> int:
-        """Coefficient of alpha_i (1-based) in the maximal root."""
-        self._check_index(i)
-        return self.maximal_root().coeffs[i - 1]
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
 
 
 def _integral_form(t: LieType, gamma: Root, form: Sequence[Fraction]) -> tuple[int, ...]:
@@ -370,5 +266,4 @@ def build_root_system(lie_type: LieType | str) -> RootSystem:
         support_masks=tuple(
             sum(1 << i for i, c in enumerate(r.coeffs) if c) for r in positives
         ),
-        _form_of={r.coeffs: f for r, f in zip(positives, forms)},
     )

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from flagtke import (
     LieType,
     build_root_system,
@@ -317,17 +318,19 @@ def test_criterion_10_structural_invariants():
         ok = ok and len(rs.positive_roots) == closed_form(t)
     for p in proper_flags(6):
         rs = p.rs
-        w = rs.root_to_weight(p.delta_p)
+        w = oracle.root_to_weight(rs, p.delta_p.coeffs)
+        simple = oracle.pairings(rs, w, [oracle.unit(rs.rank, i) for i in range(1, rs.rank + 1)])
         for i in p.theta:
-            ok = ok and rs.pairing(w, rs.simple_root(i)) == 0
+            ok = ok and simple[i - 1] == 0
         for pos, i in enumerate(p.complement):
-            got = rs.pairing(w, rs.simple_root(i))
+            got = simple[i - 1]
             ok = ok and got > 0 and got == p.koszul[pos]
         # integrality from the raw product, not the library's cast
         n = p.dim
         raw = Fraction(1)
-        for g in p.radical_roots:
-            raw *= Fraction(rs.pairing(w, g), rs.pairing(rs.weyl_vector(), g))
+        rho = oracle.pairings(rs, oracle.weyl_vector(rs), p.radical_roots)
+        for dv, rv in zip(oracle.pairings(rs, w, p.radical_roots), rho):
+            raw *= dv / rv
         for k in range(1, n + 1):
             raw *= k
         ok = ok and raw.denominator == 1 and raw > 0 and raw == degree(p)

@@ -417,3 +417,58 @@ def test_rank_limits_admit_the_largest_allowed_rank(capsys):
     code, doc, _ = run_json(capsys, "flag", "A32", "--complement", "1")
     assert code == EXIT_OK
     assert doc["result"]["dim"] == 32
+
+
+def test_answers_beyond_the_int_string_limit_are_printed_in_full(capsys):
+    import sys
+
+    from flagtke import parabolic, volume_class
+
+    xi = ",".join(["1e40"] * 8)
+    limit = sys.get_int_max_str_digits()
+    code, doc, err = run_json(capsys, "volume", "E8", "--theta", "", "--xi", xi)
+    assert (code, err) == (EXIT_OK, "")
+    assert sys.get_int_max_str_digits() == limit  # restored when main returns
+    code, out, _ = run(capsys, "report", "E8", "--theta", "", "--xi", xi)
+    assert code == EXIT_OK
+    expected = volume_class(parabolic("E8", ()), [Fraction(10**40)] * 8)
+    assert expected.numerator > 10**4300  # past CPython's default digit limit
+    sys.set_int_max_str_digits(0)  # to parse and print the answer here
+    try:
+        assert Fraction(doc["result"]["volume"]) == expected
+        assert f"volume: {expected} (~" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("volume", "A2", "--theta", "", "--xi", "1" * 101),
+        ("grlb", "A1", "--theta", "", "--xi", "1e301"),
+        ("tke", "A1", "--theta", "", "--beta=1e-3000000"),
+        ("report", "B3", "--theta", "", "--xi", "1E+1_000,1,1", "--json"),
+    ],
+    ids=["long", "exponent", "negative-exponent", "underscored-exponent"],
+)
+def test_oversized_rational_tokens_are_one_line_usage_errors(capsys, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("Fraction parsed a token past the input bounds")
+
+    monkeypatch.setattr("flagtke.cli.Fraction", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "sys." not in err and "4300" not in err
+
+
+def test_rational_tokens_at_the_bounds_are_accepted(capsys):
+    from flagtke.cli import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
+
+    assert (MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT) == (100, 300)
+    longest = "7" * 95 + "e-300"
+    assert len(longest) == MAX_RATIONAL_CHARS
+    code, doc, _ = run_json(capsys, "volume", "A2", "--theta", "", "--xi", f"{longest},1e300")
+    assert code == EXIT_OK
+    assert doc["input"]["xi"] == [str(Fraction(longest)), str(10**300)]

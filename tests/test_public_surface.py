@@ -1,0 +1,17 @@
+"""The public surface: every exported name exists, once."""
+
+import importlib
+import pkgutil
+
+import flagtke
+
+
+def test_every_exported_name_resolves_and_appears_once():
+    names = [m.name for m in pkgutil.iter_modules(flagtke.__path__)]
+    assert {"rootsys", "flag", "invariants", "families", "catalog", "sweep", "cli"} <= set(names)
+    for module in [flagtke, *(importlib.import_module(f"flagtke.{n}") for n in names)]:
+        exported = module.__all__
+        assert len(exported) == len(set(exported)), module.__name__
+        assert [n for n in exported if not hasattr(module, n)] == [], module.__name__
+    # the rational weight API is gone from the package
+    assert not hasattr(flagtke.rootsys, "Weight") and not hasattr(flagtke, "Weight")
