@@ -3,7 +3,7 @@ generalized flag varieties.
 
 Layering: `rootsys` (root systems and integer coroot forms) -> `flag`
 (parabolic data, anticanonical class, degree) -> `invariants`
-(existence, Ricci lower bound, volumes, curvature) -> `families`/`catalog`
+(existence, Ricci lower bound, volumes, curvature) -> `catalog`
 (named examples and the Picard-rank-two classification) -> `sweep`/`cli`
 (bulk verification and the command line).  All arithmetic is exact.
 
@@ -25,7 +25,6 @@ from .flag import (
     KahlerClass,
     anticanonical_class,
     degree,
-    flag_report,
     parabolic,
     snow_check,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "degree",
     "snow_check",
     "anticanonical_class",
-    "flag_report",
     "tke_exists",
     "tke_solve_from_kahler",
     "grlb",

@@ -24,11 +24,13 @@ the factor; it never changes a stored or serialized value.
 Limits: a type token or a table --max-rank above MAX_TYPE_RANK (32) and
 a sweep with --max-rank above MAX_SWEEP_RANK (8) are rejected as usage
 errors before any root system is built; their cost grows steeply with
-the rank.  A rational token longer than MAX_RATIONAL_CHARS (100) or with
-an exponent beyond MAX_RATIONAL_EXPONENT (300) in size is rejected the
-same way, before `Fraction` parses it.  Answers are rendered in full,
-however many digits they have: CPython's limit on int -> str conversion
-is lifted while a command runs and restored when `main` returns.
+the rank.  So is a --digits outside 1 to MAX_DIGITS (1000), since a
+decimal hint grows with it.  A rational token longer than
+MAX_RATIONAL_CHARS (100) or with an exponent beyond
+MAX_RATIONAL_EXPONENT (300) in size is rejected the same way, before
+`Fraction` parses it.  Answers are rendered in full, however many
+digits they have: CPython's limit on int -> str conversion is lifted
+while a command runs and restored when `main` returns.
 
 Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
@@ -49,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .catalog import catalog_rows
-from .flag import ParabolicData, flag_report, parabolic
+from .flag import ParabolicData, parabolic, snow_check
 from .invariants import (
     grlb_report, tke_exists, volume_bound_report, volume_class, volume_cross_check,
 )
@@ -64,6 +66,7 @@ EXIT_USAGE = 2
 
 MAX_TYPE_RANK = 32
 MAX_SWEEP_RANK = 8
+MAX_DIGITS = 1000
 # Bounds on one rational token: Fraction("1e3000000") alone takes seconds,
 # and an answer grows with the size of its input.
 MAX_RATIONAL_CHARS = 100
@@ -130,7 +133,7 @@ def _lie_type(token: str) -> LieType:
 def _q_text(x: Fraction | int, digits: int) -> str:
     if x.denominator == 1 and abs(x.numerator) < 10**12:
         return str(x)
-    ctx = decimal.Context(prec=max(1, digits))
+    ctx = decimal.Context(prec=digits)
     return f"{x} (~{ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))})"
 
 
@@ -179,23 +182,23 @@ def _run_flag(args: argparse.Namespace) -> int:
 
 
 def _flag(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
-    rep = flag_report(p)
+    snow = snow_check(p)
     result = {
-        "dim": rep.dim,
-        "picard_rank": rep.picard_rank,
-        "koszul": list(rep.koszul),
-        "degree": str(rep.degree),
-        "snow_bound": str(rep.snow.bound),
-        "snow_ok": rep.snow.ok,
-        "snow_equality": rep.snow.equality,
+        "dim": p.dim,
+        "picard_rank": p.picard_rank,
+        "koszul": list(p.koszul),
+        "degree": str(snow.degree),
+        "snow_bound": str(snow.bound),
+        "snow_ok": snow.ok,
+        "snow_equality": snow.equality,
     }
     return result, [
-        f"dim: {rep.dim}",
-        f"picard rank: {rep.picard_rank}",
-        f"koszul: {_vec_text(rep.koszul, args.units)}",
-        f"degree: {_q_text(rep.degree, args.digits)}",
-        f"snow bound (n+1)^n: {_q_text(rep.snow.bound, args.digits)}",
-        f"degree <= bound: {_check_text(rep.snow.ok, rep.snow.equality)}",
+        f"dim: {p.dim}",
+        f"picard rank: {p.picard_rank}",
+        f"koszul: {_vec_text(p.koszul, args.units)}",
+        f"degree: {_q_text(snow.degree, args.digits)}",
+        f"snow bound (n+1)^n: {_q_text(snow.bound, args.digits)}",
+        f"degree <= bound: {_check_text(snow.ok, snow.equality)}",
     ]
 
 
@@ -450,6 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        if not 1 <= args.digits <= MAX_DIGITS:
+            raise ValueError(f"--digits {args.digits} is outside the accepted range"
+                             f" 1 to {MAX_DIGITS}")
         return args.handler(args)
     except (ValueError, OSError) as exc:  # OSError: e.g. --out into a missing directory
         print(f"error: {exc}", file=sys.stderr)

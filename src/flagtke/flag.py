@@ -45,12 +45,10 @@ __all__ = [
     "KahlerClass",
     "ParabolicData",
     "SnowCheck",
-    "FlagReport",
     "parabolic",
     "degree",
     "snow_check",
     "anticanonical_class",
-    "flag_report",
 ]
 
 
@@ -347,26 +345,3 @@ def snow_check(p: ParabolicData) -> SnowCheck:
 def anticanonical_class(p: ParabolicData) -> KahlerClass:
     """The anticanonical class in Picard coordinates (the koszul numbers)."""
     return KahlerClass.of(p.koszul)
-
-
-@dataclass(frozen=True)
-class FlagReport:
-    """Bundled summary used by the CLI `flag` command."""
-
-    parabolic: ParabolicData
-    dim: int
-    picard_rank: int
-    koszul: tuple[int, ...]
-    degree: int
-    snow: SnowCheck
-
-
-def flag_report(p: ParabolicData) -> FlagReport:
-    return FlagReport(
-        parabolic=p,
-        dim=p.dim,
-        picard_rank=p.picard_rank,
-        koszul=p.koszul,
-        degree=degree(p),
-        snow=snow_check(p),
-    )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "LieType",
@@ -39,6 +39,7 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "coroot_form",
+    "types_of_rank",
 ]
 
 # Valid rank window per series; None means unbounded above.
@@ -92,6 +93,13 @@ class LieType:
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
+
+
+def types_of_rank(rank: int) -> Iterator[LieType]:
+    """Every simple type of the given rank, in series order A, B, ..., G."""
+    for series, (lo, hi) in _RANK_RULES.items():
+        if lo <= rank and (hi is None or rank <= hi):
+            yield LieType(series, rank)
 
 
 @dataclass(frozen=True, order=True)
@@ -249,9 +257,7 @@ def _integral_form(t: LieType, gamma: Root, form: Sequence[Fraction]) -> tuple[i
     return tuple(int(v) for v in form)
 
 
-@functools.lru_cache(maxsize=None)
-def build_root_system(lie_type: LieType | str) -> RootSystem:
-    """Construct (and cache) the root system for a simple type."""
+def _construct(lie_type: LieType | str) -> RootSystem:
     t = LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type
     cartan = _cartan_matrix(t)
     d = _symmetrizer(cartan)
@@ -267,3 +273,22 @@ def build_root_system(lie_type: LieType | str) -> RootSystem:
             sum(1 << i for i, c in enumerate(r.coeffs) if c) for r in positives
         ),
     )
+
+
+_cached = functools.lru_cache(maxsize=None)(_construct)
+
+
+def build_root_system(lie_type: LieType | str) -> RootSystem:
+    """The root system of a simple type, built once per type.
+
+    A token such as ``"A3"`` or ``" a3 "`` is parsed first, so every
+    spelling of a type shares one cache entry and one object.  The cache
+    is reachable as on any ``lru_cache`` function: ``cache_info``,
+    ``cache_clear``, and ``__wrapped__`` for an uncached build.
+    """
+    return _cached(LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type)
+
+
+build_root_system.cache_info = _cached.cache_info
+build_root_system.cache_clear = _cached.cache_clear
+build_root_system.__wrapped__ = _construct

@@ -29,7 +29,7 @@ from .invariants import (
     volume_class,
     volume_cross_check,
 )
-from .rootsys import LieType, _RANK_RULES
+from .rootsys import types_of_rank
 
 __all__ = [
     "SplitMix64",
@@ -146,11 +146,7 @@ def enumerate_flags(max_rank: int) -> Iterator[ParabolicData]:
     the full set is skipped since it gives a point, not a flag variety.
     """
     for rank in range(1, max_rank + 1):
-        for series in "ABCDEFG":
-            lo, hi = _RANK_RULES[series]
-            if rank < lo or (hi is not None and rank > hi):
-                continue
-            t = LieType(series, rank)
+        for t in types_of_rank(rank):
             for mask in range((1 << rank) - 1):
                 theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)
                 yield parabolic(t, theta)

@@ -106,8 +106,14 @@ def test_catalog_family_filter_and_validation():
     assert twos and all(r.family == "II" for r in twos)
     with pytest.raises(ValueError):
         catalog_rows(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown family 'IV'.*'I', 'II', 'III'"):
         catalog_rows(6, family="IV")
+
+
+@pytest.mark.parametrize("max_rank", range(4, 10))
+def test_catalog_family_filter_partitions_the_table(max_rank):
+    parts = [catalog_rows(max_rank, family=f) for f in ("I", "II", "III")]
+    assert sum(parts, ()) == catalog_rows(max_rank)
 
 
 def test_catalog_rows_carry_group_labels():
@@ -132,6 +138,6 @@ def test_projectivized_tangent_example():
 
 def test_full_flag_example():
     for token, dim in (("A3", 6), ("G2", 6), ("E8", 120)):
-        rep = example_full_flag(token)
-        assert rep.dim == dim
-        assert set(rep.koszul) == {2}
+        p = example_full_flag(token)
+        assert p.dim == dim
+        assert set(p.koszul) == {2}

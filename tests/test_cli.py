@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from flagtke.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from flagtke.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, MAX_DIGITS, main
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -398,8 +398,12 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
     ids=lambda a: " ".join(a[:3]),
 )
 def test_rank_limits_reject_before_any_root_system(capsys, monkeypatch, argv):
+    assert_usage_error_before_any_root_system(capsys, monkeypatch, argv)
+
+
+def assert_usage_error_before_any_root_system(capsys, monkeypatch, argv):
     def refuse(*_):
-        raise AssertionError("build_root_system called past the rank limit")
+        raise AssertionError("build_root_system called past an input limit")
 
     for module in ("flagtke.rootsys", "flagtke.flag", "flagtke.cli"):
         monkeypatch.setattr(f"{module}.build_root_system", refuse)
@@ -417,6 +421,21 @@ def test_rank_limits_admit_the_largest_allowed_rank(capsys):
     code, doc, _ = run_json(capsys, "flag", "A32", "--complement", "1")
     assert code == EXIT_OK
     assert doc["result"]["dim"] == 32
+
+
+@pytest.mark.parametrize("digits", [0, -5, MAX_DIGITS + 1])
+def test_digits_outside_the_range_reject_before_any_root_system(capsys, monkeypatch, digits):
+    argv = ("grlb", "A2", "--theta", "2", "--xi", "7", f"--digits={digits}")
+    assert_usage_error_before_any_root_system(capsys, monkeypatch, argv)
+
+
+def test_digits_limit_is_accepted(capsys):
+    assert MAX_DIGITS == 1000
+    code, out, err = run(capsys, "grlb", "A2", "--theta", "2", "--xi", "7",
+                         "--digits", str(MAX_DIGITS))
+    assert (code, err) == (EXIT_OK, "")
+    hint = re.search(r"3/7 \(~0\.([0-9]+)\)", out).group(1)
+    assert len(hint) == MAX_DIGITS and hint.startswith("428571")
 
 
 def test_answers_beyond_the_int_string_limit_are_printed_in_full(capsys):

@@ -7,12 +7,13 @@ on a commit whose answers were known good.  ``cli_golden_extra.json``
 ``--units 2pi|raw`` x ``--digits 3|12`` in text and JSON, ``--complement``,
 ``--out``, every ``table`` family, the usage and validation errors, each
 ``--help``, a failing sweep, answers past CPython's 4300-digit string
-limit and rational tokens past the input bounds; each entry holds the
-exit code, the stdout sha256, the stderr text and the sha256 of the
-``--out`` file.  Running the same commands in-process through ``main``
-must reproduce every one of them exactly, so a refactor that changes any
-printed answer, rendering, message or JSON layout fails here.  Every JSON
-envelope printed on the way must also validate against the schema.
+limit, and rational tokens and ``--digits`` values past the input
+bounds; each entry holds the exit code, the stdout sha256, the stderr
+text and the sha256 of the ``--out`` file.  Running the same commands
+in-process through ``main`` must reproduce every one of them exactly, so
+a refactor that changes any printed answer, rendering, message or JSON
+layout fails here.  Every JSON envelope printed on the way must also
+validate against the schema.
 """
 
 import hashlib
@@ -88,6 +89,6 @@ def test_extra_golden_cli_outputs_are_byte_identical(capsys, monkeypatch, tmp_pa
         if any(seen[k] != entry[k] for k in seen):
             mismatches.append((entry["argv"], seen))
         invalid += _schema_errors(validator, argv, out)
-    assert len(doc["entries"]) == 251
+    assert len(doc["entries"]) == 254
     assert mismatches == []
     assert invalid == []

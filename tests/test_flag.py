@@ -13,7 +13,6 @@ from flagtke import (
     anticanonical_class,
     build_root_system,
     degree,
-    flag_report,
     parabolic,
     snow_check,
 )
@@ -269,11 +268,12 @@ def test_snow_check_p1():
     assert chk.degree == 2 and chk.bound == 2 and chk.equality
 
 
-def test_flag_report_fields():
-    rep = flag_report(parabolic("A3", complement=(2, 3)))
-    assert rep.dim == 5
-    assert rep.picard_rank == 2
-    assert rep.koszul == (3, 2)
-    assert rep.degree == 4500
-    assert rep.snow.bound == 6**5
-    assert rep.snow.ok and not rep.snow.equality
+def test_flag_fields_and_snow_check():
+    p = parabolic("A3", complement=(2, 3))
+    assert p.dim == 5
+    assert p.picard_rank == 2
+    assert p.koszul == (3, 2)
+    snow = snow_check(p)
+    assert snow.degree == degree(p) == 4500
+    assert snow.bound == 6**5
+    assert snow.ok and not snow.equality

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from flagtke import LieType, build_root_system
-from flagtke.rootsys import coroot_form
+from flagtke.rootsys import coroot_form, types_of_rank
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -100,6 +100,11 @@ def test_parse_tokens():
             LieType.parse(bad)
 
 
+def test_types_of_rank_are_the_valid_types_in_series_order():
+    for rank in range(1, 12):
+        assert list(types_of_rank(rank)) == [t for t in all_types(rank) if t.rank == rank]
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -108,6 +113,13 @@ def test_positive_root_counts_match_closed_form():
     for t in all_types(8):
         rs = build_root_system(t)
         assert len(rs.positive_roots) == closed_form_count(t), t
+
+
+def test_every_spelling_of_a_type_shares_one_root_system():
+    build_root_system.cache_clear()
+    systems = [build_root_system(t) for t in ("A3", LieType("A", 3), " a3 ")]
+    assert all(rs is systems[0] for rs in systems)
+    assert build_root_system.cache_info().currsize == 1
 
 
 def test_a2_positive_roots_explicit():
