@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .rootsys import LieType, Rational, Root, RootSystem, build_root_system
+from .rootsys import LieType, Root, RootSystem, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -81,6 +81,7 @@ class KahlerClass(CohomologyClass):
             raise ValueError(f"Kahler class needs positive coordinates, got {self}")
 
 
+Rational = Union[Fraction, int, str]
 ClassLike = Union[CohomologyClass, Sequence[Rational]]
 
 # How many classes one ParabolicData remembers the radical pairings of;
@@ -211,7 +212,13 @@ class ParabolicData:
 
 
 def _normalize_indices(rs: RootSystem, indices: Iterable[int], what: str) -> tuple[int, ...]:
-    out = sorted(set(int(i) for i in indices))
+    nodes: set[int] = set()
+    for i in indices:
+        try:
+            nodes.add(operator.index(i))  # int() would truncate 2.9 to 2
+        except TypeError:
+            raise ValueError(f"{what} index {i!r} is not an integer") from None
+    out = sorted(nodes)
     for i in out:
         if not 1 <= i <= rs.rank:
             raise ValueError(

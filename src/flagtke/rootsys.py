@@ -4,9 +4,9 @@ Everything downstream (parabolic data, anticanonical classes, volumes)
 reduces to integer linear algebra on root coordinates, so this module is
 deliberately dependency-free and exact, with no floating point.  Inside,
 everything is an integer: roots, the Cartan matrix, and the coroot form
-of every positive root (checked integral once, when the system is
-built).  `fractions.Fraction` appears only in the symmetrizer and in
-`coroot_form`, the construction-time route to those integer forms.
+of every positive root, which is its coroot in simple-coroot coordinates
+and is built together with the root.  `fractions.Fraction` appears only
+in the symmetrizer.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -31,14 +31,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 __all__ = [
     "LieType",
     "Root",
     "RootSystem",
     "build_root_system",
-    "coroot_form",
     "types_of_rank",
 ]
 
@@ -52,8 +51,6 @@ _RANK_RULES: dict[str, tuple[int, int | None]] = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-Rational = Union[Fraction, int, str]
 
 
 @dataclass(frozen=True, order=True)
@@ -83,13 +80,12 @@ class LieType:
         if len(token) < 2:
             raise ValueError(f"malformed type token {token!r}: expected e.g. 'D5'")
         series, tail = token[0].upper(), token[1:]
-        try:
-            rank = int(tail)
-        except ValueError:
+        # ASCII digits only: int() would also take "1_0", "+3" and "\u0663".
+        if not (tail.isascii() and tail.isdigit()):
             raise ValueError(
                 f"malformed type token {token!r}: rank part {tail!r} is not an integer"
-            ) from None
-        return cls(series, rank)
+            )
+        return cls(series, int(tail))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -169,59 +165,41 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     return tuple(v for v in d if v is not None)
 
 
-def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[Root, ...]:
-    """All positive roots, by reflection closure from the simple roots.
+def _positive_roots(
+    cartan: Sequence[Sequence[int]],
+) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
+    """All positive roots with their integer coroot forms, by upward closure.
 
-    The orbit of the simple roots under the simple reflections is the
-    whole (finite) root set; positives are the sign-definite nonnegative
-    vectors.  Sorted by (height, coefficients) for reproducible output.
+    For a positive root c other than alpha_i, s_i(c) is again positive
+    (Humphreys, Lie Algebras, 10.2), and every positive root is reached
+    from a simple root by reflections that raise the height.  Since
+    s_i(c)^v = s_i(c^v), each root's coroot, in simple-coroot coordinates
+    (its coroot form), is carried along.  Sorted by (height, coefficients)
+    for reproducible output.
     """
     m = len(cartan)
     simples = [tuple(int(k == i) for k in range(m)) for i in range(m)]
-    seen: set[tuple[int, ...]] = set(simples)
-    frontier: list[tuple[int, ...]] = list(simples)
+    coroot: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simples, simples))
+    frontier = simples
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for c in frontier:
-            pair = [sum(c[j] * cartan[j][i] for j in range(m)) for i in range(m)]
+            v = coroot[c]
             for i in range(m):
-                img = list(c)
-                img[i] -= pair[i]
-                t = tuple(img)
-                if t not in seen:
-                    seen.add(t)
+                p = sum(c[j] * cartan[j][i] for j in range(m))  # <c, coroot(alpha_i)>
+                if p >= 0:
+                    continue
+                up = list(c)
+                up[i] -= p
+                t = tuple(up)
+                if t not in coroot:
+                    w = list(v)
+                    w[i] -= sum(v[j] * cartan[i][j] for j in range(m))  # <alpha_i, coroot(c)>
+                    coroot[t] = tuple(w)
                     nxt.append(t)
         frontier = nxt
-    positives = []
-    for c in seen:
-        if all(v >= 0 for v in c):
-            positives.append(Root(c))
-        elif not all(v <= 0 for v in c):
-            raise RuntimeError(f"mixed-sign root {c}: Cartan matrix is inconsistent")
-    positives.sort(key=lambda r: (r.height, r.coeffs))
-    return tuple(positives)
-
-
-def coroot_form(
-    cartan: Sequence[Sequence[int]],
-    symmetrizer: Sequence[Fraction],
-    coeffs: Sequence[int],
-) -> tuple[Fraction, ...]:
-    """Linear form v with <lam, coroot(gamma)> = sum_i lam_i * v_i.
-
-    gamma is given by simple-root coefficients; lam by fundamental-weight
-    coordinates.  v_i = 2 c_i d_i / (gamma, gamma), with the inner product
-    taken through the symmetrizer d, so the form is invariant under any
-    positive rescaling of d.
-    """
-    m = len(cartan)
-    den = Fraction(0)
-    for i in range(m):
-        w_i = sum(coeffs[j] * cartan[j][i] for j in range(m))
-        den += w_i * coeffs[i] * symmetrizer[i]
-    if den == 0:
-        raise ValueError(f"zero-length vector {tuple(coeffs)} has no coroot")
-    return tuple(2 * coeffs[i] * symmetrizer[i] / den for i in range(m))
+    order = sorted(coroot, key=lambda c: (sum(c), c))
+    return tuple(Root(c) for c in order), tuple(coroot[c] for c in order)
 
 
 @dataclass(frozen=True)
@@ -232,7 +210,8 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[Fraction, ...]
     positive_roots: tuple[Root, ...]
-    # Parallel to positive_roots: the integer coroot form of each root,
+    # Parallel to positive_roots: the coroot form of each root, i.e. its
+    # coroot in simple-coroot coordinates, so that
     # <lam, coroot(g)> = sum_i lam_i * form[i], and its support as a
     # bitmask (bit i-1 set iff alpha_i occurs in g).
     coroot_forms: tuple[tuple[int, ...], ...] = field(repr=False)
@@ -251,18 +230,11 @@ class RootSystem:
         return mu
 
 
-def _integral_form(t: LieType, gamma: Root, form: Sequence[Fraction]) -> tuple[int, ...]:
-    if any(v.denominator != 1 for v in form):
-        raise RuntimeError(f"coroot of {gamma} in {t} has non-integral form {form}")
-    return tuple(int(v) for v in form)
-
-
 def _construct(lie_type: LieType | str) -> RootSystem:
     t = LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type
     cartan = _cartan_matrix(t)
     d = _symmetrizer(cartan)
-    positives = _positive_roots(cartan)
-    forms = tuple(_integral_form(t, r, coroot_form(cartan, d, r.coeffs)) for r in positives)
+    positives, forms = _positive_roots(cartan)
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),

@@ -113,6 +113,8 @@ class SweepConfig:
         bad = [c for c in self.checks if c not in CHECKS]
         if bad:
             raise ValueError(f"unknown checks {bad}: available {list(CHECKS)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise ValueError(f"each check may be given once, got {list(self.checks)}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
 

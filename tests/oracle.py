@@ -6,9 +6,9 @@ fundamental-weight coordinates, is moved into simple-root coordinates
 with the inverse of the Cartan matrix (Gauss-Jordan over `Fraction`), and
 both inner products are taken in root coordinates through
 (alpha_i, alpha_j) = cartan[i][j] * d[j].  This module never reads the
-integer forms a root system stores and never calls the function that
-builds them, so a test that compares those forms with it checks them
-instead of repeating them.
+integer forms a root system stores, and it reaches them by another route
+(inner products, not reflections of coroots), so a test that compares
+those forms with it checks them instead of repeating them.
 """
 
 from __future__ import annotations

@@ -151,6 +151,11 @@ def test_sweep_check_subset(capsys):
     assert code == EXIT_OK
     assert doc["input"]["checks"] == ["snow", "cross"]
     assert doc["result"]["ok"] is True
+    code, out, err = run(
+        capsys, "sweep", "--max-rank", "2", "--checks", "snow,snow,cross,cross"
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_table_family_three_below_threshold(capsys):

@@ -58,9 +58,11 @@ def test_omitting_both_means_full_flag():
 
 
 def test_node_indices_validated():
-    for bad in ((0,), (4,), (-2,)):
+    for bad in ((0,), (4,), (-2,), (2.9, 1), (1.5,), (2.5,), ("2",)):
         with pytest.raises(ValueError):
             parabolic("A3", theta=bad)
+        with pytest.raises(ValueError):
+            parabolic("A3", complement=bad)
     # duplicates are harmless and deduplicated
     assert parabolic("A3", theta=(1, 1)).theta == (1,)
 

@@ -16,6 +16,8 @@ def test_every_exported_name_resolves_and_appears_once():
         assert [n for n in exported if not hasattr(module, n)] == [], module.__name__
     # the rational weight API is gone from the package
     assert not hasattr(flagtke.rootsys, "Weight") and not hasattr(flagtke, "Weight")
+    # coroot forms come out of the root closure; no rational route builds them
+    assert not hasattr(flagtke.rootsys, "coroot_form") and not hasattr(flagtke, "coroot_form")
     # the catalog rows live in `catalog` alone, and the flag report type is gone
     assert "families" not in names and importlib.util.find_spec("flagtke.families") is None
     for name in ("flag_report", "FlagReport"):

@@ -108,6 +108,8 @@ def test_sweep_config_validation():
         SweepConfig(checks=("snow", "nope"))
     with pytest.raises(ValueError):
         SweepConfig(checks=())
+    with pytest.raises(ValueError, match="given once"):
+        SweepConfig(checks=("snow", "snow", "cross", "cross"))
     with pytest.raises(ValueError):
         SweepConfig(seed=-1)
 
