@@ -26,11 +26,10 @@ radical-root sum; derivations live in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .flag import ParabolicData, parabolic
-from .rootsys import LieType
+from .rootsys import LieType, _Record, _setattr
 
 __all__ = [
     "Family",
@@ -59,13 +58,15 @@ _BY_SUMMANDS = {3: Family.I, 4: Family.II, 5: Family.III}
 _RANGE_NOTE = "parameter range read as 3 <= p <= l-3"
 
 
-@dataclass(frozen=True)
-class Picard2Class:
+class Picard2Class(_Record):
     """Classification data of one Picard-rank-two flag."""
 
-    heights: tuple[int, int]
-    summands: int
-    family: Family
+    __slots__ = ("heights", "summands", "family")
+
+    def __init__(self, heights: tuple[int, int], summands: int, family: Family) -> None:
+        _setattr(self, "heights", heights)
+        _setattr(self, "summands", summands)
+        _setattr(self, "family", family)
 
 
 def classify_picard2(p: ParabolicData) -> Picard2Class:
@@ -92,22 +93,30 @@ def classify_picard2(p: ParabolicData) -> Picard2Class:
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Record):
     """A classification row with its recomputed values and verdicts."""
 
-    family: str
-    group: str
-    lie_type: LieType
-    complement: tuple[int, int]
-    params: tuple[tuple[str, int], ...]
-    expected: tuple[int, int]
-    computed: tuple[int, int]
-    match: bool
-    heights: tuple[int, int]
-    summands: int
-    family_consistent: bool
-    note: str
+    __slots__ = (
+        "family", "group", "lie_type", "complement", "params", "expected", "computed",
+        "match", "heights", "summands", "family_consistent", "note",
+    )
+
+    def __init__(self, family: str, group: str, lie_type: LieType, complement: tuple[int, int],
+                 params: tuple[tuple[str, int], ...], expected: tuple[int, int],
+                 computed: tuple[int, int], match: bool, heights: tuple[int, int],
+                 summands: int, family_consistent: bool, note: str) -> None:
+        _setattr(self, "family", family)
+        _setattr(self, "group", group)
+        _setattr(self, "lie_type", lie_type)
+        _setattr(self, "complement", complement)
+        _setattr(self, "params", params)
+        _setattr(self, "expected", expected)
+        _setattr(self, "computed", computed)
+        _setattr(self, "match", match)
+        _setattr(self, "heights", heights)
+        _setattr(self, "summands", summands)
+        _setattr(self, "family_consistent", family_consistent)
+        _setattr(self, "note", note)
 
 
 def _row(

@@ -42,13 +42,12 @@ stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import json
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .catalog import catalog_rows
 from .flag import ParabolicData, parabolic, snow_check
@@ -140,6 +139,11 @@ def _q_text(x: Fraction | int, digits: int) -> str:
 def _vec_text(values: Sequence, units: str) -> str:
     body = "[" + ", ".join(str(v) for v in values) + "]"
     return (body + " * 2pi") if units == "raw" else body
+
+
+def _fields_of(record) -> dict:
+    """A record's fields by name, in field order."""
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def _check_text(ok: bool, equality: bool) -> str:
@@ -329,7 +333,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "samples": res.samples,
         "checks_run": res.checks_run,
         "ok": res.ok,
-        "failures": [dataclasses.asdict(f) for f in res.failures],
+        "failures": [_fields_of(f) for f in res.failures],
     }
     lines = [
         f"sweep: max_rank={config.max_rank} samples={config.samples_per_flag}"
@@ -342,7 +346,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for f in res.failures:
         lines.append(f"FAIL [{f.check}] {f.flag}: {f.detail}")
         lines.append(f"  reproduce: {f.reproducer}")
-    _emit(args, dataclasses.asdict(config), result, lines)
+    _emit(args, _fields_of(config), result, lines)
     return EXIT_OK if res.ok else EXIT_VERIFY
 
 
@@ -362,7 +366,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "mismatches": mismatches,
         "family_inconsistencies": inconsistent,
         "rows": [  # every field, with the type as a token and params as an object
-            {k: v for k, v in vars(r).items() if k != "lie_type"}
+            {k: v for k, v in _fields_of(r).items() if k != "lie_type"}
             | {"type": str(r.lie_type), "params": dict(r.params)}
             for r in rows
         ],
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

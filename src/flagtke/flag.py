@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-from .rootsys import LieType, Root, RootSystem, build_root_system
+from .rootsys import LieType, Root, RootSystem, _Record, _setattr, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -52,15 +51,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(_Record):
     """A degree-2 class, as rational coordinates on the Picard basis.
 
     Coordinates are listed against the ascending complement indices of
     the parabolic they belong to.  No positivity is implied.
     """
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        _setattr(self, "coords", coords)
 
     @classmethod
     def of(cls, values: Iterable[Rational]) -> "CohomologyClass":
@@ -72,17 +73,20 @@ class CohomologyClass:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
 class KahlerClass(CohomologyClass):
-    """A cohomology class with strictly positive coordinates."""
+    """A cohomology class with strictly positive coordinates.  Never equal
+    to a plain `CohomologyClass`, even with the same coordinates."""
 
-    def __post_init__(self) -> None:
-        if any(c <= 0 for c in self.coords):
+    __slots__ = ()
+
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        _setattr(self, "coords", coords)
+        if any(c <= 0 for c in coords):
             raise ValueError(f"Kahler class needs positive coordinates, got {self}")
 
 
-Rational = Union[Fraction, int, str]
-ClassLike = Union[CohomologyClass, Sequence[Rational]]
+Rational = Fraction | int | str
+ClassLike = CohomologyClass | Sequence[Rational]
 
 # How many classes one ParabolicData remembers the radical pairings of;
 # the oldest is dropped first.
@@ -102,34 +106,44 @@ class _Pairing:
         self.weights: tuple[int, tuple[int, ...]] | None = None
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(_Record):
     """Root-theoretic data of one parabolic quotient G/P.
 
-    The trailing private fields are derived from the public ones: the
-    integer coroot forms of the radical roots restricted to the
-    complement, the integer pairings of delta_p and of the Weyl vector
-    with every radical coroot, and the degree.  They exist so that the
-    volume and trace product formulas of downstream modules are small
-    integer dot products instead of repeated root-system lookups.
-    ``_paired`` is the pairing memo (at most `PAIRING_MEMO_SIZE` classes),
-    left out of equality, hashing and repr.
+    The trailing private fields, left out of the repr, are derived from
+    the public ones: the integer coroot forms of the radical roots
+    restricted to the complement, the integer pairings of delta_p and of
+    the Weyl vector with every radical coroot, and the degree.  They exist
+    so that the volume and trace product formulas of downstream modules
+    are small integer dot products instead of repeated root-system
+    lookups.  ``_paired``, the pairing memo (at most `PAIRING_MEMO_SIZE`
+    classes), is a slot but not a field: it takes no part in the
+    constructor, equality, hashing or repr, and a copy starts it empty.
     """
 
-    rs: RootSystem
-    theta: tuple[int, ...]
-    complement: tuple[int, ...]
-    levi_roots: tuple[Root, ...]
-    radical_roots: tuple[Root, ...]
-    delta_p: Root
-    koszul: tuple[int, ...]
-    _complement_forms: tuple[tuple[int, ...], ...] = field(repr=False)
-    _delta_pairings: tuple[int, ...] = field(repr=False)
-    _rho_pairings: tuple[int, ...] = field(repr=False)
-    _degree: int = field(repr=False)
-    _paired: OrderedDict[tuple[int, ...], _Pairing] = field(
-        default_factory=OrderedDict, init=False, compare=False, repr=False
+    _fields = (
+        "rs", "theta", "complement", "levi_roots", "radical_roots", "delta_p", "koszul",
+        "_complement_forms", "_delta_pairings", "_rho_pairings", "_degree",
     )
+    __slots__ = (*_fields, "_paired")
+    _hidden = tuple(name for name in _fields if name.startswith("_"))
+
+    def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
+                 levi_roots: tuple[Root, ...], radical_roots: tuple[Root, ...], delta_p: Root,
+                 koszul: tuple[int, ...], _complement_forms: tuple[tuple[int, ...], ...],
+                 _delta_pairings: tuple[int, ...], _rho_pairings: tuple[int, ...],
+                 _degree: int) -> None:
+        _setattr(self, "rs", rs)
+        _setattr(self, "theta", theta)
+        _setattr(self, "complement", complement)
+        _setattr(self, "levi_roots", levi_roots)
+        _setattr(self, "radical_roots", radical_roots)
+        _setattr(self, "delta_p", delta_p)
+        _setattr(self, "koszul", koszul)
+        _setattr(self, "_complement_forms", _complement_forms)
+        _setattr(self, "_delta_pairings", _delta_pairings)
+        _setattr(self, "_rho_pairings", _rho_pairings)
+        _setattr(self, "_degree", _degree)
+        _setattr(self, "_paired", OrderedDict())
 
     @property
     def lie_type(self) -> LieType:
@@ -327,14 +341,16 @@ def degree(p: ParabolicData) -> int:
     return p._degree
 
 
-@dataclass(frozen=True)
-class SnowCheck:
+class SnowCheck(_Record):
     """Outcome of the degree upper bound against (dim+1)**dim."""
 
-    degree: int
-    bound: int
-    ok: bool
-    equality: bool
+    __slots__ = ("degree", "bound", "ok", "equality")
+
+    def __init__(self, degree: int, bound: int, ok: bool, equality: bool) -> None:
+        _setattr(self, "degree", degree)
+        _setattr(self, "bound", bound)
+        _setattr(self, "ok", ok)
+        _setattr(self, "equality", equality)
 
 
 def snow_check(p: ParabolicData) -> SnowCheck:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
+from .rootsys import _Record, _setattr
 
 __all__ = [
     "CohomologyClass",
@@ -59,50 +59,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TkeResult:
+class TkeResult(_Record):
     """Verdict of the twisted Einstein existence test.
 
     ``margins`` maps each complement node to koszul minus the twist
     coordinate there; existence is equivalent to all margins positive,
-    and then the metric class is exactly the margin vector.
+    and then the metric class is exactly the margin vector.  A `dict`
+    field, so the record compares but does not hash.
     """
 
-    exists: bool
-    metric: Optional[KahlerClass]
-    margins: dict[int, Fraction]
+    __slots__ = ("exists", "metric", "margins")
+
+    def __init__(self, exists: bool, metric: KahlerClass | None,
+                 margins: dict[int, Fraction]) -> None:
+        _setattr(self, "exists", exists)
+        _setattr(self, "metric", metric)
+        _setattr(self, "margins", margins)
 
 
-@dataclass(frozen=True)
-class TwistedSolution:
+class TwistedSolution(_Record):
     """Solved pair: Ricci of omega equals omega plus beta."""
 
-    omega: KahlerClass
-    beta: CohomologyClass
+    __slots__ = ("omega", "beta")
+
+    def __init__(self, omega: KahlerClass, beta: CohomologyClass) -> None:
+        _setattr(self, "omega", omega)
+        _setattr(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class GrlbReport:
+class GrlbReport(_Record):
     """Greatest Ricci lower bound plus the nodes attaining the minimum."""
 
-    value: Fraction
-    argmin: tuple[int, ...]
+    __slots__ = ("value", "argmin")
+
+    def __init__(self, value: Fraction, argmin: tuple[int, ...]) -> None:
+        _setattr(self, "value", value)
+        _setattr(self, "argmin", argmin)
 
 
-@dataclass(frozen=True)
-class VolumeBoundReport:
+class VolumeBoundReport(_Record):
     """Both sides of r^n * Vol <= degree <= (n+1)^n, exactly evaluated,
     with the grlb report and the volume they were built from."""
 
-    grlb: GrlbReport
-    volume: Fraction
-    r_pow_vol: Fraction
-    degree: int
-    snow: int
-    left_ok: bool
-    right_ok: bool
-    left_equality: bool
-    right_equality: bool
+    __slots__ = (
+        "grlb", "volume", "r_pow_vol", "degree", "snow",
+        "left_ok", "right_ok", "left_equality", "right_equality",
+    )
+
+    def __init__(self, grlb: GrlbReport, volume: Fraction, r_pow_vol: Fraction, degree: int,
+                 snow: int, left_ok: bool, right_ok: bool, left_equality: bool,
+                 right_equality: bool) -> None:
+        _setattr(self, "grlb", grlb)
+        _setattr(self, "volume", volume)
+        _setattr(self, "r_pow_vol", r_pow_vol)
+        _setattr(self, "degree", degree)
+        _setattr(self, "snow", snow)
+        _setattr(self, "left_ok", left_ok)
+        _setattr(self, "right_ok", right_ok)
+        _setattr(self, "left_equality", left_equality)
+        _setattr(self, "right_equality", right_equality)
 
 
 def tke_exists(p: ParabolicData, beta: ClassLike) -> TkeResult:

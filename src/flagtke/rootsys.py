@@ -29,9 +29,9 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 __all__ = [
     "LieType",
@@ -40,6 +40,76 @@ __all__ = [
     "build_root_system",
     "types_of_rank",
 ]
+
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable record types.
+
+    A subclass lists its fields in ``__slots__`` (or, when it keeps
+    private state in further slots, in ``_fields``), takes them in that
+    order in its ``__init__`` and stores them there with ``_setattr``;
+    a subclass with ``__slots__ = ()`` inherits its parent's fields.  The
+    base then gives what a frozen dataclass would, without generating
+    code at import: equality and hashing by the fields, against records
+    of the very same type only; the repr ``Name(field=value, ...)``,
+    leaving out the fields named in ``_hidden``; `AttributeError` on
+    assignment and deletion; and a ``__reduce__`` that rebuilds the
+    record through its constructor, for `pickle` and `copy`.
+    ``_fields`` is the field list, as on a named tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" not in vars(cls):
+            cls._fields = cls._fields + vars(cls).get("__slots__", ())
+        if cls._fields:  # the field values, as one value or one tuple, read in C
+            cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+class _OrderedRecord(_Record):
+    """A record that also orders by its fields, as a tuple would."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return self._key(self) < other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self._key(self) <= other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        return self._key(self) > other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self._key(self) >= other._key(other) if type(other) is type(self) else NotImplemented
+
 
 # Valid rank window per series; None means unbounded above.
 _RANK_RULES: dict[str, tuple[int, int | None]] = {
@@ -53,25 +123,21 @@ _RANK_RULES: dict[str, tuple[int, int | None]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
+class LieType(_OrderedRecord):
     """A simple series letter plus a rank, e.g. ``LieType("D", 5)``."""
 
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self) -> None:
-        rule = _RANK_RULES.get(self.series)
+    def __init__(self, series: str, rank: int) -> None:
+        rule = _RANK_RULES.get(series)
         if rule is None:
-            raise ValueError(
-                f"unknown series {self.series!r}: expected one of A, B, C, D, E, F, G"
-            )
+            raise ValueError(f"unknown series {series!r}: expected one of A, B, C, D, E, F, G")
         lo, hi = rule
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if rank < lo or (hi is not None and rank > hi):
             top = "unbounded" if hi is None else str(hi)
-            raise ValueError(
-                f"series {self.series} requires rank in [{lo}, {top}], got {self.rank}"
-            )
+            raise ValueError(f"series {series} requires rank in [{lo}, {top}], got {rank}")
+        _setattr(self, "series", series)
+        _setattr(self, "rank", rank)
 
     @classmethod
     def parse(cls, token: str) -> "LieType":
@@ -98,11 +164,13 @@ def types_of_rank(rank: int) -> Iterator[LieType]:
             yield LieType(series, rank)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(_OrderedRecord):
     """A root (or integer root combination) in simple-root coordinates."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        _setattr(self, "coeffs", coeffs)
 
     @property
     def height(self) -> int:
@@ -178,6 +246,9 @@ def _positive_roots(
     for reproducible output.
     """
     m = len(cartan)
+    # The nonzero entries (at most four) of each column and each row.
+    cols = [[(j, row[i]) for j, row in enumerate(cartan) if row[i]] for i in range(m)]
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     simples = [tuple(int(k == i) for k in range(m)) for i in range(m)]
     coroot: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simples, simples))
     frontier = simples
@@ -186,7 +257,7 @@ def _positive_roots(
         for c in frontier:
             v = coroot[c]
             for i in range(m):
-                p = sum(c[j] * cartan[j][i] for j in range(m))  # <c, coroot(alpha_i)>
+                p = sum(c[j] * a for j, a in cols[i])  # <c, coroot(alpha_i)>
                 if p >= 0:
                     continue
                 up = list(c)
@@ -194,7 +265,7 @@ def _positive_roots(
                 t = tuple(up)
                 if t not in coroot:
                     w = list(v)
-                    w[i] -= sum(v[j] * cartan[i][j] for j in range(m))  # <alpha_i, coroot(c)>
+                    w[i] -= sum(v[j] * a for j, a in rows[i])  # <alpha_i, coroot(c)>
                     coroot[t] = tuple(w)
                     nxt.append(t)
         frontier = nxt
@@ -202,20 +273,31 @@ def _positive_roots(
     return tuple(Root(c) for c in order), tuple(coroot[c] for c in order)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Immutable root-system data for one simple type."""
+class RootSystem(_Record):
+    """Immutable root-system data for one simple type.
 
-    lie_type: LieType
-    cartan: tuple[tuple[int, ...], ...]
-    symmetrizer: tuple[Fraction, ...]
-    positive_roots: tuple[Root, ...]
-    # Parallel to positive_roots: the coroot form of each root, i.e. its
-    # coroot in simple-coroot coordinates, so that
-    # <lam, coroot(g)> = sum_i lam_i * form[i], and its support as a
-    # bitmask (bit i-1 set iff alpha_i occurs in g).
-    coroot_forms: tuple[tuple[int, ...], ...] = field(repr=False)
-    support_masks: tuple[int, ...] = field(repr=False)
+    ``coroot_forms`` and ``support_masks`` run parallel to
+    ``positive_roots`` and stay out of the repr: the coroot form of each
+    root, i.e. its coroot in simple-coroot coordinates, so that
+    <lam, coroot(g)> = sum_i lam_i * form[i], and its support as a
+    bitmask (bit i-1 set iff alpha_i occurs in g).
+    """
+
+    __slots__ = (
+        "lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms", "support_masks",
+    )
+    _hidden = ("coroot_forms", "support_masks")
+
+    def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
+                 symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...],
+                 coroot_forms: tuple[tuple[int, ...], ...],
+                 support_masks: tuple[int, ...]) -> None:
+        _setattr(self, "lie_type", lie_type)
+        _setattr(self, "cartan", cartan)
+        _setattr(self, "symmetrizer", symmetrizer)
+        _setattr(self, "positive_roots", positive_roots)
+        _setattr(self, "coroot_forms", coroot_forms)
+        _setattr(self, "support_masks", support_masks)
 
     @property
     def rank(self) -> int:

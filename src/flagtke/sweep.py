@@ -15,9 +15,8 @@ Reproducibility requirements shape two choices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .flag import KahlerClass, ParabolicData, parabolic, snow_check
 from .invariants import (
@@ -29,7 +28,7 @@ from .invariants import (
     volume_class,
     volume_cross_check,
 )
-from .rootsys import types_of_rank
+from .rootsys import _Record, _setattr, types_of_rank
 
 __all__ = [
     "SplitMix64",
@@ -94,46 +93,58 @@ def draw_twist(rng: SplitMix64, k: int) -> tuple[Fraction, ...]:
 CHECKS = ("snow", "volbound", "cross", "cscK", "roundtrip")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_rank: int = 4
-    samples_per_flag: int = 10
-    seed: int = 0
-    checks: tuple[str, ...] = CHECKS
+class SweepConfig(_Record):
+    """What `run_sweep` runs: flags up to ``max_rank``, ``samples_per_flag``
+    seeded classes on each, and which of `CHECKS` to apply."""
 
-    def __post_init__(self) -> None:
-        if self.max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {self.max_rank}")
-        if self.samples_per_flag < 1:
-            raise ValueError(
-                f"samples_per_flag must be >= 1, got {self.samples_per_flag}"
-            )
-        if not 0 <= self.seed <= _MASK:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        bad = [c for c in self.checks if c not in CHECKS]
+    __slots__ = ("max_rank", "samples_per_flag", "seed", "checks")
+
+    def __init__(self, max_rank: int = 4, samples_per_flag: int = 10, seed: int = 0,
+                 checks: tuple[str, ...] = CHECKS) -> None:
+        if max_rank < 1:
+            raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+        if samples_per_flag < 1:
+            raise ValueError(f"samples_per_flag must be >= 1, got {samples_per_flag}")
+        if not 0 <= seed <= _MASK:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ValueError(f"unknown checks {bad}: available {list(CHECKS)}")
-        if len(set(self.checks)) < len(self.checks):
-            raise ValueError(f"each check may be given once, got {list(self.checks)}")
-        if not self.checks:
+        if len(set(checks)) < len(checks):
+            raise ValueError(f"each check may be given once, got {list(checks)}")
+        if not checks:
             raise ValueError("at least one check must be selected")
+        _setattr(self, "max_rank", max_rank)
+        _setattr(self, "samples_per_flag", samples_per_flag)
+        _setattr(self, "seed", seed)
+        _setattr(self, "checks", checks)
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    flag: str
-    check: str
-    detail: str
-    reproducer: str
+class SweepFailure(_Record):
+    """One failed check: the flag, the check, what was found, and a
+    `flagtke` command line that reruns its input."""
+
+    __slots__ = ("flag", "check", "detail", "reproducer")
+
+    def __init__(self, flag: str, check: str, detail: str, reproducer: str) -> None:
+        _setattr(self, "flag", flag)
+        _setattr(self, "check", check)
+        _setattr(self, "detail", detail)
+        _setattr(self, "reproducer", reproducer)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    flags: int
-    samples: int
-    checks_run: int
-    failures: tuple[SweepFailure, ...]
+class SweepResult(_Record):
+    """Counts of one sweep and its failures; ``ok`` when there are none."""
+
+    __slots__ = ("config", "flags", "samples", "checks_run", "failures")
+
+    def __init__(self, config: SweepConfig, flags: int, samples: int, checks_run: int,
+                 failures: tuple[SweepFailure, ...]) -> None:
+        _setattr(self, "config", config)
+        _setattr(self, "flags", flags)
+        _setattr(self, "samples", samples)
+        _setattr(self, "checks_run", checks_run)
+        _setattr(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

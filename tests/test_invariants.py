@@ -1,6 +1,6 @@
 """Twisted-metric existence, lower bound, volumes, scalar curvature."""
 
-import dataclasses
+import inspect
 import sys
 import threading
 from fractions import Fraction
@@ -27,7 +27,7 @@ from flagtke import (
     volume_class,
     volume_cross_check,
 )
-from flagtke.flag import PAIRING_MEMO_SIZE
+from flagtke.flag import PAIRING_MEMO_SIZE, ParabolicData
 from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
 
 P1 = parabolic("A1", theta=())
@@ -449,9 +449,15 @@ def test_pairing_memo_leaves_equality_and_hash_alone():
     fresh = parabolic("B3", theta=(2,))
     assert p == fresh and not fresh._paired
     assert hash(p) == before == hash(fresh)
-    memo = next(f for f in dataclasses.fields(p) if f.name == "_paired")
-    assert not (memo.compare or memo.hash or memo.repr or memo.init)
-    assert "_paired" not in repr(p)
+    assert "_paired" not in repr(p) and repr(p) == repr(fresh)
+    # the memo is no constructor parameter: a flag rebuilt from its fields
+    # equals it, hashes the same and starts with an empty memo
+    assert "_paired" not in inspect.signature(ParabolicData).parameters
+    fields = {name: getattr(p, name) for name in p._fields}
+    with pytest.raises(TypeError):
+        ParabolicData(**fields, _paired=p._paired)
+    rebuilt = ParabolicData(**fields)
+    assert rebuilt == p and hash(rebuilt) == before and not rebuilt._paired
 
 
 def test_pairing_memo_shared_by_threads_gives_single_thread_answers():

@@ -2,7 +2,11 @@
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import flagtke
 
@@ -24,3 +28,20 @@ def test_every_exported_name_resolves_and_appears_once():
         assert not hasattr(flagtke, name) and not hasattr(flagtke.flag, name)
     for name in ("CatalogRow", "rows_within"):
         assert not hasattr(flagtke.catalog, name)
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses_inspect_or_typing():
+    # -S: no site start-up, whose .pth files may import typing themselves
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import flagtke; "
+        "layers = sorted(m for m in sys.modules if m.startswith('flagtke.')); "
+        "import flagtke.cli; "
+        "print(json.dumps([layers, [m for m in ('dataclasses', 'inspect', 'typing') "
+        "if m in sys.modules]]))"
+    )
+    src = str(Path(flagtke.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                         capture_output=True, text=True, timeout=60, check=True)
+    layers, heavy = json.loads(run.stdout)
+    assert {"flagtke.flag", "flagtke.invariants", "flagtke.sweep"} <= set(layers)
+    assert heavy == []

@@ -1,6 +1,5 @@
 """Randomized verification sweeps and the deterministic generator."""
 
-import dataclasses
 import shlex
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import flagtke.invariants
 import flagtke.sweep
 from flagtke.cli import main
 from flagtke.flag import SnowCheck
-from flagtke.invariants import TkeResult
+from flagtke.invariants import TkeResult, VolumeBoundReport
 from flagtke.sweep import (
     CHECKS,
     SplitMix64,
@@ -146,11 +145,17 @@ def test_sweep_is_deterministic():
 def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
     # break every check, then run each printed reproducer through the CLI
     real_bound = flagtke.sweep.volume_bound_report
+
+    def violated_bound(p, xi):  # the real report, its left side marked violated
+        r = real_bound(p, xi)
+        return VolumeBoundReport(r.grlb, r.volume, r.r_pow_vol, r.degree, r.snow,
+                                 left_ok=False, right_ok=r.right_ok,
+                                 left_equality=r.left_equality,
+                                 right_equality=r.right_equality)
+
     broken = {
         "snow_check": lambda p: SnowCheck(degree=1, bound=0, ok=False, equality=False),
-        "volume_bound_report": lambda p, xi: dataclasses.replace(
-            real_bound(p, xi), left_ok=False
-        ),
+        "volume_bound_report": violated_bound,
         "volume_cross_check": lambda p, xi: Fraction(-1),
         "scalar_curvature": lambda p, omega: Fraction(0),
         "tke_exists": lambda p, beta: TkeResult(exists=False, metric=None, margins={}),
