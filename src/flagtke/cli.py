@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import re
 import sys
@@ -390,7 +391,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a parse
+    leaves no state in it, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="flagtke",
         description=(

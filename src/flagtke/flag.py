@@ -15,14 +15,20 @@ we compute, exactly:
 Construction is integer arithmetic throughout (integer coroot forms from
 `rootsys`, support bitmasks, one exact big-integer division for the
 degree); `fractions.Fraction` appears only in the classes of the public
-API.
+API.  A class takes exact coordinates only (`int`, `Fraction`, `str`)
+and keeps them as `Fraction`s.  It also caches its integer form, the
+common denominator followed by the numerators scaled to it: the memo
+key below, the positivity test (the numerators' signs) and the grlb
+read it.  The cache is private state, outside equality, hashing, repr,
+pickle and copy.
 
 A `ParabolicData` pairs each class with its radical coroots once: it
-remembers the integer pairings of the last `PAIRING_MEMO_SIZE` classes
-it paired, keyed by the class's integer form (common denominator, then
-the numerators scaled to it), so the volume, trace and curvature of one
-class share a single pairing pass.  The memo is private state; it takes
-no part in equality or hashing.
+remembers the last `PAIRING_MEMO_SIZE` classes it paired, keyed by their
+integer form.  An entry holds the integer pairings and, once they are
+asked for, the reciprocal weights of `trace` and `scalar_curvature` and
+the volume `volume_class` built, so the invariants of one class share a
+single pairing pass and a single volume.  The memo is private state; it
+takes no part in equality or hashing.
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -55,19 +61,51 @@ class CohomologyClass(_Record):
     """A degree-2 class, as rational coordinates on the Picard basis.
 
     Coordinates are listed against the ascending complement indices of
-    the parabolic they belong to.  No positivity is implied.
+    the parabolic they belong to.  No positivity is implied.  Only exact
+    coordinates are accepted: each must be an `int`, a `Fraction` or a
+    string that `Fraction` parses, and is stored as a `Fraction`.
+
+    ``_form``, a slot but not a field, caches `_integer_form`; it takes
+    no part in equality, hashing, repr, pickle or copy, and a copy works
+    it out again.
     """
 
-    __slots__ = ("coords",)
+    _fields = ("coords",)
+    __slots__ = ("coords", "_form")
 
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+    def __init__(self, coords: Iterable[Rational]) -> None:
+        coords = tuple(coords)
+        if any(type(c) is not Fraction for c in coords):
+            coords = tuple(_exact_coordinate(i, c) for i, c in enumerate(coords, 1))
         _setattr(self, "coords", coords)
+        _setattr(self, "_form", None)
 
     @classmethod
     def of(cls, values: Iterable[Rational]) -> "CohomologyClass":
-        # An exact Fraction is kept as is: Fraction(Fraction) pays an abc
-        # isinstance check per coordinate.
-        return cls(tuple(v if type(v) is Fraction else Fraction(v) for v in values))
+        """The class of ``values``; the same as calling the type."""
+        return cls(values)
+
+    @classmethod
+    def _trusted(cls, coords: tuple[Fraction, ...], form=None) -> "CohomologyClass":
+        """A class of coordinates known to be `Fraction`s (and, for a
+        `KahlerClass`, positive), built unchecked; ``form`` may pass on
+        their integer form."""
+        self = object.__new__(cls)
+        _setattr(self, "coords", coords)
+        _setattr(self, "_form", form)
+        return self
+
+    def _integer_form(self) -> tuple[int, ...]:
+        """``(den, *nums)``: den is the lcm of the coordinate denominators
+        and coordinate k is ``nums[k] / den``.  Computed once per class."""
+        form = self._form
+        if form is None:
+            coords = self.coords
+            dens = [c.denominator for c in coords]
+            den = math.lcm(*dens)
+            form = (den, *[c.numerator * (den // d) for c, d in zip(coords, dens)])
+            _setattr(self, "_form", form)
+        return form
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -79,10 +117,25 @@ class KahlerClass(CohomologyClass):
 
     __slots__ = ()
 
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        _setattr(self, "coords", coords)
-        if any(c <= 0 for c in coords):
+    def __init__(self, coords: Iterable[Rational]) -> None:
+        super().__init__(coords)
+        if not _positive(self):
             raise ValueError(f"Kahler class needs positive coordinates, got {self}")
+
+
+def _exact_coordinate(i: int, value: object) -> Fraction:
+    """Coordinate ``i`` (1-based) of a class as a `Fraction`: no float
+    (or other inexact number) ever becomes a class."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise ValueError(f"class coordinate {i} is {value!r}, a {type(value).__name__}: "
+                         "coordinates must be int, Fraction or str")
+    return Fraction(value)
+
+
+def _positive(cls: CohomologyClass) -> bool:
+    """Every coordinate strictly positive, read off the signs of the
+    numerators in the integer form (its denominator is positive)."""
+    return min(cls._integer_form()[1:], default=1) > 0
 
 
 Rational = Fraction | int | str
@@ -96,14 +149,17 @@ PAIRING_MEMO_SIZE = 4
 class _Pairing:
     """Memo entry: the radical pairings of one class as ``nums`` over
     ``den``; for a Kahler class, once asked for, ``weights`` = (lcm of
-    ``nums``, ``lcm // n`` for each pairing n)."""
+    ``nums``, ``lcm // n`` for each pairing n) and ``volume``, the value
+    `invariants.volume_class` built.  Each is filled by one attribute
+    store, so a thread never reads half of it."""
 
-    __slots__ = ("nums", "den", "weights")
+    __slots__ = ("nums", "den", "weights", "volume")
 
     def __init__(self, nums: tuple[int, ...], den: int) -> None:
         self.nums = nums
         self.den = den
         self.weights: tuple[int, tuple[int, ...]] | None = None
+        self.volume: Fraction | None = None
 
 
 class ParabolicData(_Record):
@@ -166,19 +222,16 @@ class ParabolicData(_Record):
         be the Picard rank.  With ``positive`` (a Kahler slot) the result is
         a `KahlerClass`, so it is strictly positive.
         """
-        cls = values if isinstance(values, CohomologyClass) else CohomologyClass.of(values)
+        cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
                 f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
                 f"has Picard rank {self.picard_rank}"
             )
         if positive and not isinstance(cls, KahlerClass):
-            try:  # KahlerClass's own invariant is the positivity test
-                cls = KahlerClass(cls.coords)
-            except ValueError:
-                raise ValueError(
-                    f"{what} must have strictly positive coordinates, got {cls}"
-                ) from None
+            if not _positive(cls):
+                raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
+            cls = KahlerClass._trusted(cls.coords, cls._form)
         return cls
 
     def radical_pairings(self, cls: ClassLike) -> tuple[tuple[int, ...], int]:
@@ -197,15 +250,13 @@ class ParabolicData(_Record):
     def _pairing(self, cls: ClassLike) -> _Pairing:
         """The memo entry of ``cls``, pairing it with the radical coroots
         only if none of the last `PAIRING_MEMO_SIZE` classes equals it."""
-        coords = self.checked_class(cls, "class").coords
-        den = math.lcm(*(c.denominator for c in coords))
-        key = (den, *[c.numerator * (den // c.denominator) for c in coords])
+        key = self.checked_class(cls, "class")._integer_form()
         memo = self._paired
         entry = memo.get(key)
         if entry is None:
             scaled = key[1:]
             nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)
-            entry = memo[key] = _Pairing(nums, den)
+            entry = memo[key] = _Pairing(nums, key[0])
             if len(memo) > PAIRING_MEMO_SIZE:
                 memo.popitem(last=False)
         return entry

@@ -10,14 +10,24 @@ coordinates on the complement nodes, and all are computed exactly:
 * trace and scalar curvature of invariant classes;
 * the two-sided degree bound combining all of the above.
 
-Arithmetic inside is integer: a class is paired with the radical coroots
-as integer numerators over one common denominator, and each public
-function builds a single `fractions.Fraction` for the value it returns.
+Arithmetic inside is integer, and each public function builds
+`fractions.Fraction`s only for what it returns:
+
+* the grlb compares koszul_i / n_i by cross-multiplying, n over den
+  being the class's integer form (`CohomologyClass._integer_form`);
+* a margin of `tke_exists`, and a coordinate of the twist that
+  `tke_solve_from_kahler` returns, is (k*d - n)/d for a coordinate n/d,
+  positive by the sign of k*d - n;
+* the volume, trace and curvature pair the class with the radical
+  coroots, as integer numerators over its common denominator.
+
 Those pairings come from the flag's memo (see `flag`): the last
 `PAIRING_MEMO_SIZE` classes paired on a flag, keyed by their integer
-form, are not paired again, and a metric class also keeps the lcm of
-its pairings and the reciprocal weights ``lcm // n`` that `trace` and
-`scalar_curvature` sum against.
+form, are not paired again.  An entry also keeps the lcm of the pairings
+and the reciprocal weights ``lcm // n`` that `trace` and
+`scalar_curvature` sum against, and the volume `volume_class` built,
+which `volume_bound_report` then reads.  `volume_cross_check` never
+reads that volume: it is the independent route.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -127,13 +137,9 @@ def tke_exists(p: ParabolicData, beta: ClassLike) -> TkeResult:
     number at its node; the solution class is then koszul - beta.
     """
     b = p.checked_class(beta, "twist class")
-    margins = {
-        idx: Fraction(k) - c
-        for idx, k, c in zip(p.complement, p.koszul, b.coords, strict=True)
-    }
-    ok = all(m > 0 for m in margins.values())
-    metric = KahlerClass(tuple(margins.values())) if ok else None
-    return TkeResult(exists=ok, metric=metric, margins=margins)
+    diffs, ok = _koszul_minus(p, b)
+    metric = KahlerClass._trusted(diffs) if ok else None
+    return TkeResult(exists=ok, metric=metric, margins=dict(zip(p.complement, diffs)))
 
 
 def tke_solve_from_kahler(p: ParabolicData, xi: ClassLike) -> TwistedSolution:
@@ -143,22 +149,37 @@ def tke_solve_from_kahler(p: ParabolicData, xi: ClassLike) -> TwistedSolution:
     solves Ric(omega) = omega + beta; this never fails on valid input.
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
-    beta = CohomologyClass(
-        tuple(Fraction(k) - c for k, c in zip(p.koszul, x.coords, strict=True))
-    )
-    return TwistedSolution(omega=x, beta=beta)
+    return TwistedSolution(omega=x, beta=CohomologyClass._trusted(_koszul_minus(p, x)[0]))
+
+
+def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fraction, ...], bool]:
+    """koszul - cls, each coordinate (k*d - n)/d for the coordinate n/d of
+    cls, and whether all of them are positive (the signs of k*d - n)."""
+    diffs = []
+    positive = True
+    for k, c in zip(p.koszul, cls.coords):
+        d = c.denominator
+        m = k * d - c.numerator
+        positive = positive and m > 0
+        diffs.append(Fraction(m, d))
+    return tuple(diffs), positive
 
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
     x = p.checked_class(xi, "Kahler class", positive=True)
-    ratios = {
-        idx: Fraction(k) / c
-        for idx, k, c in zip(p.complement, p.koszul, x.coords, strict=True)
-    }
-    value = min(ratios.values())
-    argmin = tuple(idx for idx in p.complement if ratios[idx] == value)
-    return GrlbReport(value=value, argmin=argmin)
+    # with xi = nums/den, koszul/xi = k*den/n: compare k/n by cross-multiplying
+    den, *nums = x._integer_form()
+    nodes = zip(p.complement, p.koszul, nums)
+    idx, best_k, best_n = next(nodes)
+    argmin = [idx]
+    for idx, k, n in nodes:
+        cross = k * best_n - best_k * n
+        if cross < 0:
+            best_k, best_n, argmin = k, n, [idx]
+        elif cross == 0:
+            argmin.append(idx)
+    return GrlbReport(value=Fraction(best_k * den, best_n), argmin=tuple(argmin))
 
 
 def grlb(p: ParabolicData, xi: ClassLike) -> Fraction:
@@ -169,20 +190,24 @@ def grlb(p: ParabolicData, xi: ClassLike) -> Fraction:
 def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     """Volume of the class xi, normalized so the anticanonical volume
     equals the anticanonical degree: degree * prod over radical roots of
-    <xi, coroot(g)> / <delta_P, coroot(g)>.
+    <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
+    entry of xi, so asking again for a remembered class builds nothing.
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
-    nums, den = p.radical_pairings(x)
-    return Fraction(
-        degree(p) * math.prod(nums), den**p.dim * math.prod(p._delta_pairings)
-    )
+    entry = p._pairing(x)
+    if entry.volume is None:
+        entry.volume = Fraction(
+            degree(p) * math.prod(entry.nums), entry.den**p.dim * math.prod(p._delta_pairings)
+        )
+    return entry.volume
 
 
 def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     """Second volume route: n! * prod of <xi, coroot(g)> / <rho, coroot(g)>.
 
     Algebraically equal to volume_class, but evaluated without ever
-    touching the degree or delta_P, so the two routes check each other.
+    touching the degree, delta_P or the volume that `volume_class` keeps
+    in the memo, so the two routes check each other.
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
     nums, den = p.radical_pairings(x)

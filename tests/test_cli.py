@@ -365,7 +365,7 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
     import flagtke.invariants as inv
     from flagtke.flag import ParabolicData
 
-    calls = {"grlb_report": 0, "volume_class": 0, "radical_pairings": 0}
+    calls = {"grlb_report": 0, "volume_class": 0, "_pairing": 0}
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -378,15 +378,12 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
         wrapper = counted(name, getattr(inv, name))
         monkeypatch.setattr(inv, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
-    monkeypatch.setattr(
-        ParabolicData,
-        "radical_pairings",
-        counted("radical_pairings", ParabolicData.radical_pairings),
-    )
+    # every pairing of a class with the radical coroots, memo hit or not
+    monkeypatch.setattr(ParabolicData, "_pairing", counted("_pairing", ParabolicData._pairing))
     code, out, _ = run(capsys, "report", "E8", "--theta", "", "--xi", "1,2,3,4,5,6,7,8")
     assert code == EXIT_OK
     assert "bound chain:" in out
-    assert calls == {"grlb_report": 1, "volume_class": 1, "radical_pairings": 1}
+    assert calls == {"grlb_report": 1, "volume_class": 1, "_pairing": 1}
 
 
 @pytest.mark.parametrize(

@@ -521,3 +521,37 @@ def test_class_bundle_pairs_each_distinct_class_once():
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
     assert CountedRows.passes == 2
+
+
+def test_class_bundle_builds_the_volume_once(monkeypatch):
+    # volume_bound_report reads the volume volume_class kept in the memo;
+    # volume_cross_check, the other route, builds its own
+    import flagtke.invariants
+
+    built = []
+
+    def recorded(*args):
+        value = Fraction(*args)
+        built.append(value)
+        return value
+
+    monkeypatch.setattr(flagtke.invariants, "Fraction", recorded)
+    p = parabolic("E8", theta=())
+    xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
+    beta = tuple(k - x for k, x in zip(p.koszul, xi))
+    v1 = volume_class(p, xi)
+    assert volume_cross_check(p, xi) == v1
+    grlb_report(p, xi)
+    assert scalar_curvature(p, xi) - trace(p, xi, beta) == p.dim
+    assert tke_exists(p, beta).exists
+    assert volume_bound_report(p, xi).volume is v1
+    assert built.count(v1) == 2  # volume_class once, volume_cross_check once
+
+
+def test_volume_cross_check_never_reads_the_stored_volume():
+    p = parabolic("E8", theta=())
+    xi = tuple(Fraction(k, 9 - k) for k in range(1, 9))
+    v = volume_class(p, xi)
+    p._pairing(xi).volume = v + 1  # a corrupted memo entry
+    assert volume_class(p, xi) == volume_bound_report(p, xi).volume == v + 1
+    assert volume_cross_check(p, xi) == v != volume_class(p, xi)
