@@ -25,9 +25,16 @@ pickle and copy.
 A `ParabolicData` pairs each class with its radical coroots once: it
 remembers the last `PAIRING_MEMO_SIZE` classes it paired, keyed by their
 integer form.  An entry holds the integer pairings and, once they are
-asked for, the reciprocal weights of `trace` and `scalar_curvature` and
-the volume `volume_class` built, so the invariants of one class share a
-single pairing pass and a single volume.  The memo is private state; it
+asked for, what `trace` and `scalar_curvature` sum against and the
+volume `volume_class` built, so the invariants of one class share a
+single pairing pass and a single volume.  Those sums of reciprocal
+pairings, sum_k b_k / n_k, are taken by `ParabolicData._ratio_sum` in
+one of two ways.  Below `PRODUCT_TREE_MIN` pairings the entry keeps
+their lcm and the weights ``lcm // n``, and a sum is one integer dot
+product.  From `PRODUCT_TREE_MIN` on, where that lcm and its n
+divisions cost work quadratic in the dimension, the entry keeps the
+levels of the pairings' product tree, and a sum folds its numerators up
+the tree with no lcm and no division.  The memo is private state; it
 takes no part in equality or hashing.
 
 All classes live in the Picard basis dual to the complement coroots and
@@ -129,7 +136,10 @@ def _exact_coordinate(i: int, value: object) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise ValueError(f"class coordinate {i} is {value!r}, a {type(value).__name__}: "
                          "coordinates must be int, Fraction or str")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # a str that is not a rational number
+        raise ValueError(f"class coordinate {i} is {value!r}, not a rational number") from None
 
 
 def _positive(cls: CohomologyClass) -> bool:
@@ -145,20 +155,32 @@ ClassLike = CohomologyClass | Sequence[Rational]
 # the oldest is dropped first.
 PAIRING_MEMO_SIZE = 4
 
+# From how many radical pairings on `ParabolicData._ratio_sum` sums up a
+# product tree instead of over the lcm of the pairings.  Set by timing
+# both on the flags of the `classes` benchmark: the tree wins on the E8
+# (120 pairings) and B8 (64) full flags, the lcm on A8 (36), D8 (54) and
+# E7 (62) flags and on every small flag, whose product outgrows the lcm.
+PRODUCT_TREE_MIN = 64
+
 
 class _Pairing:
     """Memo entry: the radical pairings of one class as ``nums`` over
-    ``den``; for a Kahler class, once asked for, ``weights`` = (lcm of
-    ``nums``, ``lcm // n`` for each pairing n) and ``volume``, the value
+    ``den``.  For a Kahler class, once asked for: with fewer than
+    `PRODUCT_TREE_MIN` pairings, ``weights`` = (lcm of ``nums``,
+    ``lcm // n`` for each pairing n); with more, ``tree``, the levels of
+    the product tree of ``nums`` from ``nums`` itself up to its product
+    (each level the pairwise products of the one below, an odd last
+    element carried up unchanged); and ``volume``, the value
     `invariants.volume_class` built.  Each is filled by one attribute
     store, so a thread never reads half of it."""
 
-    __slots__ = ("nums", "den", "weights", "volume")
+    __slots__ = ("nums", "den", "weights", "tree", "volume")
 
     def __init__(self, nums: tuple[int, ...], den: int) -> None:
         self.nums = nums
         self.den = den
         self.weights: tuple[int, tuple[int, ...]] | None = None
+        self.tree: tuple[tuple[int, ...], ...] | None = None
         self.volume: Fraction | None = None
 
 
@@ -261,14 +283,41 @@ class ParabolicData(_Record):
                 memo.popitem(last=False)
         return entry
 
-    def _reciprocal_weights(self, cls: KahlerClass) -> tuple[int, tuple[int, ...], int]:
-        """For a Kahler class, whose radical pairings n are all positive:
-        their lcm, ``lcm // n`` for each, and the pairings' denominator."""
-        entry = self._pairing(cls)
-        if entry.weights is None:  # one attribute store, so a reader never sees half of it
-            lcm = math.lcm(*entry.nums)
-            entry.weights = (lcm, tuple(lcm // n for n in entry.nums))
-        return (*entry.weights, entry.den)
+    def _ratio_sum(self, w: KahlerClass, b_nums: Sequence[int], b_den: int) -> Fraction:
+        """sum_k (b_nums[k]/b_den) / (w_k/w_den), where w_k/w_den are the
+        radical pairings of the Kahler class ``w`` (all positive).
+
+        Below `PRODUCT_TREE_MIN` pairings: one dot product with the
+        weights ``lcm // w_k``.  From it on: up the product tree of the
+        w_k, where two sibling sums N_l/D_l and N_r/D_r make the parent
+        (N_l*D_r + N_r*D_l)/(D_l*D_r), to one sum over the product of all
+        w_k.  Either way the memo entry keeps the part that depends on
+        ``w`` alone, filled by one attribute store so that a reader never
+        sees half of it.
+        """
+        entry = self._pairing(w)
+        nums = entry.nums
+        if len(nums) < PRODUCT_TREE_MIN:
+            weights = entry.weights
+            if weights is None:
+                lcm = math.lcm(*nums)
+                weights = entry.weights = (lcm, tuple(lcm // n for n in nums))
+            lcm, recips = weights
+            return Fraction(sum(map(operator.mul, b_nums, recips)) * entry.den, lcm * b_den)
+        tree = entry.tree
+        if tree is None:
+            levels = [nums]
+            while len(nums) > 1:
+                nums = (*map(operator.mul, nums[0::2], nums[1::2]), *nums[len(nums) & ~1:])
+                levels.append(nums)
+            tree = entry.tree = tuple(levels)
+        sums = b_nums
+        for dens in tree[:-1]:
+            odd = sums[len(sums) & ~1:]
+            sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
+                    in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
+            sums += odd
+        return Fraction(sums[0] * entry.den, tree[-1][0] * b_den)
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"

@@ -23,11 +23,14 @@ Arithmetic inside is integer, and each public function builds
 
 Those pairings come from the flag's memo (see `flag`): the last
 `PAIRING_MEMO_SIZE` classes paired on a flag, keyed by their integer
-form, are not paired again.  An entry also keeps the lcm of the pairings
-and the reciprocal weights ``lcm // n`` that `trace` and
-`scalar_curvature` sum against, and the volume `volume_class` built,
-which `volume_bound_report` then reads.  `volume_cross_check` never
-reads that volume: it is the independent route.
+form, are not paired again.  `trace` and `scalar_curvature` are sums of
+ratios over the metric class's pairings, taken by
+`ParabolicData._ratio_sum`: below `flag.PRODUCT_TREE_MIN` pairings the
+entry keeps their lcm and the weights ``lcm // n`` to sum against, from
+it on the levels of their product tree to sum up.  An entry also keeps
+the volume `volume_class` built, which `volume_bound_report` then reads.
+`volume_cross_check` never reads that volume: it is the independent
+route.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -43,8 +46,6 @@ Picard rank, Kahler arguments strictly positive) and handed on as is.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
@@ -216,17 +217,6 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     )
 
 
-def _ratio_sum(
-    p: ParabolicData, w: KahlerClass, b_nums: Sequence[int], b_den: int
-) -> Fraction:
-    """sum_k (b_nums[k]/b_den) / (w_k/w_den), w_k/w_den the radical pairings
-    of ``w``, summed over the lcm of the w_k with the memo's reciprocal
-    weights lcm // w_k."""
-    lcm, recips, w_den = p._reciprocal_weights(w)
-    total = sum(map(operator.mul, b_nums, recips))
-    return Fraction(total * w_den, lcm * b_den)
-
-
 def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     """Trace of the class beta against the metric class omega.
 
@@ -236,7 +226,7 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     """
     w = p.checked_class(omega, "metric class", positive=True)
     b = p.checked_class(beta, "traced class")
-    return _ratio_sum(p, w, *p.radical_pairings(b))
+    return p._ratio_sum(w, *p.radical_pairings(b))
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
@@ -246,7 +236,7 @@ def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
     anticanonical pairings are the ones stored on ``p``.
     """
     w = p.checked_class(omega, "metric class", positive=True)
-    return _ratio_sum(p, w, p._delta_pairings, 1)
+    return p._ratio_sum(w, p._delta_pairings, 1)
 
 
 def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:

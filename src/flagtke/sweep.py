@@ -15,6 +15,7 @@ Reproducibility requirements shape two choices:
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -95,18 +96,30 @@ CHECKS = ("snow", "volbound", "cross", "cscK", "roundtrip")
 
 class SweepConfig(_Record):
     """What `run_sweep` runs: flags up to ``max_rank``, ``samples_per_flag``
-    seeded classes on each, and which of `CHECKS` to apply."""
+    seeded classes on each, and which of `CHECKS` to apply.  The three
+    counts must be integers (a `bool` is not one) and ``checks`` a
+    sequence of distinct names, kept as a tuple; anything else raises
+    `ValueError` naming the field."""
 
     __slots__ = ("max_rank", "samples_per_flag", "seed", "checks")
 
     def __init__(self, max_rank: int = 4, samples_per_flag: int = 10, seed: int = 0,
                  checks: tuple[str, ...] = CHECKS) -> None:
+        max_rank = _integer("max_rank", max_rank)
+        samples_per_flag = _integer("samples_per_flag", samples_per_flag)
+        seed = _integer("seed", seed)
         if max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
         if samples_per_flag < 1:
             raise ValueError(f"samples_per_flag must be >= 1, got {samples_per_flag}")
         if not 0 <= seed <= _MASK:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if isinstance(checks, str):
+            raise ValueError(f"checks must be a sequence of names, not the string {checks!r}")
+        try:
+            checks = tuple(checks)
+        except TypeError:
+            raise ValueError(f"checks must be a sequence of names, got {checks!r}") from None
         bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ValueError(f"unknown checks {bad}: available {list(CHECKS)}")
@@ -118,6 +131,17 @@ class SweepConfig(_Record):
         _setattr(self, "samples_per_flag", samples_per_flag)
         _setattr(self, "seed", seed)
         _setattr(self, "checks", checks)
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an `int`, for an integer field of `SweepConfig`: a
+    `bool`, a float or any other non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class SweepFailure(_Record):

@@ -149,6 +149,15 @@ def test_inexact_coordinates_fail_at_the_boundary_of_every_entry_point():
         tke_exists(p, (1, Decimal(2)))
 
 
+@pytest.mark.parametrize("bad", ("1/0", "x", " "))
+def test_a_malformed_string_coordinate_is_named(bad):
+    message = f"class coordinate 1 is {bad!r}, not a rational number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grlb(parabolic("A2", ()), (bad, 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CohomologyClass((bad,))
+
+
 def test_exact_coordinates_of_every_accepted_kind_become_fractions():
     class Half(Fraction):
         pass

@@ -27,6 +27,7 @@ from flagtke import (
     volume_class,
     volume_cross_check,
 )
+from flagtke import flag
 from flagtke.flag import PAIRING_MEMO_SIZE, ParabolicData
 from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
 
@@ -461,12 +462,22 @@ def test_pairing_memo_leaves_equality_and_hash_alone():
 
 
 def test_pairing_memo_shared_by_threads_gives_single_thread_answers():
+    assert parabolic("B4", theta=()).dim < flag.PRODUCT_TREE_MIN
+    assert_threads_match_a_fresh_flag("B4")
+
+
+def test_pairing_memo_shared_by_threads_on_a_product_tree_flag():
+    assert parabolic("B8", theta=()).dim >= flag.PRODUCT_TREE_MIN
+    assert_threads_match_a_fresh_flag("B8")
+
+
+def assert_threads_match_a_fresh_flag(lie_type):
     # more threads than cores share one flag's memo; a tiny switch interval
     # interleaves fills, hits and evictions of the same entries
-    p = parabolic("B4", theta=())
+    p = parabolic(lie_type, theta=())
     rng = SplitMix64(77)
     classes = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
-    fresh = parabolic("B4", theta=())
+    fresh = parabolic(lie_type, theta=())
     expected = [(scalar_curvature(fresh, xi), trace(fresh, xi, p.koszul),
                  volume_class(fresh, xi)) for xi in classes]
     wrong = []
@@ -494,6 +505,55 @@ def test_pairing_memo_shared_by_threads_gives_single_thread_answers():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert len(p._paired) <= PAIRING_MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the two ways of summing reciprocal pairings: lcm weights and product tree
+
+
+def test_product_tree_and_lcm_sums_agree(monkeypatch):
+    # every flag of rank <= 4 plus E8 and B8, each summed with every class
+    # on the tree side (constant 1) and on the lcm side (above every dim)
+    specs = [(p.lie_type, p.theta) for p in small_flags(4)] + [("E8", ()), ("B8", ())]
+    assert len(specs) == 111
+    dims = {parabolic(t, th).dim for t, th in specs}
+    assert {120, 64} <= dims and {n % 2 for n in dims} == {0, 1}
+    rng = SplitMix64(4242)
+    cases = [(t, th, draw_kahler(rng, k), draw_twist(rng, k))
+             for t, th in specs for k in [parabolic(t, th).picard_rank] for _ in range(3)]
+    results = {}
+    for constant in (1, 10**9):
+        monkeypatch.setattr(flag, "PRODUCT_TREE_MIN", constant)
+        flags = [parabolic(t, th) for t, th, _, _ in cases]
+        results[constant] = [
+            (scalar_curvature(p, xi), trace(p, xi, beta), trace(p, xi, xi))
+            for p, (_, _, xi, beta) in zip(flags, cases)
+        ]
+        for p, (_, _, xi, _) in zip(flags, cases):
+            entry = p._pairing(xi)
+            assert (entry.tree is None, entry.weights is None) == (constant > 1, constant == 1)
+        if constant == 1:  # the E8 tree carries an odd last element up (15 -> 8)
+            e8 = next(p for p in flags if p.dim == 120)
+            assert [len(level) for level in e8._pairing(cases[-6][2]).tree] == [
+                120, 60, 30, 15, 8, 4, 2, 1]
+    assert results[1] == results[10**9]
+
+
+@pytest.mark.parametrize("lie_type", ("E8", "B8", "A11"))
+def test_product_tree_sums_match_the_oracle_pairings(lie_type):
+    p = parabolic(lie_type, theta=())
+    assert p.dim >= flag.PRODUCT_TREE_MIN  # the tree side at the default constant
+    rng = SplitMix64(808)
+    xi = draw_kahler(rng, p.picard_rank)
+    beta = draw_twist(rng, p.picard_rank)
+    ratio = oracle.pairings(p.rs, oracle.class_weight(p, xi), p.radical_roots)
+    delta = oracle.pairings(p.rs, oracle.root_to_weight(p.rs, p.delta_p.coeffs), p.radical_roots)
+    twist = oracle.pairings(p.rs, oracle.class_weight(p, beta), p.radical_roots)
+    assert scalar_curvature(p, xi) == sum(d / w for d, w in zip(delta, ratio))
+    assert trace(p, xi, beta) == sum(b / w for b, w in zip(twist, ratio))
+    entry = p._pairing(xi)
+    assert entry.tree is not None and entry.weights is None
+    assert scalar_curvature(p, p.koszul) == p.dim
 
 
 class CountedRows(tuple):

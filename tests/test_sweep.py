@@ -111,6 +111,17 @@ def test_sweep_config_validation():
         SweepConfig(checks=("snow", "snow", "cross", "cross"))
     with pytest.raises(ValueError):
         SweepConfig(seed=-1)
+    for field, bad in (("max_rank", 2.5), ("samples_per_flag", 1.5), ("seed", 1.0),
+                       ("max_rank", True), ("seed", False), ("samples_per_flag", "3")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+            SweepConfig(**{field: bad})
+    for bad in ("snow", 5):
+        with pytest.raises(ValueError, match="checks must be a sequence of names"):
+            SweepConfig(checks=bad)
+    pair = ("snow", "cross")
+    listed = SweepConfig(checks=list(pair))
+    assert listed == SweepConfig(checks=iter(pair)) == SweepConfig(checks=pair)
+    assert listed.checks == pair and hash(listed) == hash(SweepConfig(checks=pair))
 
 
 def test_sweep_default_runs_all_checks():
