@@ -24,7 +24,11 @@ pickle and copy.
 
 A `ParabolicData` pairs each class with its radical coroots once: it
 remembers the last `PAIRING_MEMO_SIZE` classes it paired, keyed by their
-integer form.  An entry holds the integer pairings and, once they are
+integer form.  A pairing is one forward pass of additions over the
+root system's raising steps (see `rootsys`), restricted to the flag on
+its first pairing: each radical coroot pairs with the class as its
+parent coroot does, plus the step times the class's numerator at the
+raising node, with no dot product per root.  An entry holds the integer pairings and, once they are
 asked for, what `trace` and `scalar_curvature` sum against and the
 volume `volume_class` built, so the invariants of one class share a
 single pairing pass and a single volume.  Those sums of reciprocal
@@ -188,40 +192,40 @@ class ParabolicData(_Record):
     """Root-theoretic data of one parabolic quotient G/P.
 
     The trailing private fields, left out of the repr, are derived from
-    the public ones: the integer coroot forms of the radical roots
-    restricted to the complement, the integer pairings of delta_p and of
-    the Weyl vector with every radical coroot, and the degree.  They exist
-    so that the volume and trace product formulas of downstream modules
-    are small integer dot products instead of repeated root-system
-    lookups.  ``_paired``, the pairing memo (at most `PAIRING_MEMO_SIZE`
-    classes), is a slot but not a field: it takes no part in the
-    constructor, equality, hashing or repr, and a copy starts it empty.
+    the public ones: the integer pairings of delta_p and of the Weyl
+    vector with every radical coroot, and the degree.  They exist so that
+    the volume and trace product formulas of downstream modules are small
+    integer products instead of repeated root-system lookups.
+
+    Two slots are not fields, so they take no part in the constructor,
+    equality, hashing, repr, pickle or copy, and a copy starts them
+    afresh: ``_paired``, the pairing memo (at most `PAIRING_MEMO_SIZE`
+    classes), and ``_steps``, the step table of `_raising_steps`, built
+    on the first pairing miss.
     """
 
     _fields = (
-        "rs", "theta", "complement", "levi_roots", "radical_roots", "delta_p", "koszul",
-        "_complement_forms", "_delta_pairings", "_rho_pairings", "_degree",
+        "rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
+        "_delta_pairings", "_rho_pairings", "_degree",
     )
-    __slots__ = (*_fields, "_paired")
+    __slots__ = (*_fields, "_paired", "_steps")
     _hidden = tuple(name for name in _fields if name.startswith("_"))
 
     def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
-                 levi_roots: tuple[Root, ...], radical_roots: tuple[Root, ...], delta_p: Root,
-                 koszul: tuple[int, ...], _complement_forms: tuple[tuple[int, ...], ...],
+                 radical_roots: tuple[Root, ...], delta_p: Root, koszul: tuple[int, ...],
                  _delta_pairings: tuple[int, ...], _rho_pairings: tuple[int, ...],
                  _degree: int) -> None:
         _setattr(self, "rs", rs)
         _setattr(self, "theta", theta)
         _setattr(self, "complement", complement)
-        _setattr(self, "levi_roots", levi_roots)
         _setattr(self, "radical_roots", radical_roots)
         _setattr(self, "delta_p", delta_p)
         _setattr(self, "koszul", koszul)
-        _setattr(self, "_complement_forms", _complement_forms)
         _setattr(self, "_delta_pairings", _delta_pairings)
         _setattr(self, "_rho_pairings", _rho_pairings)
         _setattr(self, "_degree", _degree)
         _setattr(self, "_paired", OrderedDict())
+        _setattr(self, "_steps", None)
 
     @property
     def lie_type(self) -> LieType:
@@ -276,12 +280,47 @@ class ParabolicData(_Record):
         memo = self._paired
         entry = memo.get(key)
         if entry is None:
-            scaled = key[1:]
-            nums = tuple(sum(map(operator.mul, scaled, row)) for row in self._complement_forms)
-            entry = memo[key] = _Pairing(nums, key[0])
+            pairs = [0]
+            append = pairs.append
+            for parent, slot, step in self._raising_steps():
+                append(pairs[parent] + step * key[slot])
+            del pairs[0]
+            entry = memo[key] = _Pairing(tuple(pairs), key[0])
             if len(memo) > PAIRING_MEMO_SIZE:
                 memo.popitem(last=False)
         return entry
+
+    def _raising_steps(self) -> tuple[tuple[int, int, int], ...]:
+        """The step table that `_pairing` pairs a class through.
+
+        One ``(parent, slot, step)`` per radical root, in order, from the
+        root system's raising steps.  ``parent`` is 1 + the position of
+        the parent among the radical roots, or 0 when the parent is a Levi
+        root or the root is simple: a class pairs to 0 with every Levi
+        coroot, whose form is supported on theta.  ``slot`` is the index
+        of the raising node's numerator in the integer form
+        ``(den, *nums)`` of a class; a node in theta carries no class
+        coordinate, so its step is 0.  With pairs[0] = 0, the pairing
+        numerators are then pairs[k] = pairs[parent] + step * form[slot].
+        Built once and kept by one attribute store, so threads that race
+        to build it each store a whole table, and all tables are equal.
+        """
+        steps = self._steps
+        if steps is None:
+            theta_mask = sum(1 << (i - 1) for i in self.theta)
+            form_slot = {node: k for k, node in enumerate(self.complement, 1)}
+            radical_slot: dict[int, int] = {}  # positive-root index -> parent slot
+            table = []
+            for k, (mask, (parent, node, step)) in enumerate(
+                zip(self.rs.support_masks, self.rs.raising_steps)
+            ):
+                if mask & ~theta_mask:
+                    slot = form_slot.get(node, 0)
+                    table.append((radical_slot.get(parent, 0), slot, step if slot else 0))
+                    radical_slot[k] = len(table)
+            steps = tuple(table)
+            _setattr(self, "_steps", steps)
+        return steps
 
     def _ratio_sum(self, w: KahlerClass, b_nums: Sequence[int], b_den: int) -> Fraction:
         """sum_k (b_nums[k]/b_den) / (w_k/w_den), where w_k/w_den are the
@@ -329,6 +368,8 @@ def _normalize_indices(rs: RootSystem, indices: Iterable[int], what: str) -> tup
     nodes: set[int] = set()
     for i in indices:
         try:
+            if isinstance(i, bool):  # operator.index would take True as 1
+                raise TypeError
             nodes.add(operator.index(i))  # int() would truncate 2.9 to 2
         except TypeError:
             raise ValueError(f"{what} index {i!r} is not an integer") from None
@@ -370,15 +411,12 @@ def parabolic(
 
     # A root lies in the Levi part iff its support avoids the complement.
     theta_mask = sum(1 << (i - 1) for i in th)
-    levi: list[Root] = []
     radical: list[Root] = []
     forms: list[tuple[int, ...]] = []
     for g, mask, form in zip(rs.positive_roots, rs.support_masks, rs.coroot_forms):
         if mask & ~theta_mask:
             radical.append(g)
             forms.append(form)
-        else:
-            levi.append(g)
 
     delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
     delta_p = Root(delta)
@@ -416,11 +454,9 @@ def parabolic(
         rs=rs,
         theta=th,
         complement=comp,
-        levi_roots=tuple(levi),
         radical_roots=tuple(radical),
         delta_p=delta_p,
         koszul=koszul_t,
-        _complement_forms=comp_forms,
         _delta_pairings=delta_pairings,
         _rho_pairings=rho_pairings,
         _degree=deg,

@@ -8,6 +8,14 @@ of every positive root, which is its coroot in simple-coroot coordinates
 and is built together with the root.  `fractions.Fraction` appears only
 in the symmetrizer.
 
+The closure that finds the positive roots raises a root c to s_i(c) and
+its coroot form v to v + step * e_i, so it also keeps, per root, that
+raising step: (parent, node, step).  Parents come first in the stored
+order, so the pairings <lam, coroot(g)> of one weight with every
+positive coroot are a single forward pass of additions,
+P[g] = P[parent] + step * lam[node], with no dot product per root;
+`flag` pairs its classes that way.
+
 Conventions, fixed once here and relied on everywhere else:
 
 * Simple roots carry Bourbaki numbering for every series: A_m is the
@@ -235,15 +243,19 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
 
 def _positive_roots(
     cartan: Sequence[Sequence[int]],
-) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
-    """All positive roots with their integer coroot forms, by upward closure.
+) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+    """All positive roots with their integer coroot forms and raising
+    steps, by upward closure.
 
     For a positive root c other than alpha_i, s_i(c) is again positive
     (Humphreys, Lie Algebras, 10.2), and every positive root is reached
     from a simple root by reflections that raise the height.  Since
     s_i(c)^v = s_i(c^v), each root's coroot, in simple-coroot coordinates
-    (its coroot form), is carried along.  Sorted by (height, coefficients)
-    for reproducible output.
+    (its coroot form), is carried along: the form of s_i(c) is the form
+    of c plus step * e_i, step = -<alpha_i, coroot(c)> > 0.  The first
+    such (c, i, step) that reaches a root is its raising step.  Sorted by
+    (height, coefficients) for reproducible output, so a parent, being
+    lower, comes before its child.
     """
     m = len(cartan)
     # The nonzero entries (at most four) of each column and each row.
@@ -251,6 +263,10 @@ def _positive_roots(
     rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     simples = [tuple(int(k == i) for k in range(m)) for i in range(m)]
     coroot: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simples, simples))
+    # root -> (parent root, 1-based node, step); a simple root raises the zero form
+    raised: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int, int]] = {
+        s: (None, i + 1, 1) for i, s in enumerate(simples)
+    }
     frontier = simples
     while frontier:
         nxt: list[tuple[int, ...]] = []
@@ -264,39 +280,50 @@ def _positive_roots(
                 up[i] -= p
                 t = tuple(up)
                 if t not in coroot:
+                    step = -sum(v[j] * a for j, a in rows[i])  # -<alpha_i, coroot(c)>
                     w = list(v)
-                    w[i] -= sum(v[j] * a for j, a in rows[i])  # <alpha_i, coroot(c)>
+                    w[i] += step
                     coroot[t] = tuple(w)
+                    raised[t] = (c, i + 1, step)
                     nxt.append(t)
         frontier = nxt
     order = sorted(coroot, key=lambda c: (sum(c), c))
-    return tuple(Root(c) for c in order), tuple(coroot[c] for c in order)
+    index = {c: k for k, c in enumerate(order)}
+    steps = tuple((index.get(parent, -1), node, step)
+                  for parent, node, step in map(raised.get, order))
+    return tuple(Root(c) for c in order), tuple(coroot[c] for c in order), steps
 
 
 class RootSystem(_Record):
     """Immutable root-system data for one simple type.
 
-    ``coroot_forms`` and ``support_masks`` run parallel to
-    ``positive_roots`` and stay out of the repr: the coroot form of each
-    root, i.e. its coroot in simple-coroot coordinates, so that
-    <lam, coroot(g)> = sum_i lam_i * form[i], and its support as a
+    ``coroot_forms``, ``raising_steps`` and ``support_masks`` run
+    parallel to ``positive_roots`` and stay out of the repr: the coroot
+    form of each root, i.e. its coroot in simple-coroot coordinates, so
+    that <lam, coroot(g)> = sum_i lam_i * form[i]; its raising step
+    ``(parent, node, step)``, which says that the form is the form of
+    root number ``parent`` (an earlier one; -1 stands for the zero form of
+    no root) plus ``step`` at the 1-based ``node``; and its support as a
     bitmask (bit i-1 set iff alpha_i occurs in g).
     """
 
     __slots__ = (
-        "lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms", "support_masks",
+        "lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps",
+        "support_masks",
     )
-    _hidden = ("coroot_forms", "support_masks")
+    _hidden = ("coroot_forms", "raising_steps", "support_masks")
 
     def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
                  symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...],
                  coroot_forms: tuple[tuple[int, ...], ...],
+                 raising_steps: tuple[tuple[int, int, int], ...],
                  support_masks: tuple[int, ...]) -> None:
         _setattr(self, "lie_type", lie_type)
         _setattr(self, "cartan", cartan)
         _setattr(self, "symmetrizer", symmetrizer)
         _setattr(self, "positive_roots", positive_roots)
         _setattr(self, "coroot_forms", coroot_forms)
+        _setattr(self, "raising_steps", raising_steps)
         _setattr(self, "support_masks", support_masks)
 
     @property
@@ -316,13 +343,14 @@ def _construct(lie_type: LieType | str) -> RootSystem:
     t = LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type
     cartan = _cartan_matrix(t)
     d = _symmetrizer(cartan)
-    positives, forms = _positive_roots(cartan)
+    positives, forms, steps = _positive_roots(cartan)
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
         symmetrizer=d,
         positive_roots=positives,
         coroot_forms=forms,
+        raising_steps=steps,
         support_masks=tuple(
             sum(1 << i for i, c in enumerate(r.coeffs) if c) for r in positives
         ),

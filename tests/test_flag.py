@@ -1,6 +1,10 @@
 """Parabolic quotients: index vectors, dimension, degree, degree bound."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,10 @@ from flagtke import (
     parabolic,
     snow_check,
 )
+from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
+
+# the six flags of the `classes` benchmark workload
+CLASS_FLAGS = (("E8", ()), ("B8", ()), ("A8", ()), ("F4", ()), ("E7", (2,)), ("D8", (1, 3)))
 
 
 def flags_up_to_rank(max_rank):
@@ -67,6 +75,15 @@ def test_node_indices_validated():
     assert parabolic("A3", theta=(1, 1)).theta == (1,)
 
 
+def test_bool_node_indices_rejected():
+    # operator.index(True) is 1: a bool must not pass for node 1
+    for bad in ((True,), (False,), (2, True)):
+        with pytest.raises(ValueError, match=r"theta index (True|False) is not an integer"):
+            parabolic("A3", theta=bad)
+        with pytest.raises(ValueError, match=r"complement index (True|False) is not an integer"):
+            parabolic("A3", complement=bad)
+
+
 def test_theta_complement_give_same_parabolic():
     p = parabolic("B4", theta=(2, 3))
     q = parabolic("B4", complement=(1, 4))
@@ -84,14 +101,20 @@ def test_flags_and_root_systems_are_hashable():
     assert len({p, q, parabolic("B3", (1,))}) == 2
 
 
-def test_levi_roots_are_exactly_supported_on_theta():
+def test_radical_roots_are_exactly_the_roots_meeting_the_complement():
     p = parabolic("D5", theta=(2, 3, 5))
-    th = set(p.theta)
-    assert all(oracle.support(r.coeffs) <= th for r in p.levi_roots)
-    assert all(not oracle.support(r.coeffs) <= th for r in p.radical_roots)
-    n_pos = len(p.rs.positive_roots)
-    assert len(p.levi_roots) + len(p.radical_roots) == n_pos
-    assert p.dim == len(p.radical_roots)
+    comp = set(p.complement)
+    expected = [r for r in p.rs.positive_roots if oracle.support(r.coeffs) & comp]
+    assert list(p.radical_roots) == expected
+    # |radical| = |positive roots| - |positive roots of the Levi part|, the
+    # latter counted by the oracle's pairings: a root lies in the Levi part
+    # iff its coroot pairs to 0 with the fundamental weight of every
+    # complement node; theta {2, 3, 5} spans an A3, with 6 positive roots
+    levi = [r for r in p.rs.positive_roots
+            if all(oracle.pairing(p.rs, oracle.unit(p.rs.rank, i), r) == 0 for i in comp)]
+    assert all(oracle.support(r.coeffs) <= set(p.theta) for r in levi)
+    assert len(p.rs.positive_roots) == 20 and len(levi) == 6
+    assert p.dim == len(p.radical_roots) == 20 - 6
     assert p.picard_rank == 2
 
 
@@ -185,6 +208,87 @@ def test_kahler_class_requires_positive_entries():
 def test_anticanonical_class_matches_koszul():
     p = parabolic("A3", complement=(1, 3))
     assert anticanonical_class(p).coords == tuple(Fraction(k) for k in p.koszul)
+
+
+def signed_classes(rng, p):
+    """Seeded classes of every sign pattern: positive, signed, and ones
+    with zero coordinates."""
+    k = p.picard_rank
+    zeros = tuple(Fraction(0) if i % 2 else c for i, c in enumerate(draw_twist(rng, k)))
+    return [draw_kahler(rng, k), draw_twist(rng, k), draw_twist(rng, k), zeros]
+
+
+def test_raising_step_pairings_match_the_oracle():
+    # the step-table pass against the oracle's inner-product route, on
+    # every flag of rank <= 4 and the six flags of the classes benchmark
+    flags = list(enumerate_flags(4)) + [parabolic(t, th) for t, th in CLASS_FLAGS]
+    assert len(flags) == 109 + 6
+    rng = SplitMix64(2718)
+    for p in flags:
+        for cls in signed_classes(rng, p):
+            nums, den = p.radical_pairings(cls)
+            expected = oracle.pairings(p.rs, oracle.class_weight(p, cls), p.radical_roots)
+            assert tuple(Fraction(n, den) for n in nums) == expected, (p.describe(), cls)
+
+
+def test_raising_step_pairings_of_koszul_are_the_delta_pairings():
+    # two routes to <delta_P, coroot(g)>: the kernel's pass over the koszul
+    # class, and the dot products that `parabolic` takes
+    count = 0
+    for t, theta in flags_up_to_rank(8):
+        p = parabolic(t, theta)
+        assert p._pairing(p.koszul).nums == p._delta_pairings, p.describe()
+        count += 1
+    assert count == 2458
+
+
+def test_step_table_is_no_field():
+    # the step table is derived state: out of ==, hash, repr, pickle and
+    # copy; a copy builds its own, equal, table on its first pairing
+    p, fresh = parabolic("C4", (2,)), parabolic("C4", (2,))
+    assert p._steps is None
+    p.radical_pairings((1, 2, 3))
+    table = p._steps
+    assert len(table) == p.dim and p._raising_steps() is table
+    object.__setattr__(p, "_steps", ((0, 0, 0),) * p.dim)  # a wrong table
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+    assert "_steps" not in p._fields and "_steps" not in repr(p)
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and clone._steps is None
+        assert clone.radical_pairings((1, 2, 3)) == fresh.radical_pairings((1, 2, 3))
+        assert clone._steps == table
+    with pytest.raises(AttributeError):
+        p._steps = None
+
+
+def test_step_table_built_by_racing_threads():
+    # eight threads pair classes on one fresh flag at once, so several of
+    # them may build the step table; every answer must be the single-thread one
+    p, ref = parabolic("B8", ()), parabolic("B8", ())
+    rng = SplitMix64(99)
+    classes = [draw_twist(rng, p.picard_rank) for _ in range(8)]
+    expected = [ref.radical_pairings(cls) for cls in classes]
+    got = [None] * len(classes)
+    start = threading.Barrier(len(classes))
+
+    def work(k):
+        start.wait(timeout=60)
+        got[k] = p.radical_pairings(classes[k])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(classes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    assert p._steps == ref._steps
 
 
 def test_radical_pairings_agree_with_direct_pairing():

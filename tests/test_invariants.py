@@ -568,9 +568,9 @@ class CountedRows(tuple):
 
 def test_class_bundle_pairs_each_distinct_class_once():
     # the seven-call per-class bundle pairs xi and koszul - xi: two passes
-    # over the radical coroot rows, not one per call
+    # over the step table, not one per call
     p = parabolic("E8", theta=())
-    object.__setattr__(p, "_complement_forms", CountedRows(p._complement_forms))
+    object.__setattr__(p, "_steps", CountedRows(p._raising_steps()))
     CountedRows.passes = 0
     xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))

@@ -276,7 +276,7 @@ def test_pairing_linear_in_weight(t, a, b, data):
 def test_symmetrizer_rescaling_leaves_pairings_unchanged(t, scale):
     rs = build_root_system(t)
     scaled = RootSystem(rs.lie_type, rs.cartan, tuple(scale * d for d in rs.symmetrizer),
-                        rs.positive_roots, rs.coroot_forms, rs.support_masks)
+                        rs.positive_roots, rs.coroot_forms, rs.raising_steps, rs.support_masks)
     for i in range(1, rs.rank + 1):
         lam = oracle.unit(rs.rank, i)
         assert oracle.pairings(scaled, lam, rs.positive_roots) == oracle.pairings(
@@ -299,6 +299,26 @@ def test_stored_coroot_forms_are_ints_equal_to_fraction_route():
             assert all(type(v) is int for v in form), (t, r)
             assert form == expected[k], (t, r)
             assert mask == sum(1 << (i - 1) for i in oracle.support(r.coeffs)), (t, r)
+
+
+def test_raising_steps_rebuild_every_coroot_form():
+    # form(root) = form(parent) + step * e_node, the parent an earlier root
+    # (or -1: the zero form, for a simple root), and the root itself is its
+    # parent raised along the same node
+    for t in all_types(8) + [LieType(series, 12) for series in "BCD"] + [LieType("A", 32)]:
+        rs = build_root_system(t)
+        m = rs.rank
+        assert len(rs.raising_steps) == len(rs.positive_roots)
+        for k, (parent, node, step) in enumerate(rs.raising_steps):
+            assert -1 <= parent < k and 1 <= node <= m and step > 0, (t, k)
+            base = rs.coroot_forms[parent] if parent >= 0 else (0,) * m
+            raised = tuple(v + step * e for v, e in zip(base, oracle.unit(m, node)))
+            assert rs.coroot_forms[k] == raised, (t, k)
+            below = rs.positive_roots[parent].coeffs if parent >= 0 else (0,) * m
+            rise = [c - b for c, b in zip(rs.positive_roots[k].coeffs, below)]
+            assert rise[node - 1] > 0 and rise.count(0) == m - 1, (t, k)
+        simple = sorted(s for s in rs.raising_steps if s[0] == -1)
+        assert simple == [(-1, i, 1) for i in range(1, m + 1)], t
 
 
 # ---------------------------------------------------------------------------
