@@ -29,7 +29,7 @@ import enum
 from collections.abc import Iterator
 
 from .flag import ParabolicData, parabolic
-from .rootsys import LieType, _Record, _setattr
+from .rootsys import LieType, _integer, _Record, _setattr
 
 __all__ = [
     "Family",
@@ -221,6 +221,7 @@ def catalog_rows(max_rank: int, family: str | None = None) -> tuple[TableRow, ..
     restrict the output.  max_rank must be at least 4 so that every
     series generator is well defined.
     """
+    max_rank = _integer("max_rank", max_rank)
     if max_rank < 4:
         raise ValueError(f"max_rank must be >= 4, got {max_rank}")
     picked = [gen for fam, gen in _GENERATORS.items() if family in (None, fam.value)]
@@ -236,6 +237,7 @@ def example_projectivized_tangent(n: int) -> ParabolicData:
     Realized on the A-series with complement at the last two nodes; its
     koszul numbers are (n+1, 2), asserted before returning.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = parabolic(LieType("A", n + 1), complement=(n, n + 1))

@@ -25,13 +25,15 @@ pickle and copy.
 A `ParabolicData` pairs each class with its radical coroots once: it
 remembers the last `PAIRING_MEMO_SIZE` classes it paired, keyed by their
 integer form.  A pairing is one forward pass of additions over the
-root system's raising steps (see `rootsys`), restricted to the flag on
-its first pairing: each radical coroot pairs with the class as its
-parent coroot does, plus the step times the class's numerator at the
-raising node, with no dot product per root.  An entry holds the integer pairings and, once they are
-asked for, what `trace` and `scalar_curvature` sum against and the
-volume `volume_class` built, so the invariants of one class share a
-single pairing pass and a single volume.  Those sums of reciprocal
+root system's own raising steps (see `rootsys`), with no dot product
+per root: every positive coroot pairs with the class as its parent
+coroot does, plus the step times the class's numerator at the raising
+node (0 at a theta node, so a Levi coroot pairs to 0), and the flag's
+radical selector keeps the radical ones.  An entry holds the integer
+pairings and, once they are asked for, what `trace` and
+`scalar_curvature` sum against and the volume `volume_class` built, so
+the invariants of one class share a single pairing pass and a single
+volume.  Those sums of reciprocal
 pairings, sum_k b_k / n_k, are taken by `ParabolicData._ratio_sum` in
 one of two ways.  Below `PRODUCT_TREE_MIN` pairings the entry keeps
 their lcm and the weights ``lcm // n``, and a sum is one integer dot
@@ -53,8 +55,9 @@ import operator
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import compress
 
-from .rootsys import LieType, Root, RootSystem, _Record, _setattr, build_root_system
+from .rootsys import LieType, Root, RootSystem, _integer, _Record, _setattr, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -193,28 +196,29 @@ class ParabolicData(_Record):
 
     The trailing private fields, left out of the repr, are derived from
     the public ones: the integer pairings of delta_p and of the Weyl
-    vector with every radical coroot, and the degree.  They exist so that
-    the volume and trace product formulas of downstream modules are small
-    integer products instead of repeated root-system lookups.
+    vector with every radical coroot, the degree, and the radical
+    selector, one bool per positive root, ``True`` where it is radical.
+    They exist so that the volume and trace product formulas of
+    downstream modules are small integer products instead of repeated
+    root-system lookups.
 
-    Two slots are not fields, so they take no part in the constructor,
-    equality, hashing, repr, pickle or copy, and a copy starts them
+    One slot is not a field, so it takes no part in the constructor,
+    equality, hashing, repr, pickle or copy, and a copy starts it
     afresh: ``_paired``, the pairing memo (at most `PAIRING_MEMO_SIZE`
-    classes), and ``_steps``, the step table of `_raising_steps`, built
-    on the first pairing miss.
+    classes).
     """
 
     _fields = (
         "rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
-        "_delta_pairings", "_rho_pairings", "_degree",
+        "_delta_pairings", "_rho_pairings", "_degree", "_is_radical",
     )
-    __slots__ = (*_fields, "_paired", "_steps")
+    __slots__ = (*_fields, "_paired")
     _hidden = tuple(name for name in _fields if name.startswith("_"))
 
     def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
                  radical_roots: tuple[Root, ...], delta_p: Root, koszul: tuple[int, ...],
                  _delta_pairings: tuple[int, ...], _rho_pairings: tuple[int, ...],
-                 _degree: int) -> None:
+                 _degree: int, _is_radical: tuple[bool, ...]) -> None:
         _setattr(self, "rs", rs)
         _setattr(self, "theta", theta)
         _setattr(self, "complement", complement)
@@ -224,8 +228,8 @@ class ParabolicData(_Record):
         _setattr(self, "_delta_pairings", _delta_pairings)
         _setattr(self, "_rho_pairings", _rho_pairings)
         _setattr(self, "_degree", _degree)
+        _setattr(self, "_is_radical", _is_radical)
         _setattr(self, "_paired", OrderedDict())
-        _setattr(self, "_steps", None)
 
     @property
     def lie_type(self) -> LieType:
@@ -270,61 +274,43 @@ class ParabolicData(_Record):
         memo when ``cls`` is one of the last `PAIRING_MEMO_SIZE` classes
         paired on this flag.
         """
-        entry = self._pairing(cls)
+        entry = self._pairing(self.checked_class(cls, "class"))
         return entry.nums, entry.den
 
-    def _pairing(self, cls: ClassLike) -> _Pairing:
-        """The memo entry of ``cls``, pairing it with the radical coroots
-        only if none of the last `PAIRING_MEMO_SIZE` classes equals it."""
-        key = self.checked_class(cls, "class")._integer_form()
+    def _pairing(self, cls: CohomologyClass) -> _Pairing:
+        """The memo entry of ``cls``, a class that has been through
+        `checked_class`, pairing it with the radical coroots only if none
+        of the last `PAIRING_MEMO_SIZE` classes equals it.
+
+        The pass runs over all positive roots with the numerators indexed
+        by node, 0 at a theta node; a full flag's integer form
+        ``(den, *nums)`` already is that, and all its roots are radical.
+        Otherwise the radical selector keeps the radical pairings.
+        """
+        key = cls._integer_form()
         memo = self._paired
         entry = memo.get(key)
         if entry is None:
+            w = key
+            if self.theta:
+                w = [0] * (self.rs.rank + 1)
+                for node, num in zip(self.complement, key[1:]):
+                    w[node] = num
             pairs = [0]
             append = pairs.append
-            for parent, slot, step in self._raising_steps():
-                append(pairs[parent] + step * key[slot])
+            for parent, node, step in self.rs.raising_steps:
+                append(pairs[parent] + step * w[node])
             del pairs[0]
-            entry = memo[key] = _Pairing(tuple(pairs), key[0])
+            nums = tuple(compress(pairs, self._is_radical)) if self.theta else tuple(pairs)
+            entry = memo[key] = _Pairing(nums, key[0])
             if len(memo) > PAIRING_MEMO_SIZE:
                 memo.popitem(last=False)
         return entry
 
-    def _raising_steps(self) -> tuple[tuple[int, int, int], ...]:
-        """The step table that `_pairing` pairs a class through.
-
-        One ``(parent, slot, step)`` per radical root, in order, from the
-        root system's raising steps.  ``parent`` is 1 + the position of
-        the parent among the radical roots, or 0 when the parent is a Levi
-        root or the root is simple: a class pairs to 0 with every Levi
-        coroot, whose form is supported on theta.  ``slot`` is the index
-        of the raising node's numerator in the integer form
-        ``(den, *nums)`` of a class; a node in theta carries no class
-        coordinate, so its step is 0.  With pairs[0] = 0, the pairing
-        numerators are then pairs[k] = pairs[parent] + step * form[slot].
-        Built once and kept by one attribute store, so threads that race
-        to build it each store a whole table, and all tables are equal.
-        """
-        steps = self._steps
-        if steps is None:
-            theta_mask = sum(1 << (i - 1) for i in self.theta)
-            form_slot = {node: k for k, node in enumerate(self.complement, 1)}
-            radical_slot: dict[int, int] = {}  # positive-root index -> parent slot
-            table = []
-            for k, (mask, (parent, node, step)) in enumerate(
-                zip(self.rs.support_masks, self.rs.raising_steps)
-            ):
-                if mask & ~theta_mask:
-                    slot = form_slot.get(node, 0)
-                    table.append((radical_slot.get(parent, 0), slot, step if slot else 0))
-                    radical_slot[k] = len(table)
-            steps = tuple(table)
-            _setattr(self, "_steps", steps)
-        return steps
-
     def _ratio_sum(self, w: KahlerClass, b_nums: Sequence[int], b_den: int) -> Fraction:
         """sum_k (b_nums[k]/b_den) / (w_k/w_den), where w_k/w_den are the
-        radical pairings of the Kahler class ``w`` (all positive).
+        radical pairings of the Kahler class ``w`` (all positive), which
+        has been through `checked_class`.
 
         Below `PRODUCT_TREE_MIN` pairings: one dot product with the
         weights ``lcm // w_k``.  From it on: up the product tree of the
@@ -365,15 +351,8 @@ class ParabolicData(_Record):
 
 
 def _normalize_indices(rs: RootSystem, indices: Iterable[int], what: str) -> tuple[int, ...]:
-    nodes: set[int] = set()
-    for i in indices:
-        try:
-            if isinstance(i, bool):  # operator.index would take True as 1
-                raise TypeError
-            nodes.add(operator.index(i))  # int() would truncate 2.9 to 2
-        except TypeError:
-            raise ValueError(f"{what} index {i!r} is not an integer") from None
-    out = sorted(nodes)
+    name = f"{what} index"
+    out = sorted({_integer(name, i) for i in indices})
     for i in out:
         if not 1 <= i <= rs.rank:
             raise ValueError(
@@ -411,12 +390,9 @@ def parabolic(
 
     # A root lies in the Levi part iff its support avoids the complement.
     theta_mask = sum(1 << (i - 1) for i in th)
-    radical: list[Root] = []
-    forms: list[tuple[int, ...]] = []
-    for g, mask, form in zip(rs.positive_roots, rs.support_masks, rs.coroot_forms):
-        if mask & ~theta_mask:
-            radical.append(g)
-            forms.append(form)
+    is_radical = [bool(mask & ~theta_mask) for mask in rs.support_masks]
+    radical = tuple(compress(rs.positive_roots, is_radical))
+    forms = tuple(compress(rs.coroot_forms, is_radical))
 
     delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
     delta_p = Root(delta)
@@ -454,12 +430,13 @@ def parabolic(
         rs=rs,
         theta=th,
         complement=comp,
-        radical_roots=tuple(radical),
+        radical_roots=radical,
         delta_p=delta_p,
         koszul=koszul_t,
         _delta_pairings=delta_pairings,
         _rho_pairings=rho_pairings,
         _degree=deg,
+        _is_radical=tuple(is_radical),
     )
     if rem or deg <= 0:
         raise RuntimeError(

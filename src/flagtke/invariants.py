@@ -40,7 +40,9 @@ Kahler classes must be strictly positive.
 
 A class argument is a sequence of rationals or a `CohomologyClass` /
 `KahlerClass`, checked once by `ParabolicData.checked_class` (arity =
-Picard rank, Kahler arguments strictly positive) and handed on as is.
+Picard rank, Kahler arguments strictly positive) and handed on as is:
+the flag's `_pairing` and `_ratio_sum` take the checked class and do
+not check it again.
 """
 
 from __future__ import annotations
@@ -211,9 +213,10 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     in the memo, so the two routes check each other.
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
-    nums, den = p.radical_pairings(x)
+    entry = p._pairing(x)
     return Fraction(
-        math.factorial(p.dim) * math.prod(nums), den**p.dim * math.prod(p._rho_pairings)
+        math.factorial(p.dim) * math.prod(entry.nums),
+        entry.den**p.dim * math.prod(p._rho_pairings),
     )
 
 
@@ -225,8 +228,8 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     the sum over radical roots of the beta/omega eigenvalue ratios.
     """
     w = p.checked_class(omega, "metric class", positive=True)
-    b = p.checked_class(beta, "traced class")
-    return p._ratio_sum(w, *p.radical_pairings(b))
+    b = p._pairing(p.checked_class(beta, "traced class"))
+    return p._ratio_sum(w, b.nums, b.den)
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:

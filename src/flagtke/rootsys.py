@@ -10,11 +10,12 @@ in the symmetrizer.
 
 The closure that finds the positive roots raises a root c to s_i(c) and
 its coroot form v to v + step * e_i, so it also keeps, per root, that
-raising step: (parent, node, step).  Parents come first in the stored
-order, so the pairings <lam, coroot(g)> of one weight with every
-positive coroot are a single forward pass of additions,
-P[g] = P[parent] + step * lam[node], with no dot product per root;
-`flag` pairs its classes that way.
+raising step: (parent, node, step), the parent stored as 1 + its index
+and a simple root's as 0.  Parents come first in the stored order, so
+the pairings <lam, coroot(g)> of one weight with every positive coroot
+are a single forward pass of additions from P = [0],
+P.append(P[parent] + step * lam[node]), with no dot product per root;
+`flag` pairs every class that way, over these steps themselves.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -119,6 +120,17 @@ class _OrderedRecord(_Record):
         return self._key(self) >= other._key(other) if type(other) is type(self) else NotImplemented
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an `int`, the one rule for every integer argument of
+    the package: a `bool`, a float or any other non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # Valid rank window per series; None means unbounded above.
 _RANK_RULES: dict[str, tuple[int, int | None]] = {
     "A": (1, None),
@@ -140,6 +152,7 @@ class LieType(_OrderedRecord):
         rule = _RANK_RULES.get(series)
         if rule is None:
             raise ValueError(f"unknown series {series!r}: expected one of A, B, C, D, E, F, G")
+        rank = _integer("rank", rank)
         lo, hi = rule
         if rank < lo or (hi is not None and rank > hi):
             top = "unbounded" if hi is None else str(hi)
@@ -167,6 +180,7 @@ class LieType(_OrderedRecord):
 
 def types_of_rank(rank: int) -> Iterator[LieType]:
     """Every simple type of the given rank, in series order A, B, ..., G."""
+    rank = _integer("rank", rank)
     for series, (lo, hi) in _RANK_RULES.items():
         if lo <= rank and (hi is None or rank <= hi):
             yield LieType(series, rank)
@@ -288,8 +302,8 @@ def _positive_roots(
                     nxt.append(t)
         frontier = nxt
     order = sorted(coroot, key=lambda c: (sum(c), c))
-    index = {c: k for k, c in enumerate(order)}
-    steps = tuple((index.get(parent, -1), node, step)
+    index = {c: k for k, c in enumerate(order, 1)}  # a simple root's parent None -> 0
+    steps = tuple((index.get(parent, 0), node, step)
                   for parent, node, step in map(raised.get, order))
     return tuple(Root(c) for c in order), tuple(coroot[c] for c in order), steps
 
@@ -302,9 +316,10 @@ class RootSystem(_Record):
     form of each root, i.e. its coroot in simple-coroot coordinates, so
     that <lam, coroot(g)> = sum_i lam_i * form[i]; its raising step
     ``(parent, node, step)``, which says that the form is the form of
-    root number ``parent`` (an earlier one; -1 stands for the zero form of
-    no root) plus ``step`` at the 1-based ``node``; and its support as a
-    bitmask (bit i-1 set iff alpha_i occurs in g).
+    root number ``parent - 1`` (an earlier one; ``parent`` 0 stands for
+    the zero form of no root, the parent of a simple root) plus ``step``
+    at the 1-based ``node``; and its support as a bitmask (bit i-1 set iff
+    alpha_i occurs in g).
     """
 
     __slots__ = (

@@ -15,7 +15,6 @@ Reproducibility requirements shape two choices:
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .invariants import (
     volume_class,
     volume_cross_check,
 )
-from .rootsys import _Record, _setattr, types_of_rank
+from .rootsys import _integer, _Record, _setattr, types_of_rank
 
 __all__ = [
     "SplitMix64",
@@ -53,6 +52,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int) -> None:
+        seed = _integer("seed", seed)
         if not 0 <= seed <= _MASK:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._state = seed
@@ -66,6 +66,8 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], via rejection (no modulo bias)."""
+        lo = _integer("lo", lo)
+        hi = _integer("hi", hi)
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
@@ -131,17 +133,6 @@ class SweepConfig(_Record):
         _setattr(self, "samples_per_flag", samples_per_flag)
         _setattr(self, "seed", seed)
         _setattr(self, "checks", checks)
-
-
-def _integer(name: str, value: object) -> int:
-    """``value`` as an `int`, for an integer field of `SweepConfig`: a
-    `bool`, a float or any other non-integer is refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class SweepFailure(_Record):

@@ -5,10 +5,12 @@
 runs every command of ``perfbench/cli_golden.json`` (stdout sha256 and
 exit 0) and of ``tests/cli_golden_extra.json`` (exit code, stdout sha256,
 stderr text and the sha256 of the ``--out`` file, with the entry's patch
-applied) in-process, as ``tests/test_cli_golden.py`` does, but without
-pytest or jsonschema, so that it runs on any CPython the package
-supports.  It prints one line per mismatch and a summary, and exits 1 if
-any entry differs.  The file name keeps it out of pytest's collection.
+applied) in-process, at ``COLUMNS=80``, without pytest or jsonschema, so
+that it runs on any CPython the package supports.  It prints one line per
+mismatch and a summary, and exits 1 if any entry differs.
+``tests/test_cli_golden.py`` runs the same two replays under pytest, with
+a callback that validates each JSON output against the schema.  The file
+name keeps it out of pytest's collection.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +35,9 @@ from flagtke.cli import EXIT_OK, main  # noqa: E402
 GOLDEN = HERE.parent / "perfbench" / "cli_golden.json"
 EXTRA = HERE / "cli_golden_extra.json"
 
+# Called with the argv and the stdout bytes of each replayed command.
+OnOutput = Callable[[list, bytes], None]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -42,6 +48,21 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def _columns():
+    """``COLUMNS=80``, the width the extra corpus's help texts were
+    recorded at, restored afterwards."""
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
 
 
 @contextlib.contextmanager
@@ -60,22 +81,29 @@ def _patched(target: str | None):
         setattr(module, attr, original)
 
 
-def replay_golden() -> tuple[int, list]:
+def replay_golden(on_output: OnOutput | None = None) -> tuple[int, list]:
+    """Replay ``cli_golden.json``: the number of entries and the mismatches."""
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     entries = [e for group in doc["groups"] for e in group["entries"]]
     mismatches = []
-    for entry in entries:
-        code, out, _ = _run(list(entry["argv"]))
-        data = out.encode("utf-8")
-        if code != EXIT_OK or _sha(data) != entry["sha256"]:
-            mismatches.append((entry["argv"], {"exit": code, "stdout_bytes": len(data)}))
+    with _columns():
+        for entry in entries:
+            argv = list(entry["argv"])
+            code, out, _ = _run(argv)
+            data = out.encode("utf-8")
+            if on_output:
+                on_output(argv, data)
+            if code != EXIT_OK or _sha(data) != entry["sha256"]:
+                mismatches.append((argv, {"exit": code, "stdout_bytes": len(data)}))
     return len(entries), mismatches
 
 
-def replay_extra() -> tuple[int, list]:
+def replay_extra(on_output: OnOutput | None = None) -> tuple[int, list]:
+    """Replay ``cli_golden_extra.json``: the number of entries and the
+    mismatches."""
     doc = json.loads(EXTRA.read_text(encoding="utf-8"))
     mismatches = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with _columns(), tempfile.TemporaryDirectory() as tmp:
         out_file = Path(tmp) / "out.json"
         for entry in doc["entries"]:
             out_file.unlink(missing_ok=True)
@@ -83,9 +111,12 @@ def replay_extra() -> tuple[int, list]:
             patch = entry["patch"] and doc["patches"][entry["patch"]]
             with _patched(patch):
                 code, out, err = _run(argv)
+            data = out.encode("utf-8")
+            if on_output:
+                on_output(argv, data)
             seen = {
                 "exit": code,
-                "stdout_sha256": _sha(out.encode("utf-8")),
+                "stdout_sha256": _sha(data),
                 "stderr": err.replace(tmp, "{tmp}"),
                 "out_sha256": _sha(out_file.read_bytes()) if out_file.exists() else None,
             }
@@ -95,7 +126,6 @@ def replay_extra() -> tuple[int, list]:
 
 
 def main_replay() -> int:
-    os.environ["COLUMNS"] = "80"  # the width the extra corpus's help texts were recorded at
     failed = 0
     for name, replay in (("cli_golden.json", replay_golden),
                          ("cli_golden_extra.json", replay_extra)):

@@ -3,9 +3,8 @@
 import copy
 import math
 import pickle
-import sys
-import threading
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -78,9 +77,10 @@ def test_node_indices_validated():
 def test_bool_node_indices_rejected():
     # operator.index(True) is 1: a bool must not pass for node 1
     for bad in ((True,), (False,), (2, True)):
-        with pytest.raises(ValueError, match=r"theta index (True|False) is not an integer"):
+        with pytest.raises(ValueError, match=r"theta index must be an integer, got (True|False)"):
             parabolic("A3", theta=bad)
-        with pytest.raises(ValueError, match=r"complement index (True|False) is not an integer"):
+        with pytest.raises(ValueError,
+                           match=r"complement index must be an integer, got (True|False)"):
             parabolic("A3", complement=bad)
 
 
@@ -219,7 +219,7 @@ def signed_classes(rng, p):
 
 
 def test_raising_step_pairings_match_the_oracle():
-    # the step-table pass against the oracle's inner-product route, on
+    # the raising-step pass against the oracle's inner-product route, on
     # every flag of rank <= 4 and the six flags of the classes benchmark
     flags = list(enumerate_flags(4)) + [parabolic(t, th) for t, th in CLASS_FLAGS]
     assert len(flags) == 109 + 6
@@ -237,58 +237,29 @@ def test_raising_step_pairings_of_koszul_are_the_delta_pairings():
     count = 0
     for t, theta in flags_up_to_rank(8):
         p = parabolic(t, theta)
-        assert p._pairing(p.koszul).nums == p._delta_pairings, p.describe()
+        assert p._pairing(p.checked_class(p.koszul, "koszul")).nums == p._delta_pairings, (
+            p.describe())
         count += 1
     assert count == 2458
 
 
-def test_step_table_is_no_field():
-    # the step table is derived state: out of ==, hash, repr, pickle and
-    # copy; a copy builds its own, equal, table on its first pairing
-    p, fresh = parabolic("C4", (2,)), parabolic("C4", (2,))
-    assert p._steps is None
-    p.radical_pairings((1, 2, 3))
-    table = p._steps
-    assert len(table) == p.dim and p._raising_steps() is table
-    object.__setattr__(p, "_steps", ((0, 0, 0),) * p.dim)  # a wrong table
-    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
-    assert "_steps" not in p._fields and "_steps" not in repr(p)
-    assert pickle.dumps(p) == pickle.dumps(fresh)
+def test_radical_selector_is_a_hidden_field():
+    # _is_radical, one bool per positive root that picks the radical
+    # pairings out of a pass, is derived from (rs, theta): out of the repr,
+    # and pickle and copy give equal flags that pair equally
+    p, other = parabolic("C4", (2,)), parabolic("C4", (1,))
+    n = len(p.rs.positive_roots)
+    assert len(p._is_radical) == n and sum(p._is_radical) == p.dim
+    assert tuple(compress(p.rs.positive_roots, p._is_radical)) == p.radical_roots
+    assert p._is_radical != other._is_radical
+    assert "_is_radical" in p._fields and "_is_radical" not in repr(p)
+    expected = p.radical_pairings((1, 2, 3))
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert clone == p and clone._steps is None
-        assert clone.radical_pairings((1, 2, 3)) == fresh.radical_pairings((1, 2, 3))
-        assert clone._steps == table
+        assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
+        assert clone._is_radical == p._is_radical
+        assert clone.radical_pairings((1, 2, 3)) == expected
     with pytest.raises(AttributeError):
-        p._steps = None
-
-
-def test_step_table_built_by_racing_threads():
-    # eight threads pair classes on one fresh flag at once, so several of
-    # them may build the step table; every answer must be the single-thread one
-    p, ref = parabolic("B8", ()), parabolic("B8", ())
-    rng = SplitMix64(99)
-    classes = [draw_twist(rng, p.picard_rank) for _ in range(8)]
-    expected = [ref.radical_pairings(cls) for cls in classes]
-    got = [None] * len(classes)
-    start = threading.Barrier(len(classes))
-
-    def work(k):
-        start.wait(timeout=60)
-        got[k] = p.radical_pairings(classes[k])
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(classes))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert got == expected
-    assert p._steps == ref._steps
+        p._is_radical = None
 
 
 def test_radical_pairings_agree_with_direct_pairing():

@@ -530,11 +530,12 @@ def test_product_tree_and_lcm_sums_agree(monkeypatch):
             for p, (_, _, xi, beta) in zip(flags, cases)
         ]
         for p, (_, _, xi, _) in zip(flags, cases):
-            entry = p._pairing(xi)
+            entry = p._pairing(p.checked_class(xi, "xi"))
             assert (entry.tree is None, entry.weights is None) == (constant > 1, constant == 1)
         if constant == 1:  # the E8 tree carries an odd last element up (15 -> 8)
             e8 = next(p for p in flags if p.dim == 120)
-            assert [len(level) for level in e8._pairing(cases[-6][2]).tree] == [
+            e8_xi = e8.checked_class(cases[-6][2], "xi")
+            assert [len(level) for level in e8._pairing(e8_xi).tree] == [
                 120, 60, 30, 15, 8, 4, 2, 1]
     assert results[1] == results[10**9]
 
@@ -551,27 +552,29 @@ def test_product_tree_sums_match_the_oracle_pairings(lie_type):
     twist = oracle.pairings(p.rs, oracle.class_weight(p, beta), p.radical_roots)
     assert scalar_curvature(p, xi) == sum(d / w for d, w in zip(delta, ratio))
     assert trace(p, xi, beta) == sum(b / w for b, w in zip(twist, ratio))
-    entry = p._pairing(xi)
+    entry = p._pairing(p.checked_class(xi, "xi"))
     assert entry.tree is not None and entry.weights is None
     assert scalar_curvature(p, p.koszul) == p.dim
 
 
-class CountedRows(tuple):
-    """A tuple that counts the passes made over it."""
+def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
+    # the seven-call per-class bundle pairs xi and koszul - xi: two memo
+    # misses, each one pairing pass, not one per call
+    made = []
 
-    passes = 0
+    class CountedPairing(flag._Pairing):
+        __slots__ = ()
 
-    def __iter__(self):
-        CountedRows.passes += 1
-        return super().__iter__()
+        def __init__(self, nums, den):
+            made.append(nums)
+            super().__init__(nums, den)
 
-
-def test_class_bundle_pairs_each_distinct_class_once():
-    # the seven-call per-class bundle pairs xi and koszul - xi: two passes
-    # over the step table, not one per call
+    monkeypatch.setattr(flag, "_Pairing", CountedPairing)
+    checked = []
+    check = ParabolicData.checked_class
+    monkeypatch.setattr(ParabolicData, "checked_class",
+                        lambda self, *args, **kw: checked.append(args) or check(self, *args, **kw))
     p = parabolic("E8", theta=())
-    object.__setattr__(p, "_steps", CountedRows(p._raising_steps()))
-    CountedRows.passes = 0
     xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     v1 = volume_class(p, xi)
@@ -580,7 +583,10 @@ def test_class_bundle_pairs_each_distinct_class_once():
     assert scalar_curvature(p, xi) - trace(p, xi, beta) == p.dim
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
-    assert CountedRows.passes == 2
+    assert len(made) == 2
+    # each public call checks each class argument once (trace two,
+    # volume_bound_report its own and those of grlb_report and volume_class)
+    assert len(checked) == 10
 
 
 def test_class_bundle_builds_the_volume_once(monkeypatch):
@@ -612,6 +618,6 @@ def test_volume_cross_check_never_reads_the_stored_volume():
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, 9 - k) for k in range(1, 9))
     v = volume_class(p, xi)
-    p._pairing(xi).volume = v + 1  # a corrupted memo entry
+    p._pairing(p.checked_class(xi, "xi")).volume = v + 1  # a corrupted memo entry
     assert volume_class(p, xi) == volume_bound_report(p, xi).volume == v + 1
     assert volume_cross_check(p, xi) == v != volume_class(p, xi)

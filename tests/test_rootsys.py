@@ -1,5 +1,6 @@
 """Root systems: construction, counts, pairings, maximal roots."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import oracle
 from flagtke import LieType, build_root_system
+from flagtke.catalog import catalog_rows, example_projectivized_tangent
 from flagtke.rootsys import RootSystem, types_of_rank
+from flagtke.sweep import SplitMix64
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -302,23 +305,24 @@ def test_stored_coroot_forms_are_ints_equal_to_fraction_route():
 
 
 def test_raising_steps_rebuild_every_coroot_form():
-    # form(root) = form(parent) + step * e_node, the parent an earlier root
-    # (or -1: the zero form, for a simple root), and the root itself is its
-    # parent raised along the same node
+    # form(root k) = form(root parent - 1) + step * e_node, the parent an
+    # earlier root stored as 1 + its index (or 0: the zero form, for a
+    # simple root), and the root itself is its parent raised along the
+    # same node
     for t in all_types(8) + [LieType(series, 12) for series in "BCD"] + [LieType("A", 32)]:
         rs = build_root_system(t)
         m = rs.rank
         assert len(rs.raising_steps) == len(rs.positive_roots)
+        forms = ((0,) * m, *rs.coroot_forms)  # forms[parent], the zero form first
+        roots = ((0,) * m, *(r.coeffs for r in rs.positive_roots))
         for k, (parent, node, step) in enumerate(rs.raising_steps):
-            assert -1 <= parent < k and 1 <= node <= m and step > 0, (t, k)
-            base = rs.coroot_forms[parent] if parent >= 0 else (0,) * m
-            raised = tuple(v + step * e for v, e in zip(base, oracle.unit(m, node)))
+            assert 0 <= parent <= k and 1 <= node <= m and step > 0, (t, k)
+            raised = tuple(v + step * e for v, e in zip(forms[parent], oracle.unit(m, node)))
             assert rs.coroot_forms[k] == raised, (t, k)
-            below = rs.positive_roots[parent].coeffs if parent >= 0 else (0,) * m
-            rise = [c - b for c, b in zip(rs.positive_roots[k].coeffs, below)]
+            rise = [c - b for c, b in zip(rs.positive_roots[k].coeffs, roots[parent])]
             assert rise[node - 1] > 0 and rise.count(0) == m - 1, (t, k)
-        simple = sorted(s for s in rs.raising_steps if s[0] == -1)
-        assert simple == [(-1, i, 1) for i in range(1, m + 1)], t
+        simple = sorted(s for s in rs.raising_steps if s[0] == 0)
+        assert simple == [(0, i, 1) for i in range(1, m + 1)], t
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +427,50 @@ def test_low_rank_coincidences_kept_separate():
     c2 = build_root_system("C2")
     assert b2.cartan != c2.cartan
     assert len(b2.positive_roots) == len(c2.positive_roots) == 4
+
+
+# ---------------------------------------------------------------------------
+# one integer rule for every integer argument
+
+
+class Index:
+    """An integer-like object that is no `int`: it has ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "call, name, bad",
+    [
+        (lambda: LieType("E", 6.5), "rank", 6.5),
+        (lambda: LieType("A", True), "rank", True),
+        (lambda: list(types_of_rank(2.0)), "rank", 2.0),
+        (lambda: SplitMix64(1.5), "seed", 1.5),
+        (lambda: SplitMix64(True), "seed", True),
+        (lambda: SplitMix64(0).randint(1.0, 3.0), "lo", 1.0),
+        (lambda: SplitMix64(0).randint(1, "3"), "hi", "3"),
+        (lambda: catalog_rows(4.5), "max_rank", 4.5),
+        (lambda: example_projectivized_tangent(2.5), "n", 2.5),
+        (lambda: example_projectivized_tangent(True), "n", True),
+    ],
+    ids=["LieType-float", "LieType-bool", "types_of_rank", "seed-float", "seed-bool",
+         "randint-lo", "randint-hi", "catalog_rows", "tangent-float", "tangent-bool"],
+)
+def test_integer_arguments_follow_one_rule(call, name, bad):
+    # a bool, a float or a string is no integer, whatever its value
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        call()
+
+
+def test_integer_arguments_take_any_index_and_become_ints():
+    t = LieType("A", Index(3))
+    assert type(t.rank) is int and t == LieType("A", 3)
+    rng, ref = SplitMix64(Index(7)), SplitMix64(7)
+    draw = rng.randint(Index(1), Index(6))
+    assert type(draw) is int and draw == ref.randint(1, 6)
+    assert example_projectivized_tangent(Index(2)) == example_projectivized_tangent(2)
+    assert catalog_rows(Index(4)) == catalog_rows(4)
