@@ -30,18 +30,28 @@ per root: every positive coroot pairs with the class as its parent
 coroot does, plus the step times the class's numerator at the raising
 node (0 at a theta node, so a Levi coroot pairs to 0), and the flag's
 radical selector keeps the radical ones.  An entry holds the integer
-pairings and, once they are asked for, what `trace` and
+pairings and, once they are asked for, their product, what `trace` and
 `scalar_curvature` sum against and the volume `volume_class` built, so
-the invariants of one class share a single pairing pass and a single
-volume.  Those sums of reciprocal
+the invariants of one class share a single pairing pass, a single
+product and a single volume.  Those sums of reciprocal
 pairings, sum_k b_k / n_k, are taken by `ParabolicData._ratio_sum` in
 one of two ways.  Below `PRODUCT_TREE_MIN` pairings the entry keeps
 their lcm and the weights ``lcm // n``, and a sum is one integer dot
 product.  From `PRODUCT_TREE_MIN` on, where that lcm and its n
 divisions cost work quadratic in the dimension, the entry keeps the
 levels of the pairings' product tree, and a sum folds its numerators up
-the tree with no lcm and no division.  The memo is private state; it
-takes no part in equality or hashing.
+the tree with no lcm and no division; the tree's root is then the
+entry's product, so the volume builds the tree the sums read.  Below
+it the product is one `math.prod`.
+
+A second memo serves the arguments: `checked_class` remembers the class
+it made from each of the last `PAIRING_MEMO_SIZE` argument tuples, keyed
+by the tuple's id and served only to that very tuple, which the entry
+holds.  Only a `tuple` of coordinates of the exact types `Fraction`,
+`int` and `str` is remembered: such a tuple cannot change, where a list
+can between two calls.  So a tuple handed to several invariants becomes
+a class, and an integer form, once.  Both memos are private state; they
+take no part in equality or hashing.
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -155,7 +165,17 @@ def _positive(cls: CohomologyClass) -> bool:
     return min(cls._integer_form()[1:], default=1) > 0
 
 
+def _kahler(cls: CohomologyClass, what: str) -> KahlerClass:
+    """``cls`` as a `KahlerClass`, or `ValueError` naming ``what`` if a
+    coordinate is not strictly positive."""
+    if not _positive(cls):
+        raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
+    return KahlerClass._trusted(cls.coords, cls._form)
+
+
 Rational = Fraction | int | str
+# The exact coordinate types of a tuple that `checked_class` remembers.
+_EXACT_TYPES = (Fraction, int, str)
 ClassLike = CohomologyClass | Sequence[Rational]
 
 # How many classes one ParabolicData remembers the radical pairings of;
@@ -172,52 +192,76 @@ PRODUCT_TREE_MIN = 64
 
 class _Pairing:
     """Memo entry: the radical pairings of one class as ``nums`` over
-    ``den``.  For a Kahler class, once asked for: with fewer than
-    `PRODUCT_TREE_MIN` pairings, ``weights`` = (lcm of ``nums``,
-    ``lcm // n`` for each pairing n); with more, ``tree``, the levels of
-    the product tree of ``nums`` from ``nums`` itself up to its product
-    (each level the pairwise products of the one below, an odd last
-    element carried up unchanged); and ``volume``, the value
+    ``den``.  Once asked for: ``product``, the product of ``nums``; and,
+    for a Kahler class, with fewer than `PRODUCT_TREE_MIN` pairings,
+    ``weights`` = (lcm of ``nums``, ``lcm // n`` for each pairing n);
+    with more, ``tree``, the levels of the product tree of ``nums`` from
+    ``nums`` itself up to its product (each level the pairwise products
+    of the one below, an odd last element carried up unchanged), whose
+    root is then ``product``; and ``volume``, the value
     `invariants.volume_class` built.  Each is filled by one attribute
     store, so a thread never reads half of it."""
 
-    __slots__ = ("nums", "den", "weights", "tree", "volume")
+    __slots__ = ("nums", "den", "weights", "tree", "product", "volume")
 
     def __init__(self, nums: tuple[int, ...], den: int) -> None:
         self.nums = nums
         self.den = den
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
+        self.product: int | None = None
         self.volume: Fraction | None = None
+
+    def tree_levels(self) -> tuple[tuple[int, ...], ...]:
+        """``tree``, built on the first call."""
+        if self.tree is None:
+            nums = self.nums
+            levels = [nums]
+            while len(nums) > 1:
+                nums = (*map(operator.mul, nums[0::2], nums[1::2]), *nums[len(nums) & ~1:])
+                levels.append(nums)
+            self.tree = tuple(levels)
+        return self.tree
+
+    def nums_product(self) -> int:
+        """``product``, worked out on the first call: from
+        `PRODUCT_TREE_MIN` pairings on the root of ``tree``, which the
+        reciprocal sums then share, below it `math.prod`."""
+        if self.product is None:
+            nums = self.nums
+            self.product = (self.tree_levels()[-1][0] if len(nums) >= PRODUCT_TREE_MIN
+                            else math.prod(nums))
+        return self.product
 
 
 class ParabolicData(_Record):
     """Root-theoretic data of one parabolic quotient G/P.
 
     The trailing private fields, left out of the repr, are derived from
-    the public ones: the integer pairings of delta_p and of the Weyl
-    vector with every radical coroot, the degree, and the radical
-    selector, one bool per positive root, ``True`` where it is radical.
-    They exist so that the volume and trace product formulas of
-    downstream modules are small integer products instead of repeated
-    root-system lookups.
+    the public ones: the integer pairings of delta_p with every radical
+    coroot, their product and the product of the Weyl vector's pairings
+    with the radical coroots (the two sides of the degree formula), the
+    degree, and the radical selector, one bool per positive root,
+    ``True`` where it is radical.  They exist so that the volume and
+    trace formulas of downstream modules read integers built once per
+    flag instead of repeated root-system lookups and products.
 
-    One slot is not a field, so it takes no part in the constructor,
-    equality, hashing, repr, pickle or copy, and a copy starts it
-    afresh: ``_paired``, the pairing memo (at most `PAIRING_MEMO_SIZE`
-    classes).
+    Two slots are not fields, so they take no part in the constructor,
+    equality, hashing, repr, pickle or copy, and a copy starts them
+    afresh: ``_paired``, the pairing memo, and ``_args``, the argument
+    memo of `checked_class`, each of at most `PAIRING_MEMO_SIZE` entries.
     """
 
     _fields = (
         "rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
-        "_delta_pairings", "_rho_pairings", "_degree", "_is_radical",
+        "_delta_pairings", "_delta_product", "_rho_product", "_degree", "_is_radical",
     )
-    __slots__ = (*_fields, "_paired")
+    __slots__ = (*_fields, "_paired", "_args")
     _hidden = tuple(name for name in _fields if name.startswith("_"))
 
     def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
                  radical_roots: tuple[Root, ...], delta_p: Root, koszul: tuple[int, ...],
-                 _delta_pairings: tuple[int, ...], _rho_pairings: tuple[int, ...],
+                 _delta_pairings: tuple[int, ...], _delta_product: int, _rho_product: int,
                  _degree: int, _is_radical: tuple[bool, ...]) -> None:
         _setattr(self, "rs", rs)
         _setattr(self, "theta", theta)
@@ -226,10 +270,12 @@ class ParabolicData(_Record):
         _setattr(self, "delta_p", delta_p)
         _setattr(self, "koszul", koszul)
         _setattr(self, "_delta_pairings", _delta_pairings)
-        _setattr(self, "_rho_pairings", _rho_pairings)
+        _setattr(self, "_delta_product", _delta_product)
+        _setattr(self, "_rho_product", _rho_product)
         _setattr(self, "_degree", _degree)
         _setattr(self, "_is_radical", _is_radical)
         _setattr(self, "_paired", OrderedDict())
+        _setattr(self, "_args", OrderedDict())
 
     @property
     def lie_type(self) -> LieType:
@@ -251,17 +297,42 @@ class ParabolicData(_Record):
         `Fraction`s once, a `CohomologyClass` passes through; the arity must
         be the Picard rank.  With ``positive`` (a Kahler slot) the result is
         a `KahlerClass`, so it is strictly positive.
+
+        The argument memo ``_args`` remembers the class made from each of
+        the last `PAIRING_MEMO_SIZE` tuples checked here, keyed by the
+        tuple's id: an entry is ``[values, class]``, and it serves only
+        the very tuple it holds (``entry[0] is values``; while the entry
+        holds the tuple, no other object can have its id).  Only a
+        `tuple` whose coordinates are all exactly `Fraction`, `int` or
+        `str` is remembered, since no such tuple can change; any other
+        sequence is converted on every call.  A positive request on a
+        remembered plain class checks its sign once and stores the
+        `KahlerClass` back in the entry.
         """
-        cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
+        remember = False
+        if isinstance(values, CohomologyClass):
+            cls = values
+        else:
+            args = self._args
+            entry = args.get(id(values))
+            if entry is not None and entry[0] is values:
+                cls = entry[1]
+                if positive and not isinstance(cls, KahlerClass):
+                    cls = entry[1] = _kahler(cls, what)
+                return cls
+            cls = CohomologyClass(values)
+            remember = type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
                 f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
                 f"has Picard rank {self.picard_rank}"
             )
         if positive and not isinstance(cls, KahlerClass):
-            if not _positive(cls):
-                raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
-            cls = KahlerClass._trusted(cls.coords, cls._form)
+            cls = _kahler(cls, what)
+        if remember:
+            args[id(values)] = [values, cls]
+            if len(args) > PAIRING_MEMO_SIZE:
+                args.popitem(last=False)
         return cls
 
     def radical_pairings(self, cls: ClassLike) -> tuple[tuple[int, ...], int]:
@@ -329,13 +400,7 @@ class ParabolicData(_Record):
                 weights = entry.weights = (lcm, tuple(lcm // n for n in nums))
             lcm, recips = weights
             return Fraction(sum(map(operator.mul, b_nums, recips)) * entry.den, lcm * b_den)
-        tree = entry.tree
-        if tree is None:
-            levels = [nums]
-            while len(nums) > 1:
-                nums = (*map(operator.mul, nums[0::2], nums[1::2]), *nums[len(nums) & ~1:])
-                levels.append(nums)
-            tree = entry.tree = tuple(levels)
+        tree = entry.tree_levels()
         sums = b_nums
         for dens in tree[:-1]:
             odd = sums[len(sums) & ~1:]
@@ -418,14 +483,14 @@ def parabolic(
     koszul_t = tuple(koszul)
     comp_forms = tuple(tuple(f[i - 1] for i in comp) for f in forms)
     delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
-    rho_pairings = tuple(sum(f) for f in forms)
+    delta_product = math.prod(delta_pairings)
+    rho_product = math.prod(sum(f) for f in forms)
 
     # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as one
     # exact division of big integers that must leave a positive quotient
     # and no remainder.
-    num = math.factorial(len(radical)) * math.prod(delta_pairings)
-    den = math.prod(rho_pairings)
-    deg, rem = divmod(num, den)
+    num = math.factorial(len(radical)) * delta_product
+    deg, rem = divmod(num, rho_product)
     p = ParabolicData(
         rs=rs,
         theta=th,
@@ -434,13 +499,14 @@ def parabolic(
         delta_p=delta_p,
         koszul=koszul_t,
         _delta_pairings=delta_pairings,
-        _rho_pairings=rho_pairings,
+        _delta_product=delta_product,
+        _rho_product=rho_product,
         _degree=deg,
         _is_radical=tuple(is_radical),
     )
     if rem or deg <= 0:
         raise RuntimeError(
-            f"anticanonical degree of {p.describe()} is {Fraction(num, den)}, "
+            f"anticanonical degree of {p.describe()} is {Fraction(num, rho_product)}, "
             "not a positive integer"
         )
     return p

@@ -28,9 +28,13 @@ ratios over the metric class's pairings, taken by
 `ParabolicData._ratio_sum`: below `flag.PRODUCT_TREE_MIN` pairings the
 entry keeps their lcm and the weights ``lcm // n`` to sum against, from
 it on the levels of their product tree to sum up.  An entry also keeps
-the volume `volume_class` built, which `volume_bound_report` then reads.
-`volume_cross_check` never reads that volume: it is the independent
-route.
+the product of the pairings (from `flag.PRODUCT_TREE_MIN` on the tree's
+root, so `volume_class` builds the tree the sums then read) and the
+volume `volume_class` built, which `volume_bound_report` then reads.
+The flag keeps the products of its delta_P and rho pairings.
+`volume_cross_check` never reads the kept volume or the kept product of
+the pairings: it is the independent route, and multiplies the pairings
+out itself.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -41,8 +45,13 @@ Kahler classes must be strictly positive.
 A class argument is a sequence of rationals or a `CohomologyClass` /
 `KahlerClass`, checked once by `ParabolicData.checked_class` (arity =
 Picard rank, Kahler arguments strictly positive) and handed on as is:
-the flag's `_pairing` and `_ratio_sum` take the checked class and do
-not check it again.
+the flag's `_pairing` and `_ratio_sum`, and the bodies `_grlb_report`
+and `_volume_class` that `volume_bound_report` calls, take the checked
+class and do not check it again.  The flag remembers the class made
+from each of its last `PAIRING_MEMO_SIZE` argument tuples (a `tuple` of
+exact `Fraction`, `int` or `str` coordinates only, served to that very
+tuple), so the same tuple handed to several functions becomes a class
+once; a list is converted on every call.
 """
 
 from __future__ import annotations
@@ -170,7 +179,11 @@ def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fractio
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
-    x = p.checked_class(xi, "Kahler class", positive=True)
+    return _grlb_report(p, p.checked_class(xi, "Kahler class", positive=True))
+
+
+def _grlb_report(p: ParabolicData, x: KahlerClass) -> GrlbReport:
+    """`grlb_report` of a class that has been through `checked_class`."""
     # with xi = nums/den, koszul/xi = k*den/n: compare k/n by cross-multiplying
     den, *nums = x._integer_form()
     nodes = zip(p.complement, p.koszul, nums)
@@ -196,11 +209,18 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
     entry of xi, so asking again for a remembered class builds nothing.
     """
-    x = p.checked_class(xi, "Kahler class", positive=True)
+    return _volume_class(p, p.checked_class(xi, "Kahler class", positive=True))
+
+
+def _volume_class(p: ParabolicData, x: KahlerClass) -> Fraction:
+    """`volume_class` of a class that has been through `checked_class`.
+    The product of the pairings is the memo entry's: from
+    `flag.PRODUCT_TREE_MIN` pairings on, the root of the tree that
+    `trace` and `scalar_curvature` then sum up."""
     entry = p._pairing(x)
     if entry.volume is None:
         entry.volume = Fraction(
-            degree(p) * math.prod(entry.nums), entry.den**p.dim * math.prod(p._delta_pairings)
+            degree(p) * entry.nums_product(), entry.den**p.dim * p._delta_product
         )
     return entry.volume
 
@@ -209,14 +229,14 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     """Second volume route: n! * prod of <xi, coroot(g)> / <rho, coroot(g)>.
 
     Algebraically equal to volume_class, but evaluated without ever
-    touching the degree, delta_P or the volume that `volume_class` keeps
-    in the memo, so the two routes check each other.
+    touching the degree, delta_P, or the volume and the product of the
+    pairings that `volume_class` keeps in the memo, so the two routes
+    check each other.
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
     entry = p._pairing(x)
     return Fraction(
-        math.factorial(p.dim) * math.prod(entry.nums),
-        entry.den**p.dim * math.prod(p._rho_pairings),
+        math.factorial(p.dim) * math.prod(entry.nums), entry.den**p.dim * p._rho_product
     )
 
 
@@ -251,8 +271,8 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     """
     x = p.checked_class(xi, "Kahler class", positive=True)
     n = p.dim
-    g = grlb_report(p, x)
-    vol = volume_class(p, x)
+    g = _grlb_report(p, x)
+    vol = _volume_class(p, x)
     rv = g.value**n * vol
     d = degree(p)
     snow = (n + 1) ** n

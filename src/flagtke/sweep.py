@@ -43,6 +43,14 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 
+def _seed(value: object) -> int:
+    """``value`` as a seed: an integer (`rootsys._integer`) in 0..2**64-1."""
+    seed = _integer("seed", value)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 class SplitMix64:
     """splitmix64 PRNG (Steele, Lea, Flood; public-domain reference).
 
@@ -52,10 +60,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int) -> None:
-        seed = _integer("seed", seed)
-        if not 0 <= seed <= _MASK:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self._state = seed
+        self._state = _seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
@@ -109,13 +114,11 @@ class SweepConfig(_Record):
                  checks: tuple[str, ...] = CHECKS) -> None:
         max_rank = _integer("max_rank", max_rank)
         samples_per_flag = _integer("samples_per_flag", samples_per_flag)
-        seed = _integer("seed", seed)
         if max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
         if samples_per_flag < 1:
             raise ValueError(f"samples_per_flag must be >= 1, got {samples_per_flag}")
-        if not 0 <= seed <= _MASK:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        seed = _seed(seed)
         if isinstance(checks, str):
             raise ValueError(f"checks must be a sequence of names, not the string {checks!r}")
         try:

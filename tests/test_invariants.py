@@ -1,6 +1,8 @@
 """Twisted-metric existence, lower bound, volumes, scalar curvature."""
 
+import copy
 import inspect
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -584,9 +586,10 @@ def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
     assert len(made) == 2
-    # each public call checks each class argument once (trace two,
-    # volume_bound_report its own and those of grlb_report and volume_class)
-    assert len(checked) == 10
+    # each public call checks each class argument once (trace two), and
+    # volume_bound_report hands its checked class to the grlb and volume
+    # bodies without checking it again
+    assert len(checked) == 8
 
 
 def test_class_bundle_builds_the_volume_once(monkeypatch):
@@ -621,3 +624,258 @@ def test_volume_cross_check_never_reads_the_stored_volume():
     p._pairing(p.checked_class(xi, "xi")).volume = v + 1  # a corrupted memo entry
     assert volume_class(p, xi) == volume_bound_report(p, xi).volume == v + 1
     assert volume_cross_check(p, xi) == v != volume_class(p, xi)
+
+
+def test_volume_cross_check_never_reads_the_stored_product():
+    # volume_class builds on the entry's product of the pairings (the tree
+    # root on this flag); the cross check multiplies the pairings itself
+    p = parabolic("E8", theta=())
+    xi = tuple(Fraction(k, 10 - k) for k in range(1, 9))
+    entry = p._pairing(p.checked_class(xi, "xi"))
+    right = volume_cross_check(p, xi)
+    assert entry.nums_product() == entry.tree[-1][0]
+    entry.product += 1  # a corrupted memo entry
+    assert volume_class(p, xi) != right == volume_cross_check(p, xi)
+
+
+# ---------------------------------------------------------------------------
+# the per-flag argument memo: one class per argument tuple
+
+
+def bundle(p, xi, beta):
+    """The seven calls per class that the `classes` benchmark times."""
+    return (volume_class(p, xi), volume_cross_check(p, xi), grlb_report(p, xi),
+            scalar_curvature(p, xi), trace(p, xi, beta), tke_exists(p, beta),
+            volume_bound_report(p, xi))
+
+
+@pytest.mark.parametrize("lie_type", ("E8", "F4"))
+def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_type):
+    # xi and beta = koszul - xi, each a tuple of Fractions, become a class
+    # and an integer form once per flag, not once per call
+    built, forms = [], []
+    init, integer_form = CohomologyClass.__init__, CohomologyClass._integer_form
+
+    def counted_init(self, coords):
+        built.append(coords)
+        init(self, coords)
+
+    def counted_form(self):
+        if self._form is None:
+            forms.append(self.coords)
+        return integer_form(self)
+
+    monkeypatch.setattr(CohomologyClass, "__init__", counted_init)
+    monkeypatch.setattr(CohomologyClass, "_integer_form", counted_form)
+    p = parabolic(lie_type, theta=())
+    xi = tuple(Fraction(k, k + 2) for k in range(1, p.picard_rank + 1))
+    beta = tuple(k - x for k, x in zip(p.koszul, xi))
+    first = bundle(p, xi, beta)
+    assert len(built) == 2 and len(forms) == 2
+    assert bundle(p, xi, beta) == first  # served from the memos, nothing built
+    assert len(built) == 2 and len(forms) == 2
+    assert first == bundle(parabolic(lie_type, theta=()), list(xi), list(beta))
+
+
+def test_a_list_mutated_between_calls_gives_the_new_answer():
+    def answers(q, x):
+        return volume_class(q, x), grlb(q, x), trace(q, x, x), q.radical_pairings(x)
+
+    p = parabolic("B3", theta=(2,))
+    xi = [1, 2]
+    first = answers(p, xi)
+    xi[0] = 3
+    assert answers(p, xi) == answers(parabolic("B3", theta=(2,)), (3, 2)) != first
+    assert not p._args  # a list is never remembered
+
+
+def test_argument_memo_evicts_the_oldest_without_changing_any_answer():
+    p = parabolic("C3", theta=())
+    rng = SplitMix64(1414)
+    xis = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
+    fresh = parabolic("C3", theta=())
+    expected = [(volume_class(fresh, list(xi)), scalar_curvature(fresh, list(xi))) for xi in xis]
+    for k, xi in enumerate(xis):
+        assert (volume_class(p, xi), scalar_curvature(p, xi)) == expected[k]
+        kept = xis[max(0, k + 1 - PAIRING_MEMO_SIZE):k + 1]
+        assert list(p._args) == [id(t) for t in kept]
+        assert all(entry[0] is t for entry, t in zip(p._args.values(), kept))
+    for k in (0, 6, 1, 5, 2):  # evicted ones come back, remembered ones are served
+        assert (volume_class(p, xis[k]), scalar_curvature(p, xis[k])) == expected[k]
+        assert len(p._args) <= PAIRING_MEMO_SIZE
+
+
+def test_a_positive_request_after_a_plain_one_returns_a_kahler_class():
+    p = parabolic("A3", theta=(2,))
+    t = (Fraction(1, 2), 3)
+    plain = p.checked_class(t, "class")
+    assert type(plain) is CohomologyClass and p._args[id(t)] == [t, plain]
+    kahler = p.checked_class(t, "Kahler class", positive=True)
+    assert type(kahler) is KahlerClass and kahler.coords == plain.coords
+    assert p._args[id(t)][1] is kahler  # stored back: the sign is checked once
+    assert p.checked_class(t, "Kahler class", positive=True) is kahler
+    assert p.checked_class(t, "class") is kahler  # any-sign slots take it as is
+    # a remembered class that is not positive fails every positive request
+    neg = (Fraction(-1, 2), 3)
+    assert type(p.checked_class(neg, "twist class")) is CohomologyClass
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Kahler class must have strictly positive"):
+            p.checked_class(neg, "Kahler class", positive=True)
+    assert type(p._args[id(neg)][1]) is CohomologyClass
+
+
+def test_only_tuples_of_exact_coordinates_are_remembered():
+    class Int(int):
+        pass
+
+    class Pair(tuple):
+        pass
+
+    p = parabolic("A3", theta=(2,))
+    for values in ((Int(1), 2), [1, 2], Pair((1, 2)), (1, Int(2)), iter((1, 2))):
+        assert p.checked_class(values, "class").coords == (1, 2)
+    assert not p._args
+    for values in ((1, 2), (Fraction(1), "2")):  # exact int, Fraction and str
+        p.checked_class(values, "class")
+        assert p._args[id(values)][0] is values
+    # an argument of the wrong arity is refused, and not remembered
+    wrong = (1, 2, 3)
+    with pytest.raises(ValueError, match="3 coordinates"):
+        p.checked_class(wrong, "class")
+    assert id(wrong) not in p._args
+
+
+def test_argument_memo_serves_only_the_tuple_it_holds():
+    # an entry under the id of another object is never served
+    p = parabolic("A2", theta=())
+    t = (1, 2)
+    p._args[id(t)] = [(5, 7), CohomologyClass.of((5, 7))]
+    assert p.checked_class(t, "class").coords == (1, 2)
+    assert p._args[id(t)][0] is t
+
+
+def test_a_tuple_at_a_freed_tuples_address_gives_its_own_answer():
+    # each loop drops its tuple just before building the next one, which
+    # CPython then tends to place at the freed address (the same id).  The
+    # class made from a tuple of ints keeps Fractions of its own, so only
+    # the memo entry holds the tuple: none is freed while remembered, and
+    # a new tuple never finds an entry.  The expected volume comes from a
+    # list, which no memo remembers.
+    p = parabolic("A2", theta=())
+    fresh = parabolic("A2", theta=())
+    xi = None
+    for k in range(1, 40):
+        del xi
+        xi = (k, 1)
+        assert volume_class(p, xi) == volume_class(fresh, [k, 1]), k
+    assert len(p._args) == PAIRING_MEMO_SIZE
+
+
+def test_argument_memo_is_no_field():
+    p = parabolic("B3", theta=(2,))
+    before = hash(p)
+    for k in range(PAIRING_MEMO_SIZE + 1):
+        volume_class(p, (Fraction(k + 1, 3), 2))
+    assert len(p._args) == PAIRING_MEMO_SIZE
+    fresh = parabolic("B3", theta=(2,))
+    assert p == fresh and hash(p) == before == hash(fresh) and not fresh._args
+    assert "_args" not in repr(p) and repr(p) == repr(fresh)
+    assert "_args" not in inspect.signature(ParabolicData).parameters
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and not clone._args and not clone._paired
+        assert volume_class(clone, (1, 2)) == volume_class(p, (1, 2))
+
+
+def test_argument_memo_shared_by_threads_gives_single_thread_answers():
+    # 8 threads share one flag and the same argument tuples, more of them
+    # than the memo holds, asking for each as a plain and as a Kahler class
+    p = parabolic("D4", theta=(2,))
+    rng = SplitMix64(88)
+    xis = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
+    betas = [draw_twist(rng, p.picard_rank) for _ in xis]
+    fresh = parabolic("D4", theta=(2,))
+    expected = [bundle(fresh, xi, beta) + (trace(fresh, xi, xi),)
+                for xi, beta in zip(xis, betas)]
+    wrong = []
+    start = threading.Barrier(8)
+
+    def work(offset):
+        start.wait(timeout=60)
+        for k in range(120):
+            i = (k * (offset + 1) + offset) % len(xis)
+            xi, beta = xis[i], betas[i]
+            p.radical_pairings(xi)  # a plain request before the Kahler ones
+            if bundle(p, xi, beta) + (trace(p, xi, xi),) != expected[i]:
+                wrong.append((offset, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(p._args) <= PAIRING_MEMO_SIZE
+
+
+# ---------------------------------------------------------------------------
+# one product of the pairings per class
+
+
+@pytest.mark.parametrize("lie_type", ("E8", "B8"))
+def test_class_bundle_builds_the_product_tree_once(monkeypatch, lie_type):
+    # volume_class builds the metric class's tree and reads its product
+    # off the root; scalar_curvature and trace sum up the same tree, and
+    # only volume_cross_check multiplies the pairings out itself
+    import math
+
+    trees, products = [], []
+    levels = flag._Pairing.tree_levels
+    prod = math.prod
+
+    def counted_levels(self):
+        if self.tree is None:
+            trees.append(self.nums)
+        return levels(self)
+
+    def counted_prod(iterable, *args, **kw):
+        products.append(iterable)
+        return prod(iterable, *args, **kw)
+
+    p = parabolic(lie_type, theta=())
+    assert p.dim >= flag.PRODUCT_TREE_MIN
+    monkeypatch.setattr(flag._Pairing, "tree_levels", counted_levels)
+    monkeypatch.setattr(math, "prod", counted_prod)
+    xi = tuple(Fraction(k, k + 3) for k in range(1, 9))
+    beta = tuple(k - x for k, x in zip(p.koszul, xi))
+    bundle(p, xi, beta)
+    entry = p._pairing(p.checked_class(xi, "xi"))
+    assert trees == [entry.nums]
+    assert [n for n in products if n is entry.nums] == [entry.nums]  # the cross check's
+    assert entry.product == entry.tree[-1][0] == prod(entry.nums)
+
+
+def test_volume_routes_agree_with_and_without_the_product_tree(monkeypatch):
+    # the tree side (constant 1: every product is a tree root) and the
+    # math.prod side (above every dim) give the same volume, equal to the
+    # cross check's own product on both
+    specs = [(p.lie_type, p.theta) for p in small_flags(3)] + [("E8", ()), ("B8", ())]
+    rng = SplitMix64(5151)
+    cases = [(t, th, draw_kahler(rng, parabolic(t, th).picard_rank)) for t, th in specs]
+    results = {}
+    for constant in (1, 10**9):
+        monkeypatch.setattr(flag, "PRODUCT_TREE_MIN", constant)
+        results[constant] = []
+        for t, th, xi in cases:
+            p = parabolic(t, th)
+            v = volume_class(p, xi)
+            assert v == volume_cross_check(p, xi), (p.describe(), constant)
+            entry = p._pairing(p.checked_class(xi, "xi"))
+            assert (entry.tree is None) == (constant > 1)
+            results[constant].append(v)
+    assert results[1] == results[10**9]

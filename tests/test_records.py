@@ -82,7 +82,7 @@ RECORDS = {
     ),
     ParabolicData: (
         ("rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
-         "_delta_pairings", "_rho_pairings", "_degree", "_is_radical"),
+         "_delta_pairings", "_delta_product", "_rho_product", "_degree", "_is_radical"),
         lambda: parabolic("A1", ()),
         lambda: parabolic("A2", (1,)),
         "ParabolicData(rs=RootSystem(lie_type=LieType(series='A', rank=1), "
@@ -218,16 +218,16 @@ def test_record_contract(cls):
             delattr(a, name)
     assert [getattr(a, name) for name in names] == values
 
-    # pickle and copies rebuild an equal record; a flag's memo starts empty
+    # pickle and copies rebuild an equal record; a flag's memos start empty
     if cls is ParabolicData:
         volume_class(a, (3,))
-        assert a._paired
+        assert a._paired and a._args
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(clone) is cls and clone == a and repr(clone) == text
         if cls is not TkeResult:
             assert hash(clone) == hash(a)
         if cls is ParabolicData:
-            assert not clone._paired
+            assert not clone._paired and not clone._args
             assert volume_class(clone, (3,)) == volume_class(a, (3,))
 
 
