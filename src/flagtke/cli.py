@@ -36,7 +36,8 @@ Exit codes: 0 success (including a negative tke verdict, which is an
 answer, not an error), 1 verification failure (table mismatch, sweep
 failure, an internal cross check such as the two volume routes
 disagreeing), 2 usage or validation error.  Errors print one line to
-stderr, never a traceback.
+stderr, never a traceback.  A reader that closes stdout early (`| head`)
+is no error: the command ends silently with its own exit code.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import argparse
 import decimal
 import functools
 import json
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -78,12 +80,13 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 # argument parsing helpers
 
 def _indices_arg(text: str) -> tuple[int, ...]:
+    # ASCII digits only, as in a type token: int() would also take "٣",
+    # "1_0" and "+3"
     text = text.strip()
-    try:
-        return tuple(int(tok) for tok in text.split(",")) if text else ()
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+    tokens = [tok.strip() for tok in text.split(",")] if text else []
+    if not (text.isascii() and all(tok.isdigit() for tok in tokens)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(map(int, tokens))
 
 
 def _rational(tok: str) -> Fraction:
@@ -114,10 +117,12 @@ def _checks_arg(text: str) -> tuple[str, ...]:
 
 
 def _seed_arg(text: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
+    if text.isascii():  # any base int() reads from a prefix, e.g. 0x2a
+        try:
+            return int(text, 0)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}")
 
 
 def _lie_type(token: str) -> LieType:
@@ -164,11 +169,17 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            sys.stdout.write(payload)
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early, e.g. `| head -1`: not an error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit is silent too
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -16,42 +16,30 @@ Construction is integer arithmetic throughout (integer coroot forms from
 `rootsys`, support bitmasks, one exact big-integer division for the
 degree); `fractions.Fraction` appears only in the classes of the public
 API.  A class takes exact coordinates only (`int`, `Fraction`, `str`)
-and keeps them as `Fraction`s.  It also caches its integer form, the
-common denominator followed by the numerators scaled to it: the memo
-key below, the positivity test (the numerators' signs) and the grlb
-read it.  The cache is private state, outside equality, hashing, repr,
-pickle and copy.
+and keeps them as `Fraction`s.
 
-A `ParabolicData` pairs each class with its radical coroots once: it
-remembers the last `PAIRING_MEMO_SIZE` classes it paired, keyed by their
-integer form.  A pairing is one forward pass of additions over the
-root system's own raising steps (see `rootsys`), with no dot product
-per root: every positive coroot pairs with the class as its parent
-coroot does, plus the step times the class's numerator at the raising
-node (0 at a theta node, so a Levi coroot pairs to 0), and the flag's
-radical selector keeps the radical ones.  An entry holds the integer
-pairings and, once they are asked for, their product, what `trace` and
-`scalar_curvature` sum against and the volume `volume_class` built, so
-the invariants of one class share a single pairing pass, a single
-product and a single volume.  Those sums of reciprocal
-pairings, sum_k b_k / n_k, are taken by `ParabolicData._ratio_sum` in
-one of two ways.  Below `PRODUCT_TREE_MIN` pairings the entry keeps
-their lcm and the weights ``lcm // n``, and a sum is one integer dot
-product.  From `PRODUCT_TREE_MIN` on, where that lcm and its n
-divisions cost work quadratic in the dimension, the entry keeps the
-levels of the pairings' product tree, and a sum folds its numerators up
-the tree with no lcm and no division; the tree's root is then the
-entry's product, so the volume builds the tree the sums read.  Below
-it the product is one `math.prod`.
-
-A second memo serves the arguments: `checked_class` remembers the class
-it made from each of the last `PAIRING_MEMO_SIZE` argument tuples, keyed
-by the tuple's id and served only to that very tuple, which the entry
-holds.  Only a `tuple` of coordinates of the exact types `Fraction`,
-`int` and `str` is remembered: such a tuple cannot change, where a list
-can between two calls.  So a tuple handed to several invariants becomes
-a class, and an integer form, once.  Both memos are private state; they
-take no part in equality or hashing.
+A `ParabolicData` pays once for each class argument: one memo entry per
+argument (`ParabolicData._entry` says which arguments it remembers)
+holds the checked class, its integer form (the common denominator
+followed by the numerators scaled to it) and, once they are asked for,
+the radical pairings, their product, what `trace` and
+`scalar_curvature` sum against and the volume `volume_class` built.  So
+the invariants of one argument share a single check, a single pairing
+pass, a single product and a single volume.  A pairing is one forward
+pass of additions over the root system's own raising steps (see
+`rootsys`), with no dot product per root: every positive coroot pairs
+with the class as its parent coroot does, plus the step times the
+class's numerator at the raising node (0 at a theta node, so a Levi
+coroot pairs to 0), and the flag's radical selector keeps the radical
+ones.  Sums of reciprocal pairings, sum_k b_k / n_k, are taken by
+`ParabolicData._ratio_sum` in one of two ways.  Below `PRODUCT_TREE_MIN`
+pairings the entry keeps their lcm and the weights ``lcm // n``, and a
+sum is one integer dot product.  From `PRODUCT_TREE_MIN` on, where that
+lcm and its n divisions cost work quadratic in the dimension, the entry
+keeps the levels of the pairings' product tree, and a sum folds its
+numerators up the tree with no lcm and no division; the tree's root is
+then the entry's product, so the volume builds the tree the sums read.
+Below it the product is one `math.prod`.
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -88,21 +76,15 @@ class CohomologyClass(_Record):
     the parabolic they belong to.  No positivity is implied.  Only exact
     coordinates are accepted: each must be an `int`, a `Fraction` or a
     string that `Fraction` parses, and is stored as a `Fraction`.
-
-    ``_form``, a slot but not a field, caches `_integer_form`; it takes
-    no part in equality, hashing, repr, pickle or copy, and a copy works
-    it out again.
     """
 
-    _fields = ("coords",)
-    __slots__ = ("coords", "_form")
+    __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rational]) -> None:
         coords = tuple(coords)
         if any(type(c) is not Fraction for c in coords):
             coords = tuple(_exact_coordinate(i, c) for i, c in enumerate(coords, 1))
         _setattr(self, "coords", coords)
-        _setattr(self, "_form", None)
 
     @classmethod
     def of(cls, values: Iterable[Rational]) -> "CohomologyClass":
@@ -110,26 +92,12 @@ class CohomologyClass(_Record):
         return cls(values)
 
     @classmethod
-    def _trusted(cls, coords: tuple[Fraction, ...], form=None) -> "CohomologyClass":
+    def _trusted(cls, coords: tuple[Fraction, ...]) -> "CohomologyClass":
         """A class of coordinates known to be `Fraction`s (and, for a
-        `KahlerClass`, positive), built unchecked; ``form`` may pass on
-        their integer form."""
+        `KahlerClass`, positive), built unchecked."""
         self = object.__new__(cls)
         _setattr(self, "coords", coords)
-        _setattr(self, "_form", form)
         return self
-
-    def _integer_form(self) -> tuple[int, ...]:
-        """``(den, *nums)``: den is the lcm of the coordinate denominators
-        and coordinate k is ``nums[k] / den``.  Computed once per class."""
-        form = self._form
-        if form is None:
-            coords = self.coords
-            dens = [c.denominator for c in coords]
-            den = math.lcm(*dens)
-            form = (den, *[c.numerator * (den // d) for c, d in zip(coords, dens)])
-            _setattr(self, "_form", form)
-        return form
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -160,9 +128,9 @@ def _exact_coordinate(i: int, value: object) -> Fraction:
 
 
 def _positive(cls: CohomologyClass) -> bool:
-    """Every coordinate strictly positive, read off the signs of the
-    numerators in the integer form (its denominator is positive)."""
-    return min(cls._integer_form()[1:], default=1) > 0
+    """Every coordinate strictly positive, read off the numerators' signs
+    (a `Fraction` keeps its denominator positive)."""
+    return all(c.numerator > 0 for c in cls.coords)
 
 
 def _kahler(cls: CohomologyClass, what: str) -> KahlerClass:
@@ -170,16 +138,16 @@ def _kahler(cls: CohomologyClass, what: str) -> KahlerClass:
     coordinate is not strictly positive."""
     if not _positive(cls):
         raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
-    return KahlerClass._trusted(cls.coords, cls._form)
+    return KahlerClass._trusted(cls.coords)
 
 
 Rational = Fraction | int | str
-# The exact coordinate types of a tuple that `checked_class` remembers.
+# The exact coordinate types of a tuple that `ParabolicData._entry` remembers.
 _EXACT_TYPES = (Fraction, int, str)
 ClassLike = CohomologyClass | Sequence[Rational]
 
-# How many classes one ParabolicData remembers the radical pairings of;
-# the oldest is dropped first.
+# How many class arguments one ParabolicData remembers; the oldest is
+# dropped first.
 PAIRING_MEMO_SIZE = 4
 
 # From how many radical pairings on `ParabolicData._ratio_sum` sums up a
@@ -190,30 +158,39 @@ PAIRING_MEMO_SIZE = 4
 PRODUCT_TREE_MIN = 64
 
 
-class _Pairing:
-    """Memo entry: the radical pairings of one class as ``nums`` over
-    ``den``.  Once asked for: ``product``, the product of ``nums``; and,
-    for a Kahler class, with fewer than `PRODUCT_TREE_MIN` pairings,
-    ``weights`` = (lcm of ``nums``, ``lcm // n`` for each pairing n);
-    with more, ``tree``, the levels of the product tree of ``nums`` from
-    ``nums`` itself up to its product (each level the pairwise products
-    of the one below, an odd last element carried up unchanged), whose
-    root is then ``product``; and ``volume``, the value
-    `invariants.volume_class` built.  Each is filled by one attribute
-    store, so a thread never reads half of it."""
+class _Entry:
+    """Memo entry of one class argument ``arg``: ``cls``, the class checked
+    from it (replaced by its `KahlerClass` on the first positive request),
+    and ``form``, its integer form ``(den, n_1, ..., n_k)``: den is the
+    lcm of the coordinate denominators and coordinate i is n_i / den.
+    Once asked for: ``nums``, the radical pairings over den
+    (`ParabolicData._pair`); ``product``, their product; for a Kahler
+    class, with fewer than `PRODUCT_TREE_MIN` pairings, ``weights`` =
+    (lcm of ``nums``, ``lcm // n`` for each pairing n), with more,
+    ``tree``, the levels of the product tree of ``nums`` from ``nums``
+    itself up to its product (each level the pairwise products of the
+    one below, an odd last element carried up unchanged), whose root is
+    then ``product``; and ``volume``, the value `invariants.volume_class`
+    built.  Each is filled by one attribute store, so a thread never
+    reads half of it."""
 
-    __slots__ = ("nums", "den", "weights", "tree", "product", "volume")
+    __slots__ = ("arg", "cls", "form", "nums", "weights", "tree", "product", "volume")
 
-    def __init__(self, nums: tuple[int, ...], den: int) -> None:
-        self.nums = nums
-        self.den = den
+    def __init__(self, arg: object, cls: CohomologyClass) -> None:
+        self.arg = arg
+        self.cls = cls
+        coords = cls.coords
+        dens = [c.denominator for c in coords]
+        den = math.lcm(*dens)
+        self.form = (den, *[c.numerator * (den // d) for c, d in zip(coords, dens)])
+        self.nums: tuple[int, ...] | None = None
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
         self.product: int | None = None
         self.volume: Fraction | None = None
 
     def tree_levels(self) -> tuple[tuple[int, ...], ...]:
-        """``tree``, built on the first call."""
+        """``tree``, built on the first call, once ``nums`` is filled."""
         if self.tree is None:
             nums = self.nums
             levels = [nums]
@@ -224,9 +201,9 @@ class _Pairing:
         return self.tree
 
     def nums_product(self) -> int:
-        """``product``, worked out on the first call: from
-        `PRODUCT_TREE_MIN` pairings on the root of ``tree``, which the
-        reciprocal sums then share, below it `math.prod`."""
+        """``product``, worked out on the first call, once ``nums`` is
+        filled: from `PRODUCT_TREE_MIN` pairings on the root of ``tree``,
+        which the reciprocal sums then share, below it `math.prod`."""
         if self.product is None:
             nums = self.nums
             self.product = (self.tree_levels()[-1][0] if len(nums) >= PRODUCT_TREE_MIN
@@ -246,17 +223,16 @@ class ParabolicData(_Record):
     trace formulas of downstream modules read integers built once per
     flag instead of repeated root-system lookups and products.
 
-    Two slots are not fields, so they take no part in the constructor,
-    equality, hashing, repr, pickle or copy, and a copy starts them
-    afresh: ``_paired``, the pairing memo, and ``_args``, the argument
-    memo of `checked_class`, each of at most `PAIRING_MEMO_SIZE` entries.
+    One slot, ``_memo`` (see `_entry`), is not a field, so it takes no
+    part in the constructor, equality, hashing, repr, pickle or copy, and
+    a copy starts it empty.
     """
 
     _fields = (
         "rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
         "_delta_pairings", "_delta_product", "_rho_product", "_degree", "_is_radical",
     )
-    __slots__ = (*_fields, "_paired", "_args")
+    __slots__ = (*_fields, "_memo")
     _hidden = tuple(name for name in _fields if name.startswith("_"))
 
     def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
@@ -274,8 +250,7 @@ class ParabolicData(_Record):
         _setattr(self, "_rho_product", _rho_product)
         _setattr(self, "_degree", _degree)
         _setattr(self, "_is_radical", _is_radical)
-        _setattr(self, "_paired", OrderedDict())
-        _setattr(self, "_args", OrderedDict())
+        _setattr(self, "_memo", OrderedDict())
 
     @property
     def lie_type(self) -> LieType:
@@ -293,33 +268,35 @@ class ParabolicData(_Record):
     def checked_class(
         self, values: ClassLike, what: str, *, positive: bool = False
     ) -> CohomologyClass:
-        """The one check of a class argument: a sequence becomes a class of
-        `Fraction`s once, a `CohomologyClass` passes through; the arity must
-        be the Picard rank.  With ``positive`` (a Kahler slot) the result is
-        a `KahlerClass`, so it is strictly positive.
+        """The class of ``values`` as `_entry` checks it."""
+        return self._entry(values, what, positive).cls
 
-        The argument memo ``_args`` remembers the class made from each of
-        the last `PAIRING_MEMO_SIZE` tuples checked here, keyed by the
-        tuple's id: an entry is ``[values, class]``, and it serves only
-        the very tuple it holds (``entry[0] is values``; while the entry
-        holds the tuple, no other object can have its id).  Only a
-        `tuple` whose coordinates are all exactly `Fraction`, `int` or
-        `str` is remembered, since no such tuple can change; any other
-        sequence is converted on every call.  A positive request on a
-        remembered plain class checks its sign once and stores the
-        `KahlerClass` back in the entry.
+    def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
+        """The one check of a class argument, and its memo entry.  A
+        sequence becomes a class of `Fraction`s, a `CohomologyClass` passes
+        through; the arity must be the Picard rank.  With ``positive`` (a
+        Kahler slot) the entry's class is a `KahlerClass`, so it is
+        strictly positive.
+
+        ``_memo`` keeps the entries of the last `PAIRING_MEMO_SIZE`
+        arguments, keyed by the argument's id, and serves an entry only to
+        the very object it holds (``entry.arg is values``; while the entry
+        holds it, no other object can have its id).  It remembers only
+        arguments that cannot change: a `CohomologyClass`, or a `tuple`
+        whose coordinates are all exactly `Fraction`, `int` or `str`.  Any
+        other argument, a list say, gets a fresh entry on every call.  A
+        positive request on a remembered plain class checks its sign once
+        and stores the `KahlerClass` in the entry.
         """
-        remember = False
+        memo = self._memo
+        entry = memo.get(id(values))
+        if entry is not None and entry.arg is values:
+            if positive and not isinstance(entry.cls, KahlerClass):
+                entry.cls = _kahler(entry.cls, what)
+            return entry
         if isinstance(values, CohomologyClass):
-            cls = values
+            cls, remember = values, True
         else:
-            args = self._args
-            entry = args.get(id(values))
-            if entry is not None and entry[0] is values:
-                cls = entry[1]
-                if positive and not isinstance(cls, KahlerClass):
-                    cls = entry[1] = _kahler(cls, what)
-                return cls
             cls = CohomologyClass(values)
             remember = type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)
         if len(cls.coords) != self.picard_rank:
@@ -329,43 +306,37 @@ class ParabolicData(_Record):
             )
         if positive and not isinstance(cls, KahlerClass):
             cls = _kahler(cls, what)
+        entry = _Entry(values, cls)
         if remember:
-            args[id(values)] = [values, cls]
-            if len(args) > PAIRING_MEMO_SIZE:
-                args.popitem(last=False)
-        return cls
+            memo[id(values)] = entry
+            if len(memo) > PAIRING_MEMO_SIZE:
+                memo.popitem(last=False)
+        return entry
 
     def radical_pairings(self, cls: ClassLike) -> tuple[tuple[int, ...], int]:
         """Pairing of a Picard class with every radical coroot, in order.
 
-        ``cls`` goes through `checked_class` (arity only, any sign).
-        Returned as integer numerators over one common denominator, the
-        lcm of the class's coordinate denominators: the pairing with the
-        k-th radical coroot is ``Fraction(nums[k], den)``.  Served from the
-        memo when ``cls`` is one of the last `PAIRING_MEMO_SIZE` classes
-        paired on this flag.
+        ``cls`` goes through `_entry` (arity only, any sign).  Returned as
+        integer numerators over one common denominator, the lcm of the
+        class's coordinate denominators: the pairing with the k-th radical
+        coroot is ``Fraction(nums[k], den)``.
         """
-        entry = self._pairing(self.checked_class(cls, "class"))
-        return entry.nums, entry.den
+        entry = self._entry(cls, "class")
+        return self._pair(entry), entry.form[0]
 
-    def _pairing(self, cls: CohomologyClass) -> _Pairing:
-        """The memo entry of ``cls``, a class that has been through
-        `checked_class`, pairing it with the radical coroots only if none
-        of the last `PAIRING_MEMO_SIZE` classes equals it.
-
-        The pass runs over all positive roots with the numerators indexed
-        by node, 0 at a theta node; a full flag's integer form
-        ``(den, *nums)`` already is that, and all its roots are radical.
-        Otherwise the radical selector keeps the radical pairings.
+    def _pair(self, entry: _Entry) -> tuple[int, ...]:
+        """``entry.nums``, filled by the first call: the pass runs over all
+        positive roots with the numerators indexed by node, 0 at a theta
+        node; a full flag's integer form ``(den, *nums)`` already is that,
+        and all its roots are radical.  Otherwise the radical selector
+        keeps the radical pairings.
         """
-        key = cls._integer_form()
-        memo = self._paired
-        entry = memo.get(key)
-        if entry is None:
-            w = key
+        nums = entry.nums
+        if nums is None:
+            w = form = entry.form
             if self.theta:
                 w = [0] * (self.rs.rank + 1)
-                for node, num in zip(self.complement, key[1:]):
+                for node, num in zip(self.complement, form[1:]):
                     w[node] = num
             pairs = [0]
             append = pairs.append
@@ -373,41 +344,38 @@ class ParabolicData(_Record):
                 append(pairs[parent] + step * w[node])
             del pairs[0]
             nums = tuple(compress(pairs, self._is_radical)) if self.theta else tuple(pairs)
-            entry = memo[key] = _Pairing(nums, key[0])
-            if len(memo) > PAIRING_MEMO_SIZE:
-                memo.popitem(last=False)
-        return entry
+            entry.nums = nums
+        return nums
 
-    def _ratio_sum(self, w: KahlerClass, b_nums: Sequence[int], b_den: int) -> Fraction:
+    def _ratio_sum(self, w: _Entry, b_nums: Sequence[int], b_den: int) -> Fraction:
         """sum_k (b_nums[k]/b_den) / (w_k/w_den), where w_k/w_den are the
-        radical pairings of the Kahler class ``w`` (all positive), which
-        has been through `checked_class`.
+        radical pairings of the Kahler class of the entry ``w`` (all
+        positive).
 
         Below `PRODUCT_TREE_MIN` pairings: one dot product with the
         weights ``lcm // w_k``.  From it on: up the product tree of the
         w_k, where two sibling sums N_l/D_l and N_r/D_r make the parent
         (N_l*D_r + N_r*D_l)/(D_l*D_r), to one sum over the product of all
-        w_k.  Either way the memo entry keeps the part that depends on
-        ``w`` alone, filled by one attribute store so that a reader never
-        sees half of it.
+        w_k.  Either way the entry keeps the part that depends on ``w``
+        alone, filled by one attribute store so that a reader never sees
+        half of it.
         """
-        entry = self._pairing(w)
-        nums = entry.nums
+        nums = self._pair(w)
         if len(nums) < PRODUCT_TREE_MIN:
-            weights = entry.weights
+            weights = w.weights
             if weights is None:
                 lcm = math.lcm(*nums)
-                weights = entry.weights = (lcm, tuple(lcm // n for n in nums))
+                weights = w.weights = (lcm, tuple(lcm // n for n in nums))
             lcm, recips = weights
-            return Fraction(sum(map(operator.mul, b_nums, recips)) * entry.den, lcm * b_den)
-        tree = entry.tree_levels()
+            return Fraction(sum(map(operator.mul, b_nums, recips)) * w.form[0], lcm * b_den)
+        tree = w.tree_levels()
         sums = b_nums
         for dens in tree[:-1]:
             odd = sums[len(sums) & ~1:]
             sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
                     in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
             sums += odd
-        return Fraction(sums[0] * entry.den, tree[-1][0] * b_den)
+        return Fraction(sums[0] * w.form[0], tree[-1][0] * b_den)
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"

@@ -14,24 +14,21 @@ Arithmetic inside is integer, and each public function builds
 `fractions.Fraction`s only for what it returns:
 
 * the grlb compares koszul_i / n_i by cross-multiplying, n over den
-  being the class's integer form (`CohomologyClass._integer_form`);
+  being the class's integer form;
 * a margin of `tke_exists`, and a coordinate of the twist that
   `tke_solve_from_kahler` returns, is (k*d - n)/d for a coordinate n/d,
   positive by the sign of k*d - n;
 * the volume, trace and curvature pair the class with the radical
   coroots, as integer numerators over its common denominator.
 
-Those pairings come from the flag's memo (see `flag`): the last
-`PAIRING_MEMO_SIZE` classes paired on a flag, keyed by their integer
-form, are not paired again.  `trace` and `scalar_curvature` are sums of
-ratios over the metric class's pairings, taken by
-`ParabolicData._ratio_sum`: below `flag.PRODUCT_TREE_MIN` pairings the
-entry keeps their lcm and the weights ``lcm // n`` to sum against, from
-it on the levels of their product tree to sum up.  An entry also keeps
-the product of the pairings (from `flag.PRODUCT_TREE_MIN` on the tree's
-root, so `volume_class` builds the tree the sums then read) and the
-volume `volume_class` built, which `volume_bound_report` then reads.
-The flag keeps the products of its delta_P and rho pairings.
+Each public function checks each class argument once, by
+`ParabolicData._entry` (arity = Picard rank; in a Kahler slot, strictly
+positive), and works on the entry it returns: the flag's memo entry of
+that argument (see `flag`), which keeps its integer form, its pairings,
+their product, what `trace` and `scalar_curvature` sum against and the
+volume.  `volume_bound_report` hands its entry to the bodies
+`_grlb_report` and `_volume_class`, which do not check it again.  The
+flag keeps the products of its delta_P and rho pairings.
 `volume_cross_check` never reads the kept volume or the kept product of
 the pairings: it is the independent route, and multiplies the pairings
 out itself.
@@ -41,17 +38,6 @@ customary 2*pi factor, so the anticanonical class IS the vector of
 koszul numbers and the twisted existence test is a plain coordinate
 comparison.  Twists may be any rationals, including negative ones;
 Kahler classes must be strictly positive.
-
-A class argument is a sequence of rationals or a `CohomologyClass` /
-`KahlerClass`, checked once by `ParabolicData.checked_class` (arity =
-Picard rank, Kahler arguments strictly positive) and handed on as is:
-the flag's `_pairing` and `_ratio_sum`, and the bodies `_grlb_report`
-and `_volume_class` that `volume_bound_report` calls, take the checked
-class and do not check it again.  The flag remembers the class made
-from each of its last `PAIRING_MEMO_SIZE` argument tuples (a `tuple` of
-exact `Fraction`, `int` or `str` coordinates only, served to that very
-tuple), so the same tuple handed to several functions becomes a class
-once; a list is converted on every call.
 """
 
 from __future__ import annotations
@@ -59,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
+from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _Entry, degree
 from .rootsys import _Record, _setattr
 
 __all__ = [
@@ -179,13 +165,13 @@ def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fractio
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
-    return _grlb_report(p, p.checked_class(xi, "Kahler class", positive=True))
+    return _grlb_report(p, p._entry(xi, "Kahler class", positive=True))
 
 
-def _grlb_report(p: ParabolicData, x: KahlerClass) -> GrlbReport:
-    """`grlb_report` of a class that has been through `checked_class`."""
+def _grlb_report(p: ParabolicData, entry: _Entry) -> GrlbReport:
+    """`grlb_report` of the entry of a checked Kahler class."""
     # with xi = nums/den, koszul/xi = k*den/n: compare k/n by cross-multiplying
-    den, *nums = x._integer_form()
+    den, *nums = entry.form
     nodes = zip(p.complement, p.koszul, nums)
     idx, best_k, best_n = next(nodes)
     argmin = [idx]
@@ -209,18 +195,18 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
     entry of xi, so asking again for a remembered class builds nothing.
     """
-    return _volume_class(p, p.checked_class(xi, "Kahler class", positive=True))
+    return _volume_class(p, p._entry(xi, "Kahler class", positive=True))
 
 
-def _volume_class(p: ParabolicData, x: KahlerClass) -> Fraction:
-    """`volume_class` of a class that has been through `checked_class`.
-    The product of the pairings is the memo entry's: from
-    `flag.PRODUCT_TREE_MIN` pairings on, the root of the tree that
-    `trace` and `scalar_curvature` then sum up."""
-    entry = p._pairing(x)
+def _volume_class(p: ParabolicData, entry: _Entry) -> Fraction:
+    """`volume_class` of the entry of a checked Kahler class.  The product
+    of the pairings is the entry's: from `flag.PRODUCT_TREE_MIN` pairings
+    on, the root of the tree that `trace` and `scalar_curvature` then sum
+    up."""
     if entry.volume is None:
+        p._pair(entry)
         entry.volume = Fraction(
-            degree(p) * entry.nums_product(), entry.den**p.dim * p._delta_product
+            degree(p) * entry.nums_product(), entry.form[0]**p.dim * p._delta_product
         )
     return entry.volume
 
@@ -233,10 +219,9 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     pairings that `volume_class` keeps in the memo, so the two routes
     check each other.
     """
-    x = p.checked_class(xi, "Kahler class", positive=True)
-    entry = p._pairing(x)
+    entry = p._entry(xi, "Kahler class", positive=True)
     return Fraction(
-        math.factorial(p.dim) * math.prod(entry.nums), entry.den**p.dim * p._rho_product
+        math.factorial(p.dim) * math.prod(p._pair(entry)), entry.form[0]**p.dim * p._rho_product
     )
 
 
@@ -247,9 +232,9 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     radical root g with eigenvalue <lambda, coroot(g)>, so the trace is
     the sum over radical roots of the beta/omega eigenvalue ratios.
     """
-    w = p.checked_class(omega, "metric class", positive=True)
-    b = p._pairing(p.checked_class(beta, "traced class"))
-    return p._ratio_sum(w, b.nums, b.den)
+    w = p._entry(omega, "metric class", positive=True)
+    b = p._entry(beta, "traced class")
+    return p._ratio_sum(w, p._pair(b), b.form[0])
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
@@ -258,8 +243,7 @@ def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
     equal to dim when omega is the anticanonical class itself.  The
     anticanonical pairings are the ones stored on ``p``.
     """
-    w = p.checked_class(omega, "metric class", positive=True)
-    return p._ratio_sum(w, p._delta_pairings, 1)
+    return p._ratio_sum(p._entry(omega, "metric class", positive=True), p._delta_pairings, 1)
 
 
 def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
@@ -269,10 +253,10 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     the left one is an equality precisely when xi is proportional to the
     anticanonical class, the right one precisely for projective space.
     """
-    x = p.checked_class(xi, "Kahler class", positive=True)
+    entry = p._entry(xi, "Kahler class", positive=True)
     n = p.dim
-    g = _grlb_report(p, x)
-    vol = _volume_class(p, x)
+    g = _grlb_report(p, entry)
+    vol = _volume_class(p, entry)
     rv = g.value**n * vol
     d = degree(p)
     snow = (n + 1) ** n

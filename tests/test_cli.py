@@ -237,6 +237,74 @@ def test_verify_exit_code_constant():
     assert (EXIT_OK, EXIT_VERIFY, EXIT_USAGE) == (0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("flag", "A3", "--theta", "\u0663"), "'\u0663'"),  # ARABIC-INDIC DIGIT THREE
+        (("flag", "A3", "--complement", "1_0"), "'1_0'"),
+        (("flag", "A3", "--theta", "+3"), "'+3'"),
+        (("flag", "A3", "--theta", "1,\uff12"), "'1,\uff12'"),  # FULLWIDTH DIGIT TWO
+        (("sweep", "--max-rank", "1", "--seed", "\u0664\u0662"), "'\u0664\u0662'"),
+    ],
+    ids=["arabic-indic", "underscore", "plus", "fullwidth", "seed"],
+)
+def test_node_lists_and_seeds_take_ascii_digits_only(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    what = "an integer seed" if "--seed" in argv else "comma-separated integers"
+    assert err.endswith(f"error: argument {argv[-2]}: expected {what}, got {token}\n")
+
+
+def test_node_lists_and_seeds_keep_their_ascii_spellings(capsys):
+    spaced = run_json(capsys, "flag", "A3", "--theta", " 1 , 3 ")[1]
+    assert spaced["input"]["theta"] == [1, 3]
+    for seed in ("0x2a", "42", "0o52", "4_2"):
+        code, doc, _ = run_json(capsys, "sweep", "--max-rank", "1", "--samples", "1",
+                                "--seed", seed)
+        assert code == EXIT_OK and doc["input"]["seed"] == 42
+
+
+# A failing sweep in a fresh interpreter: the cross check's second volume
+# route is replaced by one returning -1, as in the golden corpus.
+_FAILING_CROSS = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from fractions import Fraction; "
+    "import flagtke.sweep; flagtke.sweep.volume_cross_check = lambda p, xi: Fraction(-1); "
+    "from flagtke.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("roots", "E8"), EXIT_OK),
+        (("roots", "E8", "--json"), EXIT_OK),
+        (("tke", "A2", "--theta", "", "--beta", "5,1"), EXIT_OK),  # a "no" verdict
+        (("sweep", "--max-rank", "2", "--samples", "1", "--checks", "cross"), EXIT_VERIFY),
+        (("sweep", "--max-rank", "2", "--samples", "1", "--checks", "cross", "--json"),
+         EXIT_VERIFY),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, tuple) else None,
+)
+def test_a_reader_that_closes_stdout_at_once_gets_the_commands_own_exit_code(argv, code):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import flagtke
+
+    src = str(Path(flagtke.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-c", _FAILING_CROSS, src, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the command writes a byte
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    finally:
+        proc.stderr.close()
+        proc.kill()
+    assert err == b""
+
+
 # ---------------------------------------------------------------------------
 # serialization contract
 
@@ -364,7 +432,7 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
     import flagtke.invariants as inv
     from flagtke.flag import ParabolicData
 
-    calls = {"_grlb_report": 0, "_volume_class": 0, "_pairing": 0}
+    calls = {"_grlb_report": 0, "_volume_class": 0, "passes": 0}
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -373,16 +441,21 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
 
         return wrapper
 
+    def counted_pass(self, entry):
+        calls["passes"] += entry.nums is None
+        return pair(self, entry)
+
     # the bodies behind grlb_report and volume_class, which
     # volume_bound_report calls directly on its checked class
     for name in ("_grlb_report", "_volume_class"):
         monkeypatch.setattr(inv, name, counted(name, getattr(inv, name)))
-    # every pairing of a class with the radical coroots, memo hit or not
-    monkeypatch.setattr(ParabolicData, "_pairing", counted("_pairing", ParabolicData._pairing))
+    # every pass that pairs a class with the radical coroots
+    pair = ParabolicData._pair
+    monkeypatch.setattr(ParabolicData, "_pair", counted_pass)
     code, out, _ = run(capsys, "report", "E8", "--theta", "", "--xi", "1,2,3,4,5,6,7,8")
     assert code == EXIT_OK
     assert "bound chain:" in out
-    assert calls == {"_grlb_report": 1, "_volume_class": 1, "_pairing": 1}
+    assert calls == {"_grlb_report": 1, "_volume_class": 1, "passes": 1}
 
 
 @pytest.mark.parametrize(

@@ -396,7 +396,7 @@ def test_twist_may_be_any_sign_but_kahler_may_not():
 
 
 # ---------------------------------------------------------------------------
-# the per-flag pairing memo
+# the per-flag memo: one entry per class argument
 
 
 def test_pairing_memo_evicts_and_refills_without_changing_any_answer():
@@ -420,24 +420,37 @@ def test_pairing_memo_evicts_and_refills_without_changing_any_answer():
             for call in calls[step % len(calls):] + calls[:step % len(calls)]:
                 fresh = parabolic(p.lie_type, p.theta)
                 assert call(p, xi, beta) == call(fresh, xi, beta), (p.describe(), i)
-                assert len(p._paired) <= PAIRING_MEMO_SIZE
+                assert len(p._memo) <= PAIRING_MEMO_SIZE
             for cls in (xi, beta):
                 nums, den = p.radical_pairings(cls)
                 direct = oracle.pairings(p.rs, oracle.class_weight(p, cls), p.radical_roots)
                 assert tuple(Fraction(n, den) for n in nums) == direct
 
 
-def test_equal_classes_share_one_memo_entry_and_scales_do_not_collide():
+def test_equal_arguments_of_every_kind_give_identical_answers():
+    # a tuple, a list, an equal plain class, a Kahler class and an equal
+    # tuple of other Fractions: each remembered object has an entry of its
+    # own (a list none), and all of them answer alike
     p = parabolic("A2", theta=())
     half = (Fraction(1, 2), 1)
-    assert sorted(p.radical_pairings(half)[0]) == [1, 2, 3]
-    for cls in (half, (Fraction(2, 4), Fraction(1)), CohomologyClass.of(half),
-                KahlerClass.of(half)):
-        assert p.radical_pairings(cls)[1] == 2
-    assert len(p._paired) == 1
+
+    def answers(x):
+        return (p.radical_pairings(x), volume_class(p, x), volume_cross_check(p, x),
+                grlb_report(p, x), scalar_curvature(p, x), trace(p, x, x), trace(p, half, x),
+                trace(p, x, half), tke_exists(p, x))
+
+    first = answers(half)
+    assert sorted(first[0][0]) == [1, 2, 3] and first[0][1] == 2
+    kinds = (list(half), CohomologyClass.of(half), KahlerClass.of(half),
+             (Fraction(2, 4), Fraction(1)))
+    for x in kinds:
+        assert answers(x) == first, x
+    assert answers(half) == first
+    held = [entry.arg for entry in p._memo.values()]
+    assert len(held) == PAIRING_MEMO_SIZE
+    assert all(a is b for a, b in zip(held, (half, *kinds[1:])))
     # the same numerators over another denominator are another class
-    assert p.radical_pairings((1, 2)) == (p.radical_pairings(half)[0], 1)
-    assert len(p._paired) == 2
+    assert p.radical_pairings((1, 2)) == (first[0][0], 1)
     assert trace(p, half, (1, 2)) == 2 * p.dim
 
 
@@ -448,19 +461,19 @@ def test_pairing_memo_leaves_equality_and_hash_alone():
         xi = (Fraction(k + 1, 3), 2)
         volume_class(p, xi)
         trace(p, xi, (1, -1))
-    assert p._paired
+    assert p._memo
     fresh = parabolic("B3", theta=(2,))
-    assert p == fresh and not fresh._paired
+    assert p == fresh and not fresh._memo
     assert hash(p) == before == hash(fresh)
-    assert "_paired" not in repr(p) and repr(p) == repr(fresh)
+    assert "_memo" not in repr(p) and repr(p) == repr(fresh)
     # the memo is no constructor parameter: a flag rebuilt from its fields
     # equals it, hashes the same and starts with an empty memo
-    assert "_paired" not in inspect.signature(ParabolicData).parameters
+    assert "_memo" not in inspect.signature(ParabolicData).parameters
     fields = {name: getattr(p, name) for name in p._fields}
     with pytest.raises(TypeError):
-        ParabolicData(**fields, _paired=p._paired)
+        ParabolicData(**fields, _memo=p._memo)
     rebuilt = ParabolicData(**fields)
-    assert rebuilt == p and hash(rebuilt) == before and not rebuilt._paired
+    assert rebuilt == p and hash(rebuilt) == before and not rebuilt._memo
 
 
 def test_pairing_memo_shared_by_threads_gives_single_thread_answers():
@@ -506,7 +519,7 @@ def assert_threads_match_a_fresh_flag(lie_type):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(p._paired) <= PAIRING_MEMO_SIZE
+    assert len(p._memo) <= PAIRING_MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +545,11 @@ def test_product_tree_and_lcm_sums_agree(monkeypatch):
             for p, (_, _, xi, beta) in zip(flags, cases)
         ]
         for p, (_, _, xi, _) in zip(flags, cases):
-            entry = p._pairing(p.checked_class(xi, "xi"))
+            entry = p._entry(xi, "xi")
             assert (entry.tree is None, entry.weights is None) == (constant > 1, constant == 1)
         if constant == 1:  # the E8 tree carries an odd last element up (15 -> 8)
             e8 = next(p for p in flags if p.dim == 120)
-            e8_xi = e8.checked_class(cases[-6][2], "xi")
-            assert [len(level) for level in e8._pairing(e8_xi).tree] == [
+            assert [len(level) for level in e8._entry(cases[-6][2], "xi").tree] == [
                 120, 60, 30, 15, 8, 4, 2, 1]
     assert results[1] == results[10**9]
 
@@ -554,27 +566,21 @@ def test_product_tree_sums_match_the_oracle_pairings(lie_type):
     twist = oracle.pairings(p.rs, oracle.class_weight(p, beta), p.radical_roots)
     assert scalar_curvature(p, xi) == sum(d / w for d, w in zip(delta, ratio))
     assert trace(p, xi, beta) == sum(b / w for b, w in zip(twist, ratio))
-    entry = p._pairing(p.checked_class(xi, "xi"))
+    entry = p._entry(xi, "xi")
     assert entry.tree is not None and entry.weights is None
     assert scalar_curvature(p, p.koszul) == p.dim
 
 
 def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
-    # the seven-call per-class bundle pairs xi and koszul - xi: two memo
-    # misses, each one pairing pass, not one per call
-    made = []
-
-    class CountedPairing(flag._Pairing):
-        __slots__ = ()
-
-        def __init__(self, nums, den):
-            made.append(nums)
-            super().__init__(nums, den)
-
-    monkeypatch.setattr(flag, "_Pairing", CountedPairing)
+    # the seven-call per-class bundle pairs xi and koszul - xi: two
+    # pairing passes, not one per call
+    passes = []
+    pair = ParabolicData._pair
+    monkeypatch.setattr(ParabolicData, "_pair",
+                        lambda self, entry: passes.append(entry.nums is None) or pair(self, entry))
     checked = []
-    check = ParabolicData.checked_class
-    monkeypatch.setattr(ParabolicData, "checked_class",
+    check = ParabolicData._entry
+    monkeypatch.setattr(ParabolicData, "_entry",
                         lambda self, *args, **kw: checked.append(args) or check(self, *args, **kw))
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
@@ -585,7 +591,7 @@ def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
     assert scalar_curvature(p, xi) - trace(p, xi, beta) == p.dim
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
-    assert len(made) == 2
+    assert sum(passes) == 2
     # each public call checks each class argument once (trace two), and
     # volume_bound_report hands its checked class to the grlb and volume
     # bodies without checking it again
@@ -621,7 +627,7 @@ def test_volume_cross_check_never_reads_the_stored_volume():
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, 9 - k) for k in range(1, 9))
     v = volume_class(p, xi)
-    p._pairing(p.checked_class(xi, "xi")).volume = v + 1  # a corrupted memo entry
+    p._entry(xi, "xi").volume = v + 1  # a corrupted memo entry
     assert volume_class(p, xi) == volume_bound_report(p, xi).volume == v + 1
     assert volume_cross_check(p, xi) == v != volume_class(p, xi)
 
@@ -631,7 +637,7 @@ def test_volume_cross_check_never_reads_the_stored_product():
     # root on this flag); the cross check multiplies the pairings itself
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, 10 - k) for k in range(1, 9))
-    entry = p._pairing(p.checked_class(xi, "xi"))
+    entry = p._entry(xi, "xi")
     right = volume_cross_check(p, xi)
     assert entry.nums_product() == entry.tree[-1][0]
     entry.product += 1  # a corrupted memo entry
@@ -639,7 +645,7 @@ def test_volume_cross_check_never_reads_the_stored_product():
 
 
 # ---------------------------------------------------------------------------
-# the per-flag argument memo: one class per argument tuple
+# the per-flag memo: which arguments it remembers, and for whom
 
 
 def bundle(p, xi, beta):
@@ -652,27 +658,30 @@ def bundle(p, xi, beta):
 @pytest.mark.parametrize("lie_type", ("E8", "F4"))
 def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_type):
     # xi and beta = koszul - xi, each a tuple of Fractions, become a class
-    # and an integer form once per flag, not once per call
+    # and a memo entry, which works out the integer form, once per flag,
+    # not once per call
     built, forms = [], []
-    init, integer_form = CohomologyClass.__init__, CohomologyClass._integer_form
+    init = CohomologyClass.__init__
 
     def counted_init(self, coords):
         built.append(coords)
         init(self, coords)
 
-    def counted_form(self):
-        if self._form is None:
-            forms.append(self.coords)
-        return integer_form(self)
+    class CountedEntry(flag._Entry):
+        __slots__ = ()
+
+        def __init__(self, arg, cls):
+            forms.append(arg)
+            super().__init__(arg, cls)
 
     monkeypatch.setattr(CohomologyClass, "__init__", counted_init)
-    monkeypatch.setattr(CohomologyClass, "_integer_form", counted_form)
+    monkeypatch.setattr(flag, "_Entry", CountedEntry)
     p = parabolic(lie_type, theta=())
     xi = tuple(Fraction(k, k + 2) for k in range(1, p.picard_rank + 1))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     first = bundle(p, xi, beta)
     assert len(built) == 2 and len(forms) == 2
-    assert bundle(p, xi, beta) == first  # served from the memos, nothing built
+    assert bundle(p, xi, beta) == first  # served from the memo, nothing built
     assert len(built) == 2 and len(forms) == 2
     assert first == bundle(parabolic(lie_type, theta=()), list(xi), list(beta))
 
@@ -686,7 +695,7 @@ def test_a_list_mutated_between_calls_gives_the_new_answer():
     first = answers(p, xi)
     xi[0] = 3
     assert answers(p, xi) == answers(parabolic("B3", theta=(2,)), (3, 2)) != first
-    assert not p._args  # a list is never remembered
+    assert not p._memo  # a list is never remembered
 
 
 def test_argument_memo_evicts_the_oldest_without_changing_any_answer():
@@ -698,21 +707,22 @@ def test_argument_memo_evicts_the_oldest_without_changing_any_answer():
     for k, xi in enumerate(xis):
         assert (volume_class(p, xi), scalar_curvature(p, xi)) == expected[k]
         kept = xis[max(0, k + 1 - PAIRING_MEMO_SIZE):k + 1]
-        assert list(p._args) == [id(t) for t in kept]
-        assert all(entry[0] is t for entry, t in zip(p._args.values(), kept))
+        assert list(p._memo) == [id(t) for t in kept]
+        assert all(entry.arg is t for entry, t in zip(p._memo.values(), kept))
     for k in (0, 6, 1, 5, 2):  # evicted ones come back, remembered ones are served
         assert (volume_class(p, xis[k]), scalar_curvature(p, xis[k])) == expected[k]
-        assert len(p._args) <= PAIRING_MEMO_SIZE
+        assert len(p._memo) <= PAIRING_MEMO_SIZE
 
 
 def test_a_positive_request_after_a_plain_one_returns_a_kahler_class():
     p = parabolic("A3", theta=(2,))
     t = (Fraction(1, 2), 3)
     plain = p.checked_class(t, "class")
-    assert type(plain) is CohomologyClass and p._args[id(t)] == [t, plain]
+    entry = p._memo[id(t)]
+    assert type(plain) is CohomologyClass and entry.arg is t and entry.cls is plain
     kahler = p.checked_class(t, "Kahler class", positive=True)
     assert type(kahler) is KahlerClass and kahler.coords == plain.coords
-    assert p._args[id(t)][1] is kahler  # stored back: the sign is checked once
+    assert entry.cls is kahler  # stored back: the sign is checked once
     assert p.checked_class(t, "Kahler class", positive=True) is kahler
     assert p.checked_class(t, "class") is kahler  # any-sign slots take it as is
     # a remembered class that is not positive fails every positive request
@@ -721,7 +731,7 @@ def test_a_positive_request_after_a_plain_one_returns_a_kahler_class():
     for _ in range(2):
         with pytest.raises(ValueError, match="Kahler class must have strictly positive"):
             p.checked_class(neg, "Kahler class", positive=True)
-    assert type(p._args[id(neg)][1]) is CohomologyClass
+    assert type(p._memo[id(neg)].cls) is CohomologyClass
 
 
 def test_only_tuples_of_exact_coordinates_are_remembered():
@@ -734,24 +744,25 @@ def test_only_tuples_of_exact_coordinates_are_remembered():
     p = parabolic("A3", theta=(2,))
     for values in ((Int(1), 2), [1, 2], Pair((1, 2)), (1, Int(2)), iter((1, 2))):
         assert p.checked_class(values, "class").coords == (1, 2)
-    assert not p._args
-    for values in ((1, 2), (Fraction(1), "2")):  # exact int, Fraction and str
+    assert not p._memo
+    # exact int, Fraction and str, and a class, which cannot change either
+    for values in ((1, 2), (Fraction(1), "2"), CohomologyClass.of((1, 2))):
         p.checked_class(values, "class")
-        assert p._args[id(values)][0] is values
+        assert p._memo[id(values)].arg is values
     # an argument of the wrong arity is refused, and not remembered
     wrong = (1, 2, 3)
     with pytest.raises(ValueError, match="3 coordinates"):
         p.checked_class(wrong, "class")
-    assert id(wrong) not in p._args
+    assert id(wrong) not in p._memo
 
 
 def test_argument_memo_serves_only_the_tuple_it_holds():
     # an entry under the id of another object is never served
     p = parabolic("A2", theta=())
     t = (1, 2)
-    p._args[id(t)] = [(5, 7), CohomologyClass.of((5, 7))]
+    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass.of((5, 7)))
     assert p.checked_class(t, "class").coords == (1, 2)
-    assert p._args[id(t)][0] is t
+    assert p._memo[id(t)].arg is t
 
 
 def test_a_tuple_at_a_freed_tuples_address_gives_its_own_answer():
@@ -768,7 +779,7 @@ def test_a_tuple_at_a_freed_tuples_address_gives_its_own_answer():
         del xi
         xi = (k, 1)
         assert volume_class(p, xi) == volume_class(fresh, [k, 1]), k
-    assert len(p._args) == PAIRING_MEMO_SIZE
+    assert len(p._memo) == PAIRING_MEMO_SIZE
 
 
 def test_argument_memo_is_no_field():
@@ -776,13 +787,13 @@ def test_argument_memo_is_no_field():
     before = hash(p)
     for k in range(PAIRING_MEMO_SIZE + 1):
         volume_class(p, (Fraction(k + 1, 3), 2))
-    assert len(p._args) == PAIRING_MEMO_SIZE
+    assert len(p._memo) == PAIRING_MEMO_SIZE
     fresh = parabolic("B3", theta=(2,))
-    assert p == fresh and hash(p) == before == hash(fresh) and not fresh._args
-    assert "_args" not in repr(p) and repr(p) == repr(fresh)
-    assert "_args" not in inspect.signature(ParabolicData).parameters
+    assert p == fresh and hash(p) == before == hash(fresh) and not fresh._memo
+    assert "_memo" not in repr(p) and repr(p) == repr(fresh)
+    assert "_memo" not in inspect.signature(ParabolicData).parameters
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert clone == p and not clone._args and not clone._paired
+        assert clone == p and not clone._memo
         assert volume_class(clone, (1, 2)) == volume_class(p, (1, 2))
 
 
@@ -820,7 +831,7 @@ def test_argument_memo_shared_by_threads_gives_single_thread_answers():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(p._args) <= PAIRING_MEMO_SIZE
+    assert len(p._memo) <= PAIRING_MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +846,7 @@ def test_class_bundle_builds_the_product_tree_once(monkeypatch, lie_type):
     import math
 
     trees, products = [], []
-    levels = flag._Pairing.tree_levels
+    levels = flag._Entry.tree_levels
     prod = math.prod
 
     def counted_levels(self):
@@ -849,12 +860,12 @@ def test_class_bundle_builds_the_product_tree_once(monkeypatch, lie_type):
 
     p = parabolic(lie_type, theta=())
     assert p.dim >= flag.PRODUCT_TREE_MIN
-    monkeypatch.setattr(flag._Pairing, "tree_levels", counted_levels)
+    monkeypatch.setattr(flag._Entry, "tree_levels", counted_levels)
     monkeypatch.setattr(math, "prod", counted_prod)
     xi = tuple(Fraction(k, k + 3) for k in range(1, 9))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     bundle(p, xi, beta)
-    entry = p._pairing(p.checked_class(xi, "xi"))
+    entry = p._entry(xi, "xi")
     assert trees == [entry.nums]
     assert [n for n in products if n is entry.nums] == [entry.nums]  # the cross check's
     assert entry.product == entry.tree[-1][0] == prod(entry.nums)
@@ -875,7 +886,7 @@ def test_volume_routes_agree_with_and_without_the_product_tree(monkeypatch):
             p = parabolic(t, th)
             v = volume_class(p, xi)
             assert v == volume_cross_check(p, xi), (p.describe(), constant)
-            entry = p._pairing(p.checked_class(xi, "xi"))
+            entry = p._entry(xi, "xi")
             assert (entry.tree is None) == (constant > 1)
             results[constant].append(v)
     assert results[1] == results[10**9]

@@ -218,35 +218,14 @@ def test_record_contract(cls):
             delattr(a, name)
     assert [getattr(a, name) for name in names] == values
 
-    # pickle and copies rebuild an equal record; a flag's memos start empty
+    # pickle and copies rebuild an equal record; a flag's memo starts empty
     if cls is ParabolicData:
         volume_class(a, (3,))
-        assert a._paired and a._args
+        assert a._memo
     for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(clone) is cls and clone == a and repr(clone) == text
         if cls is not TkeResult:
             assert hash(clone) == hash(a)
         if cls is ParabolicData:
-            assert not clone._paired and not clone._args
+            assert not clone._memo
             assert volume_class(clone, (3,)) == volume_class(a, (3,))
-
-
-@pytest.mark.parametrize("cls", (CohomologyClass, KahlerClass), ids=lambda cls: cls.__name__)
-def test_cached_integer_form_is_no_field(cls):
-    # _form, the integer form (den, *numerators over den), is derived state:
-    # a wrong value planted in it shows in none of ==, hash, repr, pickle
-    # and copy, and a copy works its own form out again
-    a, b = cls.of(("1/2", "5/3")), cls.of(("1/2", "5/3"))
-    assert a._integer_form() == (6, 3, 10)
-    assert a._integer_form() is a._form  # computed once, then read
-    object.__setattr__(a, "_form", (1, 2, 3))
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "_form" not in repr(a) and "_form" not in cls._fields
-    assert pickle.dumps(a) == pickle.dumps(b)
-    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-        assert clone == a and clone._form != (1, 2, 3)
-        if cls is CohomologyClass:
-            assert clone._form is None  # a plain class fills it on first use only
-        assert clone._integer_form() == (6, 3, 10)
-    with pytest.raises(AttributeError):
-        a._form = None
