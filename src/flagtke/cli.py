@@ -89,6 +89,18 @@ def _indices_arg(text: str) -> tuple[int, ...]:
     return tuple(map(int, tokens))
 
 
+def _int_arg(text: str) -> int:
+    # an optional "-" then ASCII digits, as in a node list: int() would also
+    # take "٢", "+1" and "1_0".  Named "int" so that argparse's message stays
+    # "invalid int value: ...".
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+_int_arg.__name__ = "int"
+
+
 def _rational(tok: str) -> Fraction:
     # OverflowError, not ValueError, so that argparse prints no usage block:
     # main reports it as one line.
@@ -402,11 +414,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+class _Parser(argparse.ArgumentParser):
+    """Names a bad choice with its choices quoted, "(choose from 'I',
+    'II')", as argparse did up to CPython 3.12.1, on every interpreter;
+    CPython 3.13.13 drops the quotes."""
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: a parse
     leaves no state in it, so every `main` call shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagtke",
         description=(
             "Exact root-system computations on generalized flag varieties: "
@@ -435,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=_run_flag, body=body, class_option=class_option)
 
     sp = sub.add_parser("sweep", help="bulk verification over all flags up to a rank bound")
-    sp.add_argument("--max-rank", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=10, help="random classes per flag")
+    sp.add_argument("--max-rank", type=_int_arg, default=4)
+    sp.add_argument("--samples", type=_int_arg, default=10, help="random classes per flag")
     sp.add_argument("--seed", type=_seed_arg, default=0, help="64-bit PRNG seed")
     sp.add_argument("--checks", type=_checks_arg, default=CHECKS,
                     help="comma list from: " + ",".join(CHECKS))
@@ -444,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="Picard-rank-two classification rows, verified")
     sp.add_argument("--family", choices=("I", "II", "III", "all"), default="all")
-    sp.add_argument("--max-rank", type=int, default=9)
+    sp.add_argument("--max-rank", type=_int_arg, default=9)
     sp.set_defaults(handler=_cmd_table)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="print a JSON envelope instead of text")
         sp.add_argument("--units", choices=("2pi", "raw"), default="2pi",
                         help="display units for class coordinates (annotation only; default 2pi)")
-        sp.add_argument("--digits", type=int, default=6,
+        sp.add_argument("--digits", type=_int_arg, default=6,
                         help="significant digits for decimal hints")
         sp.add_argument("--out", metavar="FILE", help="also write the JSON envelope to FILE")
     return parser

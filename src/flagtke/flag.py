@@ -18,28 +18,10 @@ degree); `fractions.Fraction` appears only in the classes of the public
 API.  A class takes exact coordinates only (`int`, `Fraction`, `str`)
 and keeps them as `Fraction`s.
 
-A `ParabolicData` pays once for each class argument: one memo entry per
-argument (`ParabolicData._entry` says which arguments it remembers)
-holds the checked class, its integer form (the common denominator
-followed by the numerators scaled to it) and, once they are asked for,
-the radical pairings, their product, what `trace` and
-`scalar_curvature` sum against and the volume `volume_class` built.  So
-the invariants of one argument share a single check, a single pairing
-pass, a single product and a single volume.  A pairing is one forward
-pass of additions over the root system's own raising steps (see
-`rootsys`), with no dot product per root: every positive coroot pairs
-with the class as its parent coroot does, plus the step times the
-class's numerator at the raising node (0 at a theta node, so a Levi
-coroot pairs to 0), and the flag's radical selector keeps the radical
-ones.  Sums of reciprocal pairings, sum_k b_k / n_k, are taken by
-`ParabolicData._ratio_sum` in one of two ways.  Below `PRODUCT_TREE_MIN`
-pairings the entry keeps their lcm and the weights ``lcm // n``, and a
-sum is one integer dot product.  From `PRODUCT_TREE_MIN` on, where that
-lcm and its n divisions cost work quadratic in the dimension, the entry
-keeps the levels of the pairings' product tree, and a sum folds its
-numerators up the tree with no lcm and no division; the tree's root is
-then the entry's product, so the volume builds the tree the sums read.
-Below it the product is one `math.prod`.
+A `ParabolicData` pays once for each class argument: its memo (see
+`ParabolicData._entry`) keeps one `_Entry` per argument, which holds
+everything the invariants read of that class, its radical pairings
+first (see `_Entry`).
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -51,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 
@@ -150,47 +132,61 @@ ClassLike = CohomologyClass | Sequence[Rational]
 # dropped first.
 PAIRING_MEMO_SIZE = 4
 
-# From how many radical pairings on `ParabolicData._ratio_sum` sums up a
-# product tree instead of over the lcm of the pairings.  Set by timing
-# both on the flags of the `classes` benchmark: the tree wins on the E8
-# (120 pairings) and B8 (64) full flags, the lcm on A8 (36), D8 (54) and
-# E7 (62) flags and on every small flag, whose product outgrows the lcm.
+# From how many radical pairings on an `_Entry` sums up a product tree
+# instead of over the lcm of the pairings.  Set by timing both on the
+# flags of the `classes` benchmark: the tree wins on the E8 (120
+# pairings) and B8 (64) full flags, the lcm on A8 (36), D8 (54) and E7
+# (62) flags and on every small flag, whose product outgrows the lcm.
 PRODUCT_TREE_MIN = 64
 
 
 class _Entry:
-    """Memo entry of one class argument ``arg``: ``cls``, the class checked
-    from it (replaced by its `KahlerClass` on the first positive request),
-    and ``form``, its integer form ``(den, n_1, ..., n_k)``: den is the
-    lcm of the coordinate denominators and coordinate i is n_i / den.
-    Once asked for: ``nums``, the radical pairings over den
-    (`ParabolicData._pair`); ``product``, their product; for a Kahler
-    class, with fewer than `PRODUCT_TREE_MIN` pairings, ``weights`` =
-    (lcm of ``nums``, ``lcm // n`` for each pairing n), with more,
-    ``tree``, the levels of the product tree of ``nums`` from ``nums``
-    itself up to its product (each level the pairwise products of the
-    one below, an odd last element carried up unchanged), whose root is
-    then ``product``; and ``volume``, the value `invariants.volume_class`
-    built.  Each is filled by one attribute store, so a thread never
-    reads half of it."""
+    """Memo entry of one class argument ``arg``, made by
+    `ParabolicData._entry`.  It holds:
+
+    * ``cls``, the class checked from ``arg``, replaced by its
+      `KahlerClass` on the first positive request;
+    * ``form``, its integer form ``(den, n_1, ..., n_k)``: den is the lcm
+      of the coordinate denominators and coordinate i is n_i / den;
+    * ``nums``, its radical pairings over den, from the flag's pairing
+      pass ``pair``, run once when the entry is made;
+    * filled on first use: ``product``, the product of ``nums``;
+      ``weights`` or ``tree``, what `ratio_sum` sums against (a Kahler
+      class only); and ``volume``, the value `invariants.volume_class`
+      built.
+
+    Sums of reciprocal pairings take one of two routes.  Below
+    `PRODUCT_TREE_MIN` pairings ``weights`` is (lcm of ``nums``,
+    ``lcm // n`` for each pairing n), a sum is one integer dot product,
+    and ``product`` is one `math.prod`.  From `PRODUCT_TREE_MIN` on,
+    where that lcm and its divisions cost work quadratic in the
+    dimension, ``tree`` is the levels of the product tree of ``nums``,
+    from ``nums`` up to its product (each level the pairwise products of
+    the one below, an odd last element carried up unchanged); a sum
+    folds its numerators up the tree with no lcm and no division, and
+    ``product`` is the tree's root, so the volume builds the tree the
+    sums read.  Each field is filled by one attribute store, so a thread
+    never reads half of it.  The entry keeps no reference to the flag.
+    """
 
     __slots__ = ("arg", "cls", "form", "nums", "weights", "tree", "product", "volume")
 
-    def __init__(self, arg: object, cls: CohomologyClass) -> None:
+    def __init__(self, arg: object, cls: CohomologyClass,
+                 pair: Callable[[tuple[int, ...]], tuple[int, ...]]) -> None:
         self.arg = arg
         self.cls = cls
         coords = cls.coords
         dens = [c.denominator for c in coords]
         den = math.lcm(*dens)
         self.form = (den, *[c.numerator * (den // d) for c, d in zip(coords, dens)])
-        self.nums: tuple[int, ...] | None = None
+        self.nums = pair(self.form)
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
         self.product: int | None = None
         self.volume: Fraction | None = None
 
     def tree_levels(self) -> tuple[tuple[int, ...], ...]:
-        """``tree``, built on the first call, once ``nums`` is filled."""
+        """``tree``, built on the first call."""
         if self.tree is None:
             nums = self.nums
             levels = [nums]
@@ -201,14 +197,33 @@ class _Entry:
         return self.tree
 
     def nums_product(self) -> int:
-        """``product``, worked out on the first call, once ``nums`` is
-        filled: from `PRODUCT_TREE_MIN` pairings on the root of ``tree``,
-        which the reciprocal sums then share, below it `math.prod`."""
+        """``product``, worked out on the first call."""
         if self.product is None:
-            nums = self.nums
-            self.product = (self.tree_levels()[-1][0] if len(nums) >= PRODUCT_TREE_MIN
-                            else math.prod(nums))
+            self.product = (self.tree_levels()[-1][0] if len(self.nums) >= PRODUCT_TREE_MIN
+                            else math.prod(self.nums))
         return self.product
+
+    def ratio_sum(self, b_nums: Sequence[int], b_den: int) -> Fraction:
+        """sum_k (b_nums[k]/b_den) / (nums[k]/den), for a Kahler class,
+        whose pairings are all positive.  Up the product tree, two sibling
+        sums N_l/D_l and N_r/D_r make the parent (N_l*D_r + N_r*D_l)/(D_l*D_r).
+        """
+        nums = self.nums
+        if len(nums) < PRODUCT_TREE_MIN:
+            weights = self.weights
+            if weights is None:
+                lcm = math.lcm(*nums)
+                weights = self.weights = (lcm, tuple(lcm // n for n in nums))
+            lcm, recips = weights
+            return Fraction(sum(map(operator.mul, b_nums, recips)) * self.form[0], lcm * b_den)
+        tree = self.tree_levels()
+        sums = b_nums
+        for dens in tree[:-1]:
+            odd = sums[len(sums) & ~1:]
+            sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
+                    in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
+            sums += odd
+        return Fraction(sums[0] * self.form[0], tree[-1][0] * b_den)
 
 
 class ParabolicData(_Record):
@@ -276,7 +291,8 @@ class ParabolicData(_Record):
         sequence becomes a class of `Fraction`s, a `CohomologyClass` passes
         through; the arity must be the Picard rank.  With ``positive`` (a
         Kahler slot) the entry's class is a `KahlerClass`, so it is
-        strictly positive.
+        strictly positive.  A new entry is paired when it is made (see
+        `_Entry`), so every entry served holds its pairings.
 
         ``_memo`` keeps the entries of the last `PAIRING_MEMO_SIZE`
         arguments, keyed by the argument's id, and serves an entry only to
@@ -306,7 +322,7 @@ class ParabolicData(_Record):
             )
         if positive and not isinstance(cls, KahlerClass):
             cls = _kahler(cls, what)
-        entry = _Entry(values, cls)
+        entry = _Entry(values, cls, self._pairings)
         if remember:
             memo[id(values)] = entry
             if len(memo) > PAIRING_MEMO_SIZE:
@@ -322,60 +338,27 @@ class ParabolicData(_Record):
         coroot is ``Fraction(nums[k], den)``.
         """
         entry = self._entry(cls, "class")
-        return self._pair(entry), entry.form[0]
+        return entry.nums, entry.form[0]
 
-    def _pair(self, entry: _Entry) -> tuple[int, ...]:
-        """``entry.nums``, filled by the first call: the pass runs over all
-        positive roots with the numerators indexed by node, 0 at a theta
-        node; a full flag's integer form ``(den, *nums)`` already is that,
-        and all its roots are radical.  Otherwise the radical selector
-        keeps the radical pairings.
+    def _pairings(self, form: tuple[int, ...]) -> tuple[int, ...]:
+        """The radical pairings of the class of integer form ``form`` =
+        ``(den, *nums)``, over den: one forward pass of additions over the
+        root system's raising steps (see `rootsys`), with no dot product
+        per root.  The numerators are lifted onto node indices, 0 at a
+        theta node; every positive coroot pairs as its parent coroot does
+        plus the step times the numerator at the raising node (so a Levi
+        coroot pairs to 0), and the radical selector keeps the radical
+        pairings.
         """
-        nums = entry.nums
-        if nums is None:
-            w = form = entry.form
-            if self.theta:
-                w = [0] * (self.rs.rank + 1)
-                for node, num in zip(self.complement, form[1:]):
-                    w[node] = num
-            pairs = [0]
-            append = pairs.append
-            for parent, node, step in self.rs.raising_steps:
-                append(pairs[parent] + step * w[node])
-            del pairs[0]
-            nums = tuple(compress(pairs, self._is_radical)) if self.theta else tuple(pairs)
-            entry.nums = nums
-        return nums
-
-    def _ratio_sum(self, w: _Entry, b_nums: Sequence[int], b_den: int) -> Fraction:
-        """sum_k (b_nums[k]/b_den) / (w_k/w_den), where w_k/w_den are the
-        radical pairings of the Kahler class of the entry ``w`` (all
-        positive).
-
-        Below `PRODUCT_TREE_MIN` pairings: one dot product with the
-        weights ``lcm // w_k``.  From it on: up the product tree of the
-        w_k, where two sibling sums N_l/D_l and N_r/D_r make the parent
-        (N_l*D_r + N_r*D_l)/(D_l*D_r), to one sum over the product of all
-        w_k.  Either way the entry keeps the part that depends on ``w``
-        alone, filled by one attribute store so that a reader never sees
-        half of it.
-        """
-        nums = self._pair(w)
-        if len(nums) < PRODUCT_TREE_MIN:
-            weights = w.weights
-            if weights is None:
-                lcm = math.lcm(*nums)
-                weights = w.weights = (lcm, tuple(lcm // n for n in nums))
-            lcm, recips = weights
-            return Fraction(sum(map(operator.mul, b_nums, recips)) * w.form[0], lcm * b_den)
-        tree = w.tree_levels()
-        sums = b_nums
-        for dens in tree[:-1]:
-            odd = sums[len(sums) & ~1:]
-            sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
-                    in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
-            sums += odd
-        return Fraction(sums[0] * w.form[0], tree[-1][0] * b_den)
+        w = [0] * (self.rs.rank + 1)
+        for node, num in zip(self.complement, form[1:]):
+            w[node] = num
+        pairs = [0]
+        append = pairs.append
+        for parent, node, step in self.rs.raising_steps:
+            append(pairs[parent] + step * w[node])
+        del pairs[0]
+        return tuple(compress(pairs, self._is_radical))
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"

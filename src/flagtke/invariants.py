@@ -24,14 +24,12 @@ Arithmetic inside is integer, and each public function builds
 Each public function checks each class argument once, by
 `ParabolicData._entry` (arity = Picard rank; in a Kahler slot, strictly
 positive), and works on the entry it returns: the flag's memo entry of
-that argument (see `flag`), which keeps its integer form, its pairings,
-their product, what `trace` and `scalar_curvature` sum against and the
-volume.  `volume_bound_report` hands its entry to the bodies
-`_grlb_report` and `_volume_class`, which do not check it again.  The
-flag keeps the products of its delta_P and rho pairings.
-`volume_cross_check` never reads the kept volume or the kept product of
-the pairings: it is the independent route, and multiplies the pairings
-out itself.
+that argument, which holds its integer form, its pairings and what is
+built from them (see `flag._Entry`).  `volume_bound_report` calls
+`grlb_report` and `volume_class`, so a remembered argument costs it two
+memo hits.  `volume_cross_check` never reads the kept volume or the kept
+product of the pairings: it is the independent route, and multiplies
+the pairings out itself.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -45,7 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _Entry, degree
+from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
 from .rootsys import _Record, _setattr
 
 __all__ = [
@@ -165,13 +163,8 @@ def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fractio
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
-    return _grlb_report(p, p._entry(xi, "Kahler class", positive=True))
-
-
-def _grlb_report(p: ParabolicData, entry: _Entry) -> GrlbReport:
-    """`grlb_report` of the entry of a checked Kahler class."""
     # with xi = nums/den, koszul/xi = k*den/n: compare k/n by cross-multiplying
-    den, *nums = entry.form
+    den, *nums = p._entry(xi, "Kahler class", positive=True).form
     nodes = zip(p.complement, p.koszul, nums)
     idx, best_k, best_n = next(nodes)
     argmin = [idx]
@@ -195,16 +188,8 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
     entry of xi, so asking again for a remembered class builds nothing.
     """
-    return _volume_class(p, p._entry(xi, "Kahler class", positive=True))
-
-
-def _volume_class(p: ParabolicData, entry: _Entry) -> Fraction:
-    """`volume_class` of the entry of a checked Kahler class.  The product
-    of the pairings is the entry's: from `flag.PRODUCT_TREE_MIN` pairings
-    on, the root of the tree that `trace` and `scalar_curvature` then sum
-    up."""
+    entry = p._entry(xi, "Kahler class", positive=True)
     if entry.volume is None:
-        p._pair(entry)
         entry.volume = Fraction(
             degree(p) * entry.nums_product(), entry.form[0]**p.dim * p._delta_product
         )
@@ -221,7 +206,7 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     """
     entry = p._entry(xi, "Kahler class", positive=True)
     return Fraction(
-        math.factorial(p.dim) * math.prod(p._pair(entry)), entry.form[0]**p.dim * p._rho_product
+        math.factorial(p.dim) * math.prod(entry.nums), entry.form[0]**p.dim * p._rho_product
     )
 
 
@@ -234,7 +219,7 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     """
     w = p._entry(omega, "metric class", positive=True)
     b = p._entry(beta, "traced class")
-    return p._ratio_sum(w, p._pair(b), b.form[0])
+    return w.ratio_sum(b.nums, b.form[0])
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
@@ -243,7 +228,7 @@ def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:
     equal to dim when omega is the anticanonical class itself.  The
     anticanonical pairings are the ones stored on ``p``.
     """
-    return p._ratio_sum(p._entry(omega, "metric class", positive=True), p._delta_pairings, 1)
+    return p._entry(omega, "metric class", positive=True).ratio_sum(p._delta_pairings, 1)
 
 
 def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
@@ -253,10 +238,9 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     the left one is an equality precisely when xi is proportional to the
     anticanonical class, the right one precisely for projective space.
     """
-    entry = p._entry(xi, "Kahler class", positive=True)
     n = p.dim
-    g = _grlb_report(p, entry)
-    vol = _volume_class(p, entry)
+    g = grlb_report(p, xi)
+    vol = volume_class(p, xi)
     rv = g.value**n * vol
     d = degree(p)
     snow = (n + 1) ** n

@@ -192,9 +192,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the selected checks on every flag up to the rank bound.
 
     Per flag: the degree bound once, then for each seeded sample one
-    positive class, whose solved twist (cscK, roundtrip) is computed once,
-    and whose volume `cross` takes from the `volbound` report when that
-    check has already run on the sample.
+    positive class, whose solved twist (cscK, roundtrip) is computed once;
+    its volume is built once too, since `volbound` and `cross` ask the
+    same memo entry.
     Returns all failures, each with a runnable `flagtke` command line that
     reproduces it; an empty failure list is the expected outcome on a
     correct build.
@@ -227,7 +227,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         for _ in range(config.samples_per_flag):
             samples += 1
             xi = KahlerClass(draw_kahler(rng, p.picard_rank))
-            rep = sol = None  # shared by the checks of this sample
+            sol = None  # shared by the checks of this sample
             for check in per_sample:
                 checks_run += 1
                 if check == "volbound":
@@ -241,7 +241,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                             xi,
                         )
                 elif check == "cross":
-                    v1 = volume_class(p, xi) if rep is None else rep.volume
+                    v1 = volume_class(p, xi)
                     v2 = volume_cross_check(p, xi)
                     if v1 != v2:
                         fail(p, check, f"volume_class={v1} cross_check={v2}", xi)

@@ -264,6 +264,24 @@ def test_node_lists_and_seeds_keep_their_ascii_spellings(capsys):
         assert code == EXIT_OK and doc["input"]["seed"] == 42
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--max-rank", "\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ("sweep", "--samples", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        ("sweep", "--digits", "+1_0"),
+        ("flag", "A2", "--theta", "1", "--digits", "1_0"),
+        ("table", "--max-rank", "1_0"),
+    ],
+    ids=["arabic-indic-rank", "arabic-indic-samples", "plus-underscore", "underscore",
+         "table-rank"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
+
+
 # A failing sweep in a fresh interpreter: the cross check's second volume
 # route is replaced by one returning -1, as in the golden corpus.
 _FAILING_CROSS = (
@@ -432,7 +450,7 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
     import flagtke.invariants as inv
     from flagtke.flag import ParabolicData
 
-    calls = {"_grlb_report": 0, "_volume_class": 0, "passes": 0}
+    calls = {"grlb_report": 0, "volume_class": 0, "passes": 0}
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -441,21 +459,16 @@ def test_report_computes_grlb_and_volume_once(capsys, monkeypatch):
 
         return wrapper
 
-    def counted_pass(self, entry):
-        calls["passes"] += entry.nums is None
-        return pair(self, entry)
-
-    # the bodies behind grlb_report and volume_class, which
-    # volume_bound_report calls directly on its checked class
-    for name in ("_grlb_report", "_volume_class"):
+    # volume_bound_report looks both up in its module
+    for name in ("grlb_report", "volume_class"):
         monkeypatch.setattr(inv, name, counted(name, getattr(inv, name)))
     # every pass that pairs a class with the radical coroots
-    pair = ParabolicData._pair
-    monkeypatch.setattr(ParabolicData, "_pair", counted_pass)
+    monkeypatch.setattr(ParabolicData, "_pairings",
+                        counted("passes", ParabolicData._pairings))
     code, out, _ = run(capsys, "report", "E8", "--theta", "", "--xi", "1,2,3,4,5,6,7,8")
     assert code == EXIT_OK
     assert "bound chain:" in out
-    assert calls == {"_grlb_report": 1, "_volume_class": 1, "passes": 1}
+    assert calls == {"grlb_report": 1, "volume_class": 1, "passes": 1}
 
 
 @pytest.mark.parametrize(

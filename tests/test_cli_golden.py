@@ -14,10 +14,16 @@ in-process through ``main``, by the replays of ``replay_golden.py``, must
 reproduce every one of them exactly, so a refactor that changes any
 printed answer, rendering, message or JSON layout fails here.  Every
 JSON envelope printed on the way must also validate against the schema.
+The same replays must also pass under every other CPython >= 3.10 on
+PATH, so that no printed byte depends on the interpreter.
 """
 
 import importlib.resources
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -50,3 +56,42 @@ def test_golden_cli_outputs_are_byte_identical(validator):
 
 def test_extra_golden_cli_outputs_are_byte_identical(validator):
     assert _replay(replay_extra, validator) == (254, [], [])
+
+
+# Prints "yes" on a CPython >= 3.10, then its full version string.
+_PROBE = ("import platform, sys; print('yes' if platform.python_implementation() == 'CPython'"
+          " and sys.version_info >= (3, 10) else 'no'); print(sys.version)")
+
+
+def _other_interpreters() -> list[str]:
+    """Each ``python3.10`` to ``python3.14`` on PATH that starts and is a
+    CPython >= 3.10 other than the one running the tests.  A name that
+    fails to start (a version manager's shim for an uninstalled version,
+    say) counts as absent."""
+    found = []
+    for minor in range(10, 15):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            probe = subprocess.run([exe, "-c", _PROBE], capture_output=True, text=True,
+                                   timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        lines = probe.stdout.splitlines()
+        if probe.returncode == 0 and lines[:1] == ["yes"] and lines[1:] != [sys.version]:
+            found.append(exe)
+    return found
+
+
+def test_golden_replays_match_under_every_other_interpreter():
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 on PATH")
+    script = str(Path(__file__).resolve().parent / "replay_golden.py")
+    failed = []
+    for exe in interpreters:
+        run = subprocess.run([exe, script], capture_output=True, text=True, timeout=600)
+        if run.returncode != 0:
+            failed.append((exe, run.stdout[-2000:], run.stderr[-2000:]))
+    assert failed == []

@@ -5,6 +5,7 @@ import inspect
 import pickle
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -575,9 +576,9 @@ def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
     # the seven-call per-class bundle pairs xi and koszul - xi: two
     # pairing passes, not one per call
     passes = []
-    pair = ParabolicData._pair
-    monkeypatch.setattr(ParabolicData, "_pair",
-                        lambda self, entry: passes.append(entry.nums is None) or pair(self, entry))
+    pair = ParabolicData._pairings
+    monkeypatch.setattr(ParabolicData, "_pairings",
+                        lambda self, form: passes.append(form) or pair(self, form))
     checked = []
     check = ParabolicData._entry
     monkeypatch.setattr(ParabolicData, "_entry",
@@ -591,11 +592,11 @@ def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
     assert scalar_curvature(p, xi) - trace(p, xi, beta) == p.dim
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
-    assert sum(passes) == 2
+    assert len(passes) == 2
     # each public call checks each class argument once (trace two), and
-    # volume_bound_report hands its checked class to the grlb and volume
-    # bodies without checking it again
-    assert len(checked) == 8
+    # volume_bound_report reaches the memo through grlb_report and
+    # volume_class, once each
+    assert len(checked) == 9
 
 
 def test_class_bundle_builds_the_volume_once(monkeypatch):
@@ -670,9 +671,9 @@ def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_
     class CountedEntry(flag._Entry):
         __slots__ = ()
 
-        def __init__(self, arg, cls):
+        def __init__(self, arg, cls, pair):
             forms.append(arg)
-            super().__init__(arg, cls)
+            super().__init__(arg, cls, pair)
 
     monkeypatch.setattr(CohomologyClass, "__init__", counted_init)
     monkeypatch.setattr(flag, "_Entry", CountedEntry)
@@ -684,6 +685,42 @@ def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_
     assert bundle(p, xi, beta) == first  # served from the memo, nothing built
     assert len(built) == 2 and len(forms) == 2
     assert first == bundle(parabolic(lie_type, theta=()), list(xi), list(beta))
+
+
+@pytest.mark.parametrize("lie_type", ("E8", "F4"))
+def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, lie_type):
+    # every entry served already holds its pairings; the product, the
+    # tree (E8) or the weights (F4) and the volume are each stored once,
+    # by the first call that needs them, however often the bundle asks
+    stores = Counter()
+    served = []
+
+    class CountedEntry(flag._Entry):
+        def __setattr__(self, name, value):
+            if value is not None:
+                arg = value if name == "arg" else self.arg
+                stores["xi" if arg is xi else "beta", name] += 1
+            super().__setattr__(name, value)
+
+    entry_of = ParabolicData._entry
+
+    def served_entry(self, *args, **kw):
+        entry = entry_of(self, *args, **kw)
+        served.append(entry.nums)
+        return entry
+
+    monkeypatch.setattr(flag, "_Entry", CountedEntry)
+    monkeypatch.setattr(ParabolicData, "_entry", served_entry)
+    p = parabolic(lie_type, theta=())
+    xi = tuple(Fraction(k, k + 2) for k in range(1, p.picard_rank + 1))
+    beta = tuple(k - x for k, x in zip(p.koszul, xi))
+    first = bundle(p, xi, beta)
+    assert bundle(p, xi, beta) == first
+    assert len(served) == 18 and all(type(nums) is tuple for nums in served)
+    sums = "tree" if p.dim >= flag.PRODUCT_TREE_MIN else "weights"
+    assert stores == Counter(
+        [("xi", name) for name in ("arg", "cls", "form", "nums", "product", sums, "volume")]
+        + [("beta", name) for name in ("arg", "cls", "form", "nums")])
 
 
 def test_a_list_mutated_between_calls_gives_the_new_answer():
@@ -760,7 +797,7 @@ def test_argument_memo_serves_only_the_tuple_it_holds():
     # an entry under the id of another object is never served
     p = parabolic("A2", theta=())
     t = (1, 2)
-    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass.of((5, 7)))
+    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass.of((5, 7)), p._pairings)
     assert p.checked_class(t, "class").coords == (1, 2)
     assert p._memo[id(t)].arg is t
 

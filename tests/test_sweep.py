@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import flagtke.invariants
+import flagtke.flag
 import flagtke.sweep
 from flagtke.cli import main
 from flagtke.flag import SnowCheck
@@ -199,22 +199,25 @@ def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
 
 
 def test_each_sample_pays_for_its_volume_and_solution_once(monkeypatch):
-    # _volume_class is the body behind volume_class, which
-    # volume_bound_report calls directly on its checked class
-    calls = {"_volume_class": 0, "tke_solve_from_kahler": 0}
+    # volbound and cross ask the same memo entry of the sample's class, so
+    # its volume is built once; cscK and roundtrip share one solution
+    calls = {"volume": 0, "tke_solve_from_kahler": 0}
 
-    def counted(name, fn):
+    class CountedEntry(flagtke.flag._Entry):
+        def __setattr__(self, name, value):
+            calls["volume"] += name == "volume" and value is not None
+            super().__setattr__(name, value)
+
+    def counted(fn):
         def wrapper(*a, **kw):
-            calls[name] += 1
+            calls["tke_solve_from_kahler"] += 1
             return fn(*a, **kw)
 
         return wrapper
 
-    for name in calls:  # wherever the caller looks it up
-        wrapper = counted(name, getattr(flagtke.invariants, name))
-        monkeypatch.setattr(flagtke.invariants, name, wrapper)
-        if hasattr(flagtke.sweep, name):
-            monkeypatch.setattr(flagtke.sweep, name, wrapper)
+    monkeypatch.setattr(flagtke.flag, "_Entry", CountedEntry)
+    monkeypatch.setattr(flagtke.sweep, "tke_solve_from_kahler",
+                        counted(flagtke.sweep.tke_solve_from_kahler))
     res = run_sweep(SweepConfig(max_rank=3, samples_per_flag=2))
     assert res.ok and res.samples > 0
-    assert calls == {"_volume_class": res.samples, "tke_solve_from_kahler": res.samples}
+    assert calls == {"volume": res.samples, "tke_solve_from_kahler": res.samples}
