@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
 import os
 import re
 import sys
@@ -170,17 +169,21 @@ def _check_text(ok: bool, equality: bool) -> str:
 
 def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str],
           warnings: Sequence[str] = ()) -> None:
-    """Write the envelope to --out, then print it (--json) or the text lines."""
-    doc = {
-        "command": args.command,
-        "input": {**inputs, "units": args.units},
-        "result": result,
-        "warnings": list(warnings),
-    }
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    """Write the envelope to --out, then print it (--json) or the text lines.
+    The envelope is serialized only when one of the two asks for it."""
+    if args.json or args.out:
+        import json
+
+        doc = {
+            "command": args.command,
+            "input": {**inputs, "units": args.units},
+            "result": result,
+            "warnings": list(warnings),
+        }
+        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
     try:
         if args.json:
             sys.stdout.write(payload)

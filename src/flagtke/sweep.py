@@ -51,12 +51,33 @@ def _seed(value: object) -> int:
     return seed
 
 
+def _range(lo: object, hi: object) -> tuple[int, int]:
+    """``lo`` and ``hi`` as integers (`rootsys._integer`) with lo <= hi."""
+    lo = _integer("lo", lo)
+    hi = _integer("hi", hi)
+    if lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    return lo, hi
+
+
+def _limit(span: int) -> int:
+    """The largest multiple of ``span`` up to 2**64: a draw below it is
+    kept, so ``u % span`` has no modulo bias."""
+    return (_MASK + 1) - ((_MASK + 1) % span)
+
+
+def _mix(z: int) -> int:
+    """The splitmix64 output function: two xor-shift-multiply rounds."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """splitmix64 PRNG (Steele, Lea, Flood; public-domain reference).
 
-    state advances by the 64-bit golden ratio; outputs are the standard
-    two-round xor-shift-multiply mix.  Known vector: seed 0 produces
-    0xE220A8397B1DCDAF first.
+    state advances by the 64-bit golden ratio; outputs are `_mix` of the
+    new state.  Known vector: seed 0 produces 0xE220A8397B1DCDAF first.
     """
 
     def __init__(self, seed: int) -> None:
@@ -64,38 +85,56 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        return _mix(self._state)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], via rejection (no modulo bias)."""
-        lo = _integer("lo", lo)
-        hi = _integer("hi", hi)
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
+        lo, hi = _range(lo, hi)
         span = hi - lo + 1
-        limit = (_MASK + 1) - ((_MASK + 1) % span)
+        limit = _limit(span)
         while True:
             u = self.next_u64()
             if u < limit:
                 return lo + (u % span)
 
     def rational(self, rng_num: tuple[int, int], rng_den: tuple[int, int]) -> Fraction:
-        num = self.randint(*rng_num)
-        den = self.randint(*rng_den)
-        return Fraction(num, den)
+        return self._rationals(1, *_range(*rng_num), *_range(*rng_den))[0]
+
+    def _rationals(self, k: int, num_lo: int, num_hi: int, den_lo: int,
+                   den_hi: int) -> tuple[Fraction, ...]:
+        """k rationals, each a numerator then a denominator drawn as
+        `randint` draws them from checked ranges: the same outputs, with
+        the state kept in a local."""
+        num_span = num_hi - num_lo + 1
+        den_span = den_hi - den_lo + 1
+        num_limit = _limit(num_span)
+        den_limit = _limit(den_span)
+        state = self._state
+        out = []
+        for _ in range(k):
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK
+                num = _mix(state)
+                if num < num_limit:
+                    break
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK
+                den = _mix(state)
+                if den < den_limit:
+                    break
+            out.append(Fraction(num_lo + num % num_span, den_lo + den % den_span))
+        self._state = state
+        return tuple(out)
 
 
 def draw_kahler(rng: SplitMix64, k: int) -> tuple[Fraction, ...]:
     """k positive rationals, numerator and denominator uniform in [1, 100]."""
-    return tuple(rng.rational((1, 100), (1, 100)) for _ in range(k))
+    return rng._rationals(k, 1, 100, 1, 100)
 
 
 def draw_twist(rng: SplitMix64, k: int) -> tuple[Fraction, ...]:
     """k signed rationals (numerator in [-100, 100], denominator in [1, 100])."""
-    return tuple(rng.rational((-100, 100), (1, 100)) for _ in range(k))
+    return rng._rationals(k, -100, 100, 1, 100)
 
 
 CHECKS = ("snow", "volbound", "cross", "cscK", "roundtrip")
@@ -247,9 +286,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         fail(p, check, f"volume_class={v1} cross_check={v2}", xi)
                 elif check == "cscK":
                     sol = sol or tke_solve_from_kahler(p, xi)
-                    gap = scalar_curvature(p, xi) - trace(p, xi, sol.beta)
-                    if gap != p.dim:
-                        fail(p, check, f"S - trace = {gap}, dim = {p.dim}", xi)
+                    s = scalar_curvature(p, xi)
+                    t = trace(p, xi, sol.beta)
+                    # S - T == dim on lowest terms, no Fraction built: T + dim
+                    # is (t.numerator + dim*t.denominator)/t.denominator, whose
+                    # terms are coprime as T's are, so it equals S iff both match
+                    if (s.denominator != t.denominator
+                            or s.numerator != t.numerator + p.dim * t.denominator):
+                        fail(p, check, f"S - trace = {s - t}, dim = {p.dim}", xi)
                 elif check == "roundtrip":
                     sol = sol or tke_solve_from_kahler(p, xi)
                     back = tke_exists(p, sol.beta).metric  # None iff no solution

@@ -387,6 +387,29 @@ def test_out_file_carries_json_even_in_text_mode(capsys, tmp_path):
     assert on_disk == json_out
 
 
+@pytest.mark.parametrize("argv", [
+    ("table",),
+    ("report", "D4", "--complement", "1,3", "--xi", "2,3/2"),
+    ("roots", "G2"),
+])
+def test_text_output_never_serializes_the_envelope(capsys, monkeypatch, tmp_path, argv):
+    # the envelope is built only for --json or --out, so text needs no json.dumps
+    target = tmp_path / "doc.json"
+    code, text, _ = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_OK
+    _, json_out, _ = run(capsys, *argv, "--json")
+    assert target.read_bytes() == json_out.encode("utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert run(capsys, *argv)[:2] == (EXIT_OK, text)
+    with pytest.raises(AssertionError, match="json.dumps called"):
+        main([*argv, "--json"])
+    capsys.readouterr()
+
+
 def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "flag", "A3", "--theta", "1", "--out", str(target))

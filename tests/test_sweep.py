@@ -1,5 +1,6 @@
 """Randomized verification sweeps and the deterministic generator."""
 
+import hashlib
 import shlex
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 import flagtke.flag
 import flagtke.sweep
 from flagtke.cli import main
-from flagtke.flag import SnowCheck
-from flagtke.invariants import TkeResult, VolumeBoundReport
+from flagtke.flag import KahlerClass, SnowCheck, parabolic
+from flagtke.invariants import TkeResult, VolumeBoundReport, tke_solve_from_kahler, trace
 from flagtke.sweep import (
     CHECKS,
     SplitMix64,
@@ -79,6 +80,88 @@ def test_draws_have_expected_shape():
 def test_identical_seeds_reproduce_streams():
     a, b = SplitMix64(777), SplitMix64(777)
     assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+
+
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def ref_randint(rng, lo, hi):
+    """randint's rejection rule, written over next_u64 alone."""
+    span = hi - lo + 1
+    limit = 2**64 - 2**64 % span
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return lo + u % span
+
+
+def ref_rationals(rng, k, num, den):
+    return tuple(Fraction(ref_randint(rng, *num), ref_randint(rng, *den)) for _ in range(k))
+
+
+def unmix(z):
+    """The state whose splitmix64 output is z: each step of the output
+    function (xor with a right shift, multiply by an odd constant) is a
+    bijection on 64-bit words, undone here in reverse order."""
+    for shift, mult in ((31, MIX[1]), (27, MIX[0]), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):  # x ^ (x >> shift) == z, solved bit block by block
+            x = z ^ (x >> shift)
+        z = x if mult is None else (x * pow(mult, -1, 2**64)) & MASK
+    return z
+
+
+def test_splitmix64_first_thousand_outputs_are_pinned():
+    rng = SplitMix64(0)
+    digest = hashlib.sha256(b"".join(rng.next_u64().to_bytes(8, "little")
+                                     for _ in range(1000)))
+    assert digest.hexdigest() == (
+        "7f98a09e99350eb39ae57ed25756af8f24974ce73b4895960518a8028cf6c338")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 701, 2**63 + 5, MASK])
+def test_every_draw_follows_randint_over_next_u64(seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    for k in (0, 1, 2, 5, 8):
+        assert draw_kahler(rng, k) == ref_rationals(ref, k, (1, 100), (1, 100))
+        assert draw_twist(rng, k) == ref_rationals(ref, k, (-100, 100), (1, 100))
+    for num, den in (((1, 100), (1, 100)), ((-7, 3), (2, 2)), ((0, 2**63), (1, 3**40))):
+        assert rng.rational(num, den) == ref_rationals(ref, 1, num, den)[0]
+    for lo, hi in ((1, 6), (-5, 5), (0, 2**64 - 1), (3, 3)):
+        assert rng.randint(lo, hi) == ref_randint(ref, lo, hi)
+    assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("output", [MASK, 2**64 - 16, 2**64 - 17, 2**64 - 151, 2**64 - 152])
+def test_outputs_at_the_rejection_limits_are_drawn_alike(output):
+    # a span of 100 keeps outputs below 2**64 - 16, a span of 201 below 2**64 - 151
+    state = unmix(output)
+    for j in (1, 2, 3, 4):  # the output is a numerator, a denominator, then the second pair's
+        seed = (state - j * GAMMA) & MASK
+        probe = SplitMix64(seed)
+        assert [probe.next_u64() for _ in range(j)][-1] == output
+        for draw, num in ((draw_kahler, (1, 100)), (draw_twist, (-100, 100))):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            assert draw(rng, 2) == ref_rationals(ref, 2, num, (1, 100))
+            assert rng.next_u64() == ref.next_u64()  # the states agree too
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.rational((-100, 100), (1, 100)) == ref_rationals(ref, 1, (-100, 100), (1, 100))[0]
+        assert rng.randint(1, 100) == ref_randint(ref, 1, 100)
+        assert rng.next_u64() == ref.next_u64()
+
+
+def test_rational_checks_its_ranges_as_randint_does():
+    rng = SplitMix64(3)
+    for bad, message in (((1.5, 2), "lo must be an integer, got 1.5"),
+                         ((True, 2), "lo must be an integer, got True"),
+                         ((1, "2"), "hi must be an integer, got '2'"),
+                         ((5, 4), r"empty range \[5, 4\]")):
+        for call in (lambda: rng.randint(*bad), lambda: rng.rational(bad, (1, 2)),
+                     lambda: rng.rational((1, 2), bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +248,40 @@ def test_sweep_is_deterministic():
     assert run_sweep(cfg) == run_sweep(cfg)
 
 
+def test_benchmark_sized_sweep_is_pinned(monkeypatch):
+    # the counts and every drawn class of run_sweep at rank <= 5, as recorded
+    # before the draw loop and the cscK verdict were rewritten
+    drawn = []
+
+    def recorded(coords):
+        drawn.append(",".join(map(str, coords)))
+        return KahlerClass(coords)
+
+    monkeypatch.setattr(flagtke.sweep, "KahlerClass", recorded)
+    res = run_sweep(SweepConfig(max_rank=5, samples_per_flag=10, seed=7))
+    assert (res.flags, res.samples, res.checks_run, res.failures) == (233, 2330, 9553, ())
+    assert len(drawn) == 2330
+    assert hashlib.sha256("\n".join(drawn).encode()).hexdigest() == (
+        "2b5e847b7dcdaf1b12206e0f9561f9e38633ebd9301be089d1deeba8902cc1b2")
+
+
+@pytest.mark.parametrize("s, t, ok", [
+    (Fraction(4, 3), Fraction(1, 3), True),
+    (Fraction(-2, 7), Fraction(-9, 7), True),
+    (3, 2, True),
+    (Fraction(4, 5), Fraction(1, 3), False),
+    (Fraction(5, 3), Fraction(1, 3), False),
+    (Fraction(3), Fraction(3, 2), False),
+    (Fraction(1, 2), Fraction(1, 2), False),
+])
+def test_csck_verdict_is_s_minus_trace_equals_dim(monkeypatch, s, t, ok):
+    monkeypatch.setattr(flagtke.sweep, "scalar_curvature", lambda p, omega: s)
+    monkeypatch.setattr(flagtke.sweep, "trace", lambda p, omega, beta: t)
+    res = run_sweep(SweepConfig(max_rank=1, samples_per_flag=1, checks=("cscK",)))  # A1: dim 1
+    expected = [] if ok else [f"S - trace = {s - t}, dim = 1"]
+    assert [f.detail for f in res.failures] == expected
+
+
 def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
     # break every check, then run each printed reproducer through the CLI
     real_bound = flagtke.sweep.volume_bound_report
@@ -192,6 +309,11 @@ def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
     for f in res.failures:
         argv = shlex.split(f.reproducer)
         assert argv[:2] == ["flagtke", command[f.check]], f.reproducer
+        if f.check == "cscK":  # S is broken to 0, so the gap is -T
+            p = parabolic(argv[2], tuple(int(i) for i in argv[4].split(",") if i))
+            xi = KahlerClass(Fraction(c) for c in argv[6].split(","))
+            t = trace(p, xi, tke_solve_from_kahler(p, xi).beta)
+            assert f.detail == f"S - trace = {-t}, dim = {p.dim}"
         assert main(argv[1:]) == 0, f.reproducer
         capsys.readouterr()
     full = [f.reproducer for f in res.failures if f.flag.startswith("A1/")]
