@@ -111,6 +111,8 @@ def _rational(tok: str) -> Fraction:
         raise OverflowError(
             f"rational {tok!r} has exponent {int(exponent.group(1))}; the CLI accepts "
             f"exponents from -{MAX_RATIONAL_EXPONENT} to {MAX_RATIONAL_EXPONENT}")
+    if not tok.isascii() or "_" in tok:  # Fraction reads "1_0" from CPython 3.11 on
+        raise ValueError(tok)
     return Fraction(tok)
 
 

@@ -12,11 +12,13 @@ we compute, exactly:
 * the anticanonical degree, via the classical product formula over the
   radical roots, with integrality enforced rather than assumed.
 
-Construction is integer arithmetic throughout (integer coroot forms from
-`rootsys`, support bitmasks, one exact big-integer division for the
-degree); `fractions.Fraction` appears only in the classes of the public
-API.  A class takes exact coordinates only (`int`, `Fraction`, `str`)
-and keeps them as `Fraction`s.
+Construction is integer arithmetic throughout: the radical selector,
+the Weyl vector's pairings and every class's pairings come from the one
+pass over the root system's raising steps (`RootSystem._coroot_pairings`),
+delta_P pairs through the integer coroot forms of `rootsys`, and the
+degree is one exact big-integer division; `fractions.Fraction` appears
+only in the classes of the public API.  A class takes exact coordinates
+only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s.
 
 A `ParabolicData` pays once for each class argument: its memo (see
 `ParabolicData._entry`) keeps one `_Entry` per argument, which holds
@@ -104,6 +106,8 @@ def _exact_coordinate(i: int, value: object) -> Fraction:
         raise ValueError(f"class coordinate {i} is {value!r}, a {type(value).__name__}: "
                          "coordinates must be int, Fraction or str")
     try:
+        if isinstance(value, str) and (not value.isascii() or "_" in value):
+            raise ValueError(value)  # Fraction reads "1_0" from CPython 3.11 on
         return Fraction(value)
     except (ValueError, ZeroDivisionError):  # a str that is not a rational number
         raise ValueError(f"class coordinate {i} is {value!r}, not a rational number") from None
@@ -342,22 +346,11 @@ class ParabolicData(_Record):
 
     def _pairings(self, form: tuple[int, ...]) -> tuple[int, ...]:
         """The radical pairings of the class of integer form ``form`` =
-        ``(den, *nums)``, over den: one forward pass of additions over the
-        root system's raising steps (see `rootsys`), with no dot product
-        per root.  The numerators are lifted onto node indices, 0 at a
-        theta node; every positive coroot pairs as its parent coroot does
-        plus the step times the numerator at the raising node (so a Levi
-        coroot pairs to 0), and the radical selector keeps the radical
-        pairings.
+        ``(den, *nums)``, over den: the numerators on the complement
+        nodes, paired by `RootSystem._coroot_pairings`, and the radical
+        selector keeps the radical pairings.
         """
-        w = [0] * (self.rs.rank + 1)
-        for node, num in zip(self.complement, form[1:]):
-            w[node] = num
-        pairs = [0]
-        append = pairs.append
-        for parent, node, step in self.rs.raising_steps:
-            append(pairs[parent] + step * w[node])
-        del pairs[0]
+        pairs = self.rs._coroot_pairings(self.complement, form[1:])
         return tuple(compress(pairs, self._is_radical))
 
     def describe(self) -> str:
@@ -404,9 +397,11 @@ def parabolic(
             "the quotient is a point, not a flag variety"
         )
 
-    # A root lies in the Levi part iff its support avoids the complement.
-    theta_mask = sum(1 << (i - 1) for i in th)
-    is_radical = [bool(mask & ~theta_mask) for mask in rs.support_masks]
+    # A root is radical iff its support meets the complement, iff its
+    # coroot pairs positively with the sum of the complement's fundamental
+    # weights.
+    ones = [1] * rs.rank
+    is_radical = [n > 0 for n in rs._coroot_pairings(comp, ones)]
     radical = tuple(compress(rs.positive_roots, is_radical))
     forms = tuple(compress(rs.coroot_forms, is_radical))
 
@@ -435,7 +430,8 @@ def parabolic(
     comp_forms = tuple(tuple(f[i - 1] for i in comp) for f in forms)
     delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
     delta_product = math.prod(delta_pairings)
-    rho_product = math.prod(sum(f) for f in forms)
+    heights = rs._coroot_pairings(range(1, rs.rank + 1), ones)  # <rho, coroot(g)>
+    rho_product = math.prod(compress(heights, is_radical))
 
     # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as one
     # exact division of big integers that must leave a positive quotient

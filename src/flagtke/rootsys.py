@@ -13,9 +13,9 @@ its coroot form v to v + step * e_i, so it also keeps, per root, that
 raising step: (parent, node, step), the parent stored as 1 + its index
 and a simple root's as 0.  Parents come first in the stored order, so
 the pairings <lam, coroot(g)> of one weight with every positive coroot
-are a single forward pass of additions from P = [0],
-P.append(P[parent] + step * lam[node]), with no dot product per root;
-`flag` pairs every class that way, over these steps themselves.
+are a single forward pass of additions over these steps,
+`RootSystem._coroot_pairings`.  `flag` pairs through that one pass
+alone: every class, the radical selector and the Weyl vector's pairings.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -311,39 +311,59 @@ def _positive_roots(
 class RootSystem(_Record):
     """Immutable root-system data for one simple type.
 
-    ``coroot_forms``, ``raising_steps`` and ``support_masks`` run
-    parallel to ``positive_roots`` and stay out of the repr: the coroot
-    form of each root, i.e. its coroot in simple-coroot coordinates, so
-    that <lam, coroot(g)> = sum_i lam_i * form[i]; its raising step
+    ``coroot_forms`` and ``raising_steps`` run parallel to
+    ``positive_roots`` and stay out of the repr: the coroot form of each
+    root, i.e. its coroot in simple-coroot coordinates, so that
+    <lam, coroot(g)> = sum_i lam_i * form[i]; and its raising step
     ``(parent, node, step)``, which says that the form is the form of
     root number ``parent - 1`` (an earlier one; ``parent`` 0 stands for
     the zero form of no root, the parent of a simple root) plus ``step``
-    at the 1-based ``node``; and its support as a bitmask (bit i-1 set iff
-    alpha_i occurs in g).
+    at the 1-based ``node``.  The steps alone pair a weight with every
+    positive coroot (`_coroot_pairings`); `flag` finds a flag's radical
+    roots, the Weyl vector's pairings and every class's pairings there.
     """
 
     __slots__ = (
         "lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps",
-        "support_masks",
     )
-    _hidden = ("coroot_forms", "raising_steps", "support_masks")
+    _hidden = ("coroot_forms", "raising_steps")
 
     def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
                  symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...],
                  coroot_forms: tuple[tuple[int, ...], ...],
-                 raising_steps: tuple[tuple[int, int, int], ...],
-                 support_masks: tuple[int, ...]) -> None:
+                 raising_steps: tuple[tuple[int, int, int], ...]) -> None:
         _setattr(self, "lie_type", lie_type)
         _setattr(self, "cartan", cartan)
         _setattr(self, "symmetrizer", symmetrizer)
         _setattr(self, "positive_roots", positive_roots)
         _setattr(self, "coroot_forms", coroot_forms)
         _setattr(self, "raising_steps", raising_steps)
-        _setattr(self, "support_masks", support_masks)
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
+
+    def _coroot_pairings(self, nodes: Iterable[int], values: Iterable[int]) -> list[int]:
+        """<lam, coroot(g)> for every positive root g, in order, where the
+        weight lam has the entries of ``values`` as its fundamental-weight
+        coordinates at the 1-based ``nodes`` and 0 elsewhere.
+
+        One forward pass of additions over ``raising_steps``, with no dot
+        product per root: starting from the zero form's pairing 0, every
+        positive coroot pairs as its parent coroot does plus the step
+        times lam at the raising node.  A coroot form has the support of
+        its root, so with ``values`` positive a coroot pairs to 0 exactly
+        when its root avoids ``nodes``.
+        """
+        lam = [0] * (self.rank + 1)
+        for node, value in zip(nodes, values):
+            lam[node] = value
+        pairs = [0]
+        append = pairs.append
+        for parent, node, step in self.raising_steps:
+            append(pairs[parent] + step * lam[node])
+        del pairs[0]
+        return pairs
 
     def maximal_root(self) -> Root:
         """The unique positive root dominating all others coefficientwise."""
@@ -366,9 +386,6 @@ def _construct(lie_type: LieType | str) -> RootSystem:
         positive_roots=positives,
         coroot_forms=forms,
         raising_steps=steps,
-        support_masks=tuple(
-            sum(1 << i for i, c in enumerate(r.coeffs) if c) for r in positives
-        ),
     )
 
 

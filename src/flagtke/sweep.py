@@ -52,11 +52,14 @@ def _seed(value: object) -> int:
 
 
 def _range(lo: object, hi: object) -> tuple[int, int]:
-    """``lo`` and ``hi`` as integers (`rootsys._integer`) with lo <= hi."""
+    """``lo`` and ``hi`` as integers (`rootsys._integer`) with lo <= hi,
+    holding at most 2**64 values, so that `_limit` of the span is not 0."""
     lo = _integer("lo", lo)
     hi = _integer("hi", hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    if hi - lo > _MASK:
+        raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 values")
     return lo, hi
 
 

@@ -592,6 +592,25 @@ def test_oversized_rational_tokens_are_one_line_usage_errors(capsys, monkeypatch
     assert "Traceback" not in err and "sys." not in err and "4300" not in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "token"),
+    [
+        (("grlb", "A1", "--theta", "", "--xi", "1_0"), "1_0"),
+        (("grlb", "A1", "--theta", "", "--xi", "\u0663"), "\u0663"),
+        (("volume", "A2", "--theta", "", "--xi", "1,\uff12/3"), "1,\uff12/3"),
+        (("tke", "A1", "--theta", "", "--beta", "1_000/3"), "1_000/3"),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "underscored-beta"],
+)
+def test_rational_tokens_read_alike_on_every_interpreter(capsys, argv, token):
+    # Fraction reads "1_0" from CPython 3.11 on, and non-ASCII digits on
+    # every version; the CLI takes neither, on any version
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.endswith(f"expected comma-separated rationals like 2,5/3, got {token!r}\n")
+
+
 def test_rational_tokens_at_the_bounds_are_accepted(capsys):
     from flagtke.cli import MAX_RATIONAL_CHARS, MAX_RATIONAL_EXPONENT
 

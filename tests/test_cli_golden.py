@@ -7,12 +7,14 @@ on a commit whose answers were known good.  ``cli_golden_extra.json``
 ``--units 2pi|raw`` x ``--digits 3|12`` in text and JSON, ``--complement``,
 ``--out``, every ``table`` family, the usage and validation errors, each
 ``--help``, a failing sweep, answers past CPython's 4300-digit string
-limit, and rational tokens and ``--digits`` values past the input
-bounds; each entry holds the exit code, the stdout sha256, the stderr
-text and the sha256 of the ``--out`` file.  Running the same commands
-in-process through ``main``, by the replays of ``replay_golden.py``, must
-reproduce every one of them exactly, so a refactor that changes any
-printed answer, rendering, message or JSON layout fails here.  Every
+limit, rational tokens and ``--digits`` values past the input bounds,
+and rational spellings that some CPython's `Fraction` reads but the CLI
+refuses (``1_0``, non-ASCII digits); each entry holds the exit code, the
+stdout sha256, the stderr text and the sha256 of the ``--out`` file.
+Running the same commands in-process through ``main``, by the replays of
+``replay_golden.py``, must reproduce every one of them exactly, so a
+refactor that changes any printed answer, rendering, message or JSON
+layout fails here.  Every
 JSON envelope printed on the way must also validate against the schema.
 The same replays must also pass under every other CPython >= 3.10 on
 PATH, so that no printed byte depends on the interpreter.
@@ -55,7 +57,7 @@ def test_golden_cli_outputs_are_byte_identical(validator):
 
 
 def test_extra_golden_cli_outputs_are_byte_identical(validator):
-    assert _replay(replay_extra, validator) == (254, [], [])
+    assert _replay(replay_extra, validator) == (256, [], [])
 
 
 # Prints "yes" on a CPython >= 3.10, then its full version string.

@@ -242,6 +242,23 @@ def test_raising_step_pairings_of_koszul_are_the_delta_pairings():
     assert count == 2458
 
 
+def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
+    # the selector, read off the kernel's pass with 1 on each complement
+    # node, against the supports of the oracle (a root is radical iff its
+    # support meets the complement), and the rho product, read off the
+    # pass with 1 on every node, against the sums of the coroot forms
+    count = 0
+    for t, theta in flags_up_to_rank(8):
+        p = parabolic(t, theta)
+        comp = set(p.complement)
+        assert p._is_radical == tuple(bool(oracle.support(r.coeffs) & comp)
+                                      for r in p.rs.positive_roots), p.describe()
+        forms = compress(p.rs.coroot_forms, p._is_radical)
+        assert p._rho_product == math.prod(sum(f) for f in forms), p.describe()
+        count += 1
+    assert count == 2458
+
+
 def test_radical_selector_is_a_hidden_field():
     # _is_radical, one bool per positive root that picks the radical
     # pairings out of a pass, is derived from (rs, theta): out of the repr,

@@ -158,6 +158,19 @@ def test_a_malformed_string_coordinate_is_named(bad):
         CohomologyClass((bad,))
 
 
+@pytest.mark.parametrize("bad", ("1_0", "1_000/3", "\u0663", "\u0661/\u0662", "\uff17"))
+def test_a_string_coordinate_reads_alike_on_every_interpreter(bad):
+    # Fraction reads "1_0" from CPython 3.11 on, and non-ASCII digits on
+    # every version; a coordinate takes neither, as node lists and
+    # integer options do not
+    message = f"class coordinate 1 is {bad!r}, not a rational number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grlb(parabolic("A1", ()), (bad,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CohomologyClass((bad,))
+    assert CohomologyClass((" 3/2 ", "-1e2", "7")).coords == (Fraction(3, 2), -100, 7)
+
+
 def test_exact_coordinates_of_every_accepted_kind_become_fractions():
     class Half(Fraction):
         pass

@@ -22,6 +22,9 @@ def test_every_exported_name_resolves_and_appears_once():
     assert not hasattr(flagtke.rootsys, "Weight") and not hasattr(flagtke, "Weight")
     # coroot forms come out of the root closure; no rational route builds them
     assert not hasattr(flagtke.rootsys, "coroot_form") and not hasattr(flagtke, "coroot_form")
+    # supports are read off the raising-step pass; no bitmask is stored
+    rs_type = flagtke.rootsys.RootSystem
+    assert not hasattr(rs_type, "support_masks") and "support_masks" not in rs_type._fields
     # the catalog rows live in `catalog` alone, and the flag report type is gone
     assert "families" not in names and importlib.util.find_spec("flagtke.families") is None
     for name in ("flag_report", "FlagReport"):

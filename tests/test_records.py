@@ -62,7 +62,7 @@ RECORDS = {
     ),
     RootSystem: (
         ("lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms",
-         "raising_steps", "support_masks"),
+         "raising_steps"),
         lambda: build_root_system.__wrapped__("A1"),
         lambda: build_root_system.__wrapped__("A2"),
         "RootSystem(lie_type=LieType(series='A', rank=1), cartan=((2,),), "

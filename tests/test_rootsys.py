@@ -1,5 +1,6 @@
 """Root systems: construction, counts, pairings, maximal roots."""
 
+import operator
 import re
 from fractions import Fraction
 
@@ -279,7 +280,7 @@ def test_pairing_linear_in_weight(t, a, b, data):
 def test_symmetrizer_rescaling_leaves_pairings_unchanged(t, scale):
     rs = build_root_system(t)
     scaled = RootSystem(rs.lie_type, rs.cartan, tuple(scale * d for d in rs.symmetrizer),
-                        rs.positive_roots, rs.coroot_forms, rs.raising_steps, rs.support_masks)
+                        rs.positive_roots, rs.coroot_forms, rs.raising_steps)
     for i in range(1, rs.rank + 1):
         lam = oracle.unit(rs.rank, i)
         assert oracle.pairings(scaled, lam, rs.positive_roots) == oracle.pairings(
@@ -291,17 +292,14 @@ def test_stored_coroot_forms_are_ints_equal_to_fraction_route():
     for t in all_types(8) + [LieType(series, 12) for series in "BCD"]:
         rs = build_root_system(t)
         m = rs.rank
-        assert len(rs.coroot_forms) == len(rs.support_masks) == len(rs.positive_roots)
+        assert len(rs.coroot_forms) == len(rs.positive_roots)
         # form[i-1] = <omega_i, coroot(r)>, by the oracle's own route
         columns = [oracle.pairings(rs, oracle.unit(m, i), rs.positive_roots)
                    for i in range(1, m + 1)]
         expected = list(zip(*columns))
-        for k, (r, form, mask) in enumerate(
-            zip(rs.positive_roots, rs.coroot_forms, rs.support_masks)
-        ):
+        for k, (r, form) in enumerate(zip(rs.positive_roots, rs.coroot_forms)):
             assert all(type(v) is int for v in form), (t, r)
             assert form == expected[k], (t, r)
-            assert mask == sum(1 << (i - 1) for i in oracle.support(r.coeffs)), (t, r)
 
 
 def test_raising_steps_rebuild_every_coroot_form():
@@ -323,6 +321,27 @@ def test_raising_steps_rebuild_every_coroot_form():
             assert rise[node - 1] > 0 and rise.count(0) == m - 1, (t, k)
         simple = sorted(s for s in rs.raising_steps if s[0] == 0)
         assert simple == [(0, i, 1) for i in range(1, m + 1)], t
+
+
+def test_coroot_pairings_are_dot_products_with_the_coroot_forms():
+    # the one pass over the raising steps against sum_i lam_i * form[i],
+    # for unit weights, rho, a seeded signed weight on every node and one
+    # on a seeded subset of the nodes (0 elsewhere)
+    rng = SplitMix64(1931)
+    for t in all_types(8) + [LieType("A", 32)]:
+        rs = build_root_system(t)
+        m = rs.rank
+        nodes = range(1, m + 1)
+        subset = [i for i in nodes if rng.randint(0, 1)]
+        cases = [((i,), (1,)) for i in nodes] + [(nodes, [1] * m)]
+        cases += [(on, [rng.randint(-9, 9) for _ in on]) for on in (nodes, subset)]
+        for on, values in cases:
+            lam = [0] * m
+            for node, value in zip(on, values):
+                lam[node - 1] = value
+            got = rs._coroot_pairings(on, values)
+            assert all(type(v) is int for v in got), (t, on)
+            assert got == [sum(map(operator.mul, lam, f)) for f in rs.coroot_forms], (t, on)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,33 @@ def test_rational_checks_its_ranges_as_randint_does():
                 call()
 
 
+def test_ranges_of_more_than_2_64_values_raise_at_once():
+    # such a span leaves no draw below the rejection limit, so drawing
+    # from it would never return; nothing is drawn before the raise
+    rng = SplitMix64(0)
+    wide = ((0, 2**64), (-(2**63), 2**63), (5, 5 + 2**70))
+    for bad in wide:
+        message = rf"range \[{bad[0]}, {bad[1]}\] holds more than 2\*\*64 values"
+        for call in (lambda: rng.randint(*bad), lambda: rng.rational(bad, (1, 2)),
+                     lambda: rng.rational((1, 2), bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    with pytest.raises(ValueError, match="more than 2"):
+        rng.rational((1, 2), (1, 2**64 + 1))
+    assert rng.next_u64() == SplitMix64(0).next_u64()
+
+
+def test_a_range_of_exactly_2_64_values_still_draws():
+    # every output is below the limit 2**64, so each draw is one output
+    for seed in (0, 1, 2**64 - 1):
+        ref, rng = SplitMix64(seed), SplitMix64(seed)
+        assert rng.randint(0, 2**64 - 1) == ref.next_u64()
+        assert rng.randint(-(2**63), 2**63 - 1) == ref.next_u64() - 2**63
+        num, den = ref.next_u64(), ref.next_u64()
+        assert rng.rational((0, 2**64 - 1), (1, 2**64)) == Fraction(num, den + 1)
+        assert rng.next_u64() == ref.next_u64()
+
+
 # ---------------------------------------------------------------------------
 # flag enumeration
 
