@@ -154,26 +154,25 @@ class _Entry:
       of the coordinate denominators and coordinate i is n_i / den;
     * ``nums``, its radical pairings over den, from the flag's pairing
       pass ``pair``, run once when the entry is made;
-    * filled on first use: ``product``, the product of ``nums``;
-      ``weights`` or ``tree``, what `ratio_sum` sums against (a Kahler
-      class only); and ``volume``, the value `invariants.volume_class`
-      built.
+    * filled on first use: ``weights`` or ``tree``, what `ratio_sum`
+      sums against (a Kahler class only); and ``volume``, the value
+      `invariants.volume_class` built.
 
     Sums of reciprocal pairings take one of two routes.  Below
     `PRODUCT_TREE_MIN` pairings ``weights`` is (lcm of ``nums``,
-    ``lcm // n`` for each pairing n), a sum is one integer dot product,
-    and ``product`` is one `math.prod`.  From `PRODUCT_TREE_MIN` on,
-    where that lcm and its divisions cost work quadratic in the
-    dimension, ``tree`` is the levels of the product tree of ``nums``,
-    from ``nums`` up to its product (each level the pairwise products of
-    the one below, an odd last element carried up unchanged); a sum
-    folds its numerators up the tree with no lcm and no division, and
-    ``product`` is the tree's root, so the volume builds the tree the
+    ``lcm // n`` for each pairing n), and a sum is one integer dot
+    product.  From `PRODUCT_TREE_MIN` on, where that lcm and its
+    divisions cost work quadratic in the dimension, ``tree`` is the
+    levels of the product tree of ``nums``, from ``nums`` up to its
+    product (each level the pairwise products of the one below, an odd
+    last element carried up unchanged); a sum folds its numerators up
+    the tree with no lcm and no division, and the volume takes the
+    tree's root as the product of ``nums``, so it builds the tree the
     sums read.  Each field is filled by one attribute store, so a thread
     never reads half of it.  The entry keeps no reference to the flag.
     """
 
-    __slots__ = ("arg", "cls", "form", "nums", "weights", "tree", "product", "volume")
+    __slots__ = ("arg", "cls", "form", "nums", "weights", "tree", "volume")
 
     def __init__(self, arg: object, cls: CohomologyClass,
                  pair: Callable[[tuple[int, ...]], tuple[int, ...]]) -> None:
@@ -186,7 +185,6 @@ class _Entry:
         self.nums = pair(self.form)
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
-        self.product: int | None = None
         self.volume: Fraction | None = None
 
     def tree_levels(self) -> tuple[tuple[int, ...], ...]:
@@ -199,13 +197,6 @@ class _Entry:
                 levels.append(nums)
             self.tree = tuple(levels)
         return self.tree
-
-    def nums_product(self) -> int:
-        """``product``, worked out on the first call."""
-        if self.product is None:
-            self.product = (self.tree_levels()[-1][0] if len(self.nums) >= PRODUCT_TREE_MIN
-                            else math.prod(self.nums))
-        return self.product
 
     def ratio_sum(self, b_nums: Sequence[int], b_den: int) -> Fraction:
         """sum_k (b_nums[k]/b_den) / (nums[k]/den), for a Kahler class,
@@ -231,45 +222,93 @@ class _Entry:
 
 
 class ParabolicData(_Record):
-    """Root-theoretic data of one parabolic quotient G/P.
+    """Root-theoretic data of one parabolic quotient G/P, derived from
+    its two fields: the root system ``rs`` and the Levi set ``theta``.
 
-    The trailing private fields, left out of the repr, are derived from
-    the public ones: the integer pairings of delta_p with every radical
-    coroot, their product and the product of the Weyl vector's pairings
-    with the radical coroots (the two sides of the degree formula), the
-    degree, and the radical selector, one bool per positive root,
-    ``True`` where it is radical.  They exist so that the volume and
-    trace formulas of downstream modules read integers built once per
-    flag instead of repeated root-system lookups and products.
+    ``theta`` is checked and normalized as `parabolic` does (integer
+    nodes in range, sorted, each once), and a theta that covers every
+    simple root is refused.  The rest is derived here, once per flag:
+    the complement, the radical roots, delta_P and the koszul numbers;
+    and, in private slots, the integer pairings of delta_P with every
+    radical coroot, their product and the product of the Weyl vector's
+    pairings with the radical coroots (the two sides of the degree
+    formula), the degree, and the radical selector, one bool per
+    positive root, ``True`` where it is radical.  They exist so that the
+    volume and trace formulas of downstream modules read integers built
+    once per flag instead of repeated root-system lookups and products.
 
-    One slot, ``_memo`` (see `_entry`), is not a field, so it takes no
-    part in the constructor, equality, hashing, repr, pickle or copy, and
-    a copy starts it empty.
+    One further slot, ``_memo`` (see `_entry`), starts empty on every
+    flag, a copy included.
     """
 
-    _fields = (
-        "rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
-        "_delta_pairings", "_delta_product", "_rho_product", "_degree", "_is_radical",
-    )
-    __slots__ = (*_fields, "_memo")
-    _hidden = tuple(name for name in _fields if name.startswith("_"))
+    _fields = ("rs", "theta")
+    __slots__ = (*_fields, "complement", "radical_roots", "delta_p", "koszul",
+                 "_delta_pairings", "_delta_product", "_rho_product", "_degree",
+                 "_is_radical", "_memo")
 
-    def __init__(self, rs: RootSystem, theta: tuple[int, ...], complement: tuple[int, ...],
-                 radical_roots: tuple[Root, ...], delta_p: Root, koszul: tuple[int, ...],
-                 _delta_pairings: tuple[int, ...], _delta_product: int, _rho_product: int,
-                 _degree: int, _is_radical: tuple[bool, ...]) -> None:
+    def __init__(self, rs: RootSystem, theta: Iterable[int]) -> None:
+        theta = _normalize_indices(rs, theta, "theta")
+        comp = tuple(i for i in range(1, rs.rank + 1) if i not in theta)
+        if not comp:
+            raise ValueError(
+                f"theta covers every simple root of {rs.lie_type}: "
+                "the quotient is a point, not a flag variety"
+            )
         _setattr(self, "rs", rs)
         _setattr(self, "theta", theta)
-        _setattr(self, "complement", complement)
-        _setattr(self, "radical_roots", radical_roots)
-        _setattr(self, "delta_p", delta_p)
-        _setattr(self, "koszul", koszul)
-        _setattr(self, "_delta_pairings", _delta_pairings)
-        _setattr(self, "_delta_product", _delta_product)
-        _setattr(self, "_rho_product", _rho_product)
-        _setattr(self, "_degree", _degree)
-        _setattr(self, "_is_radical", _is_radical)
+        _setattr(self, "complement", comp)
+
+        # A root is radical iff its support meets the complement, iff its
+        # coroot pairs positively with the sum of the complement's
+        # fundamental weights.
+        is_radical = tuple(n > 0 for n in rs._coroot_pairings(comp, [1] * len(comp)))
+        radical = tuple(compress(rs.positive_roots, is_radical))
+        delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
+
+        # Anticanonical pairings: zero exactly on theta, strictly positive
+        # on the complement.  A cheap sanity net, so enforced on every
+        # flag rather than in tests only.
+        koszul: list[int] = []
+        for i in range(1, rs.rank + 1):
+            n = sum(d * row[i - 1] for d, row in zip(delta, rs.cartan))
+            if i in theta:
+                if n != 0:
+                    raise RuntimeError(
+                        f"anticanonical pairing at Levi node {i} is {n}, expected 0"
+                    )
+            else:
+                if n <= 0:
+                    raise RuntimeError(
+                        f"anticanonical pairing at complement node {i} is {n}, expected > 0"
+                    )
+                koszul.append(n)
+
+        koszul_t = tuple(koszul)
+        comp_forms = (tuple(f[i - 1] for i in comp)
+                      for f in compress(rs.coroot_forms, is_radical))
+        delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
+        delta_product = math.prod(delta_pairings)
+        rho_product = math.prod(compress(rs._heights, is_radical))
+        _setattr(self, "radical_roots", radical)
+        _setattr(self, "delta_p", Root(delta))
+        _setattr(self, "koszul", koszul_t)
+        _setattr(self, "_delta_pairings", delta_pairings)
+        _setattr(self, "_delta_product", delta_product)
+        _setattr(self, "_rho_product", rho_product)
+        _setattr(self, "_is_radical", is_radical)
         _setattr(self, "_memo", OrderedDict())
+
+        # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as
+        # one exact division of big integers that must leave a positive
+        # quotient and no remainder.
+        num = math.factorial(len(radical)) * delta_product
+        deg, rem = divmod(num, rho_product)
+        if rem or deg <= 0:
+            raise RuntimeError(
+                f"anticanonical degree of {self.describe()} is {Fraction(num, rho_product)}, "
+                "not a positive integer"
+            )
+        _setattr(self, "_degree", deg)
 
     @property
     def lie_type(self) -> LieType:
@@ -376,87 +415,26 @@ def parabolic(
     *,
     complement: Iterable[int] | None = None,
 ) -> ParabolicData:
-    """Build parabolic data from a Levi set theta (or its complement).
+    """The flag of a simple type and a Levi set theta (or its complement):
+    ``ParabolicData(build_root_system(lie_type), theta)``.
 
     Exactly one of theta / complement may be given; theta=() is the full
-    flag variety (Borel case).  theta equal to the whole simple set is
-    rejected: the quotient would be a point, not a flag variety.
+    flag variety (Borel case).  theta equal to the whole simple set, or
+    an empty complement, is rejected: the quotient would be a point, not
+    a flag variety.
     """
     rs = build_root_system(lie_type)
     if complement is not None:
         if theta is not None:
             raise ValueError("give either theta or complement, not both")
         comp = _normalize_indices(rs, complement, "complement")
-        th = tuple(i for i in range(1, rs.rank + 1) if i not in comp)
-    else:
-        th = _normalize_indices(rs, theta if theta is not None else (), "theta")
-        comp = tuple(i for i in range(1, rs.rank + 1) if i not in th)
-    if not comp:
-        raise ValueError(
-            f"theta covers every simple root of {rs.lie_type}: "
-            "the quotient is a point, not a flag variety"
-        )
-
-    # A root is radical iff its support meets the complement, iff its
-    # coroot pairs positively with the sum of the complement's fundamental
-    # weights.
-    ones = [1] * rs.rank
-    is_radical = [n > 0 for n in rs._coroot_pairings(comp, ones)]
-    radical = tuple(compress(rs.positive_roots, is_radical))
-    forms = tuple(compress(rs.coroot_forms, is_radical))
-
-    delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
-    delta_p = Root(delta)
-
-    # Anticanonical pairings: zero exactly on theta, strictly positive on
-    # the complement.  Cheap sanity net over every construction path, so
-    # enforced here rather than in tests only.
-    koszul: list[int] = []
-    for i in range(1, rs.rank + 1):
-        n = sum(d * row[i - 1] for d, row in zip(delta, rs.cartan))
-        if i in th:
-            if n != 0:
-                raise RuntimeError(
-                    f"anticanonical pairing at Levi node {i} is {n}, expected 0"
-                )
-        else:
-            if n <= 0:
-                raise RuntimeError(
-                    f"anticanonical pairing at complement node {i} is {n}, expected > 0"
-                )
-            koszul.append(n)
-
-    koszul_t = tuple(koszul)
-    comp_forms = tuple(tuple(f[i - 1] for i in comp) for f in forms)
-    delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
-    delta_product = math.prod(delta_pairings)
-    heights = rs._coroot_pairings(range(1, rs.rank + 1), ones)  # <rho, coroot(g)>
-    rho_product = math.prod(compress(heights, is_radical))
-
-    # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as one
-    # exact division of big integers that must leave a positive quotient
-    # and no remainder.
-    num = math.factorial(len(radical)) * delta_product
-    deg, rem = divmod(num, rho_product)
-    p = ParabolicData(
-        rs=rs,
-        theta=th,
-        complement=comp,
-        radical_roots=radical,
-        delta_p=delta_p,
-        koszul=koszul_t,
-        _delta_pairings=delta_pairings,
-        _delta_product=delta_product,
-        _rho_product=rho_product,
-        _degree=deg,
-        _is_radical=tuple(is_radical),
-    )
-    if rem or deg <= 0:
-        raise RuntimeError(
-            f"anticanonical degree of {p.describe()} is {Fraction(num, rho_product)}, "
-            "not a positive integer"
-        )
-    return p
+        if not comp:
+            raise ValueError(
+                f"complement is empty for {rs.lie_type}: "
+                "the quotient is a point, not a flag variety"
+            )
+        theta = (i for i in range(1, rs.rank + 1) if i not in comp)
+    return ParabolicData(rs, () if theta is None else theta)
 
 
 def degree(p: ParabolicData) -> int:

@@ -27,9 +27,9 @@ positive), and works on the entry it returns: the flag's memo entry of
 that argument, which holds its integer form, its pairings and what is
 built from them (see `flag._Entry`).  `volume_bound_report` calls
 `grlb_report` and `volume_class`, so a remembered argument costs it two
-memo hits.  `volume_cross_check` never reads the kept volume or the kept
-product of the pairings: it is the independent route, and multiplies
-the pairings out itself.
+memo hits.  `volume_cross_check` never reads the kept volume or the
+product tree of the pairings: it is the independent route, and
+multiplies the pairings out itself.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import flag
 from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
 from .rootsys import _Record, _setattr
 
@@ -187,12 +188,15 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     equals the anticanonical degree: degree * prod over radical roots of
     <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
     entry of xi, so asking again for a remembered class builds nothing.
+    The product of the pairings is the root of the entry's product tree
+    from `flag.PRODUCT_TREE_MIN` pairings on, one `math.prod` below.
     """
     entry = p._entry(xi, "Kahler class", positive=True)
     if entry.volume is None:
-        entry.volume = Fraction(
-            degree(p) * entry.nums_product(), entry.form[0]**p.dim * p._delta_product
-        )
+        nums = entry.nums
+        product = (entry.tree_levels()[-1][0] if len(nums) >= flag.PRODUCT_TREE_MIN
+                   else math.prod(nums))
+        entry.volume = Fraction(degree(p) * product, entry.form[0]**p.dim * p._delta_product)
     return entry.volume
 
 
@@ -200,8 +204,8 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     """Second volume route: n! * prod of <xi, coroot(g)> / <rho, coroot(g)>.
 
     Algebraically equal to volume_class, but evaluated without ever
-    touching the degree, delta_P, or the volume and the product of the
-    pairings that `volume_class` keeps in the memo, so the two routes
+    touching the degree, delta_P, or the volume and the product tree of
+    the pairings that `volume_class` keeps in the memo, so the two routes
     check each other.
     """
     entry = p._entry(xi, "Kahler class", positive=True)

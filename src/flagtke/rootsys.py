@@ -15,7 +15,8 @@ and a simple root's as 0.  Parents come first in the stored order, so
 the pairings <lam, coroot(g)> of one weight with every positive coroot
 are a single forward pass of additions over these steps,
 `RootSystem._coroot_pairings`.  `flag` pairs through that one pass
-alone: every class, the radical selector and the Weyl vector's pairings.
+alone: every class and the radical selector; the Weyl vector's pairings
+are the pass with 1 on every node, run once per type.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -56,22 +57,22 @@ _setattr = object.__setattr__
 class _Record:
     """Base of the package's immutable record types.
 
-    A subclass lists its fields in ``__slots__`` (or, when it keeps
-    private state in further slots, in ``_fields``), takes them in that
-    order in its ``__init__`` and stores them there with ``_setattr``;
-    a subclass with ``__slots__ = ()`` inherits its parent's fields.  The
-    base then gives what a frozen dataclass would, without generating
-    code at import: equality and hashing by the fields, against records
-    of the very same type only; the repr ``Name(field=value, ...)``,
-    leaving out the fields named in ``_hidden``; `AttributeError` on
-    assignment and deletion; and a ``__reduce__`` that rebuilds the
-    record through its constructor, for `pickle` and `copy`.
-    ``_fields`` is the field list, as on a named tuple.
+    A record is the arguments that build it.  A subclass lists its fields,
+    the parameters of its ``__init__`` in order, in ``__slots__``, or in
+    ``_fields`` when further slots hold what ``__init__`` derives from
+    them; it stores each with ``_setattr``, and a subclass with
+    ``__slots__ = ()`` inherits its parent's fields.  The base then gives
+    what a frozen dataclass would, without generating code at import:
+    equality and hashing by the fields, against records of the very same
+    type only; the repr ``Name(field=value, ...)``, the constructor call;
+    `AttributeError` on assignment and deletion; and a ``__reduce__``
+    that rebuilds the record by calling its constructor on the fields,
+    for `pickle` and `copy`.  ``_fields`` is the field list, as on a
+    named tuple.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -89,7 +90,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields if n not in self._hidden)
+        shown = (f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -309,35 +310,37 @@ def _positive_roots(
 
 
 class RootSystem(_Record):
-    """Immutable root-system data for one simple type.
+    """Immutable root-system data for one simple type, derived from the
+    type alone: its one field is ``lie_type``.
 
     ``coroot_forms`` and ``raising_steps`` run parallel to
-    ``positive_roots`` and stay out of the repr: the coroot form of each
-    root, i.e. its coroot in simple-coroot coordinates, so that
-    <lam, coroot(g)> = sum_i lam_i * form[i]; and its raising step
-    ``(parent, node, step)``, which says that the form is the form of
-    root number ``parent - 1`` (an earlier one; ``parent`` 0 stands for
-    the zero form of no root, the parent of a simple root) plus ``step``
-    at the 1-based ``node``.  The steps alone pair a weight with every
-    positive coroot (`_coroot_pairings`); `flag` finds a flag's radical
-    roots, the Weyl vector's pairings and every class's pairings there.
+    ``positive_roots``: the coroot form of each root, i.e. its coroot in
+    simple-coroot coordinates, so that <lam, coroot(g)> = sum_i lam_i *
+    form[i]; and its raising step ``(parent, node, step)``, which says
+    that the form is the form of root number ``parent - 1`` (an earlier
+    one; ``parent`` 0 stands for the zero form of no root, the parent of
+    a simple root) plus ``step`` at the 1-based ``node``.  The steps
+    alone pair a weight with every positive coroot (`_coroot_pairings`);
+    `flag` finds a flag's radical roots and every class's pairings there.
+    ``_heights``, also parallel, holds the Weyl vector's pairings
+    <rho, coroot(g)>, the coroot heights: that pass with 1 on every node.
     """
 
-    __slots__ = (
-        "lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps",
-    )
-    _hidden = ("coroot_forms", "raising_steps")
+    _fields = ("lie_type",)
+    __slots__ = (*_fields, "cartan", "symmetrizer", "positive_roots", "coroot_forms",
+                 "raising_steps", "_heights")
 
-    def __init__(self, lie_type: LieType, cartan: tuple[tuple[int, ...], ...],
-                 symmetrizer: tuple[Fraction, ...], positive_roots: tuple[Root, ...],
-                 coroot_forms: tuple[tuple[int, ...], ...],
-                 raising_steps: tuple[tuple[int, int, int], ...]) -> None:
+    def __init__(self, lie_type: LieType) -> None:
+        cartan = _cartan_matrix(lie_type)
+        positives, forms, steps = _positive_roots(cartan)
         _setattr(self, "lie_type", lie_type)
-        _setattr(self, "cartan", cartan)
-        _setattr(self, "symmetrizer", symmetrizer)
-        _setattr(self, "positive_roots", positive_roots)
-        _setattr(self, "coroot_forms", coroot_forms)
-        _setattr(self, "raising_steps", raising_steps)
+        _setattr(self, "cartan", tuple(map(tuple, cartan)))
+        _setattr(self, "symmetrizer", _symmetrizer(cartan))
+        _setattr(self, "positive_roots", positives)
+        _setattr(self, "coroot_forms", forms)
+        _setattr(self, "raising_steps", steps)
+        m = lie_type.rank
+        _setattr(self, "_heights", tuple(self._coroot_pairings(range(1, m + 1), [1] * m)))
 
     @property
     def rank(self) -> int:
@@ -375,18 +378,7 @@ class RootSystem(_Record):
 
 
 def _construct(lie_type: LieType | str) -> RootSystem:
-    t = LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type
-    cartan = _cartan_matrix(t)
-    d = _symmetrizer(cartan)
-    positives, forms, steps = _positive_roots(cartan)
-    return RootSystem(
-        lie_type=t,
-        cartan=tuple(tuple(row) for row in cartan),
-        symmetrizer=d,
-        positive_roots=positives,
-        coroot_forms=forms,
-        raising_steps=steps,
-    )
+    return RootSystem(LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type)
 
 
 _cached = functools.lru_cache(maxsize=None)(_construct)

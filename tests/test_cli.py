@@ -63,6 +63,15 @@ def test_flag_all_nodes_crossed_is_usage_error(capsys):
     assert "point" in err
 
 
+def test_flag_empty_complement_is_usage_error_naming_the_complement(capsys):
+    point = "the quotient is a point, not a flag variety\n"
+    code, out, err = run(capsys, "flag", "A2", "--complement", "")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: complement is empty for A2: " + point)
+    code, out, err = run(capsys, "flag", "A2", "--theta", "1,2")
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "error: theta covers every simple root of A2: " + point)
+
+
 def test_tke_exists_on_p1(capsys):
     code, doc, _ = run_json(capsys, "tke", "A1", "--theta", "", "--beta", "1")
     assert code == EXIT_OK

@@ -19,6 +19,7 @@ from flagtke import (
     parabolic,
     snow_check,
 )
+from flagtke.flag import ParabolicData
 from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
 
 # the six flags of the `classes` benchmark workload
@@ -74,6 +75,30 @@ def test_node_indices_validated():
     assert parabolic("A3", theta=(1, 1)).theta == (1,)
 
 
+def test_an_empty_complement_is_named_as_such():
+    with pytest.raises(ValueError) as info:
+        parabolic("A2", complement=())
+    assert str(info.value) == (
+        "complement is empty for A2: the quotient is a point, not a flag variety")
+    with pytest.raises(ValueError) as info:
+        parabolic("A2", theta=(2, 1))
+    assert str(info.value) == (
+        "theta covers every simple root of A2: the quotient is a point, not a flag variety")
+
+
+def test_parabolic_data_checks_and_normalizes_theta():
+    rs = build_root_system("A3")
+    p = ParabolicData(rs, [3, 1, 3])
+    assert p.theta == (1, 3) and p == parabolic("A3", (1, 3)) and p.complement == (2,)
+    assert ParabolicData(rs, iter(())) == parabolic("A3", ())
+    with pytest.raises(ValueError, match=r"^theta index 4 out of range 1\.\.3 for A3$"):
+        ParabolicData(rs, (4,))
+    with pytest.raises(ValueError, match=r"^theta index must be an integer, got True$"):
+        ParabolicData(rs, (True,))
+    with pytest.raises(ValueError, match=r"^theta covers every simple root of A3: "):
+        ParabolicData(rs, (1, 2, 3))
+
+
 def test_bool_node_indices_rejected():
     # operator.index(True) is 1: a bool must not pass for node 1
     for bad in ((True,), (False,), (2, True)):
@@ -96,6 +121,9 @@ def test_flags_and_root_systems_are_hashable():
     rs = build_root_system("E8")
     rebuilt = build_root_system.__wrapped__("E8")  # bypass the cache
     assert rebuilt is not rs and rebuilt == rs and hash(rebuilt) == hash(rs)
+    # equality reads the type alone; the data derived from it agree too
+    for name in ("cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps"):
+        assert getattr(rebuilt, name) == getattr(rs, name), name
     p, q = parabolic("B3", (2,)), parabolic("B3", (2,))
     assert p is not q and p == q and hash(p) == hash(q)
     assert len({p, q, parabolic("B3", (1,))}) == 2
@@ -261,14 +289,14 @@ def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
 
 def test_radical_selector_is_a_hidden_field():
     # _is_radical, one bool per positive root that picks the radical
-    # pairings out of a pass, is derived from (rs, theta): out of the repr,
-    # and pickle and copy give equal flags that pair equally
+    # pairings out of a pass, is derived from (rs, theta): no field, out
+    # of the repr, and pickle and copy give equal flags that pair equally
     p, other = parabolic("C4", (2,)), parabolic("C4", (1,))
     n = len(p.rs.positive_roots)
     assert len(p._is_radical) == n and sum(p._is_radical) == p.dim
     assert tuple(compress(p.rs.positive_roots, p._is_radical)) == p.radical_roots
     assert p._is_radical != other._is_radical
-    assert "_is_radical" in p._fields and "_is_radical" not in repr(p)
+    assert "_is_radical" not in p._fields and "_is_radical" not in repr(p)
     expected = p.radical_pairings((1, 2, 3))
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
         assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
@@ -276,6 +304,20 @@ def test_radical_selector_is_a_hidden_field():
         assert clone.radical_pairings((1, 2, 3)) == expected
     with pytest.raises(AttributeError):
         p._is_radical = None
+
+
+def test_copies_rebuild_every_derived_value_on_every_flag_of_rank_at_most_4():
+    derived = ("complement", "radical_roots", "delta_p", "koszul", "_delta_pairings",
+               "_delta_product", "_rho_product", "_degree", "_is_radical")
+    count = 0
+    for t, theta in flags_up_to_rank(4):
+        p = parabolic(t, theta)
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p and clone is not p
+            for name in derived:
+                assert getattr(clone, name) == getattr(p, name), (p.describe(), name)
+        count += 1
+    assert count == 109
 
 
 def test_radical_pairings_agree_with_direct_pairing():

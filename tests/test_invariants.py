@@ -634,14 +634,18 @@ def test_volume_cross_check_never_reads_the_stored_volume():
 
 
 def test_volume_cross_check_never_reads_the_stored_product():
-    # volume_class builds on the entry's product of the pairings (the tree
-    # root on this flag); the cross check multiplies the pairings itself
+    # volume_class reads the product of the pairings off the root of the
+    # entry's product tree on this flag; the cross check multiplies the
+    # pairings itself
+    from math import prod
+
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, 10 - k) for k in range(1, 9))
     entry = p._entry(xi, "xi")
     right = volume_cross_check(p, xi)
-    assert entry.nums_product() == entry.tree[-1][0]
-    entry.product += 1  # a corrupted memo entry
+    levels = entry.tree_levels()
+    assert levels[-1] == (prod(entry.nums),)
+    entry.tree = (*levels[:-1], (levels[-1][0] + 1,))  # a corrupted memo entry
     assert volume_class(p, xi) != right == volume_cross_check(p, xi)
 
 
@@ -689,8 +693,8 @@ def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_
 
 @pytest.mark.parametrize("lie_type", ("E8", "F4"))
 def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, lie_type):
-    # every entry served already holds its pairings; the product, the
-    # tree (E8) or the weights (F4) and the volume are each stored once,
+    # every entry served already holds its pairings; the tree (E8) or
+    # the weights (F4) and the volume are each stored once,
     # by the first call that needs them, however often the bundle asks
     stores = Counter()
     served = []
@@ -719,7 +723,7 @@ def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, 
     assert len(served) == 18 and all(type(nums) is tuple for nums in served)
     sums = "tree" if p.dim >= flag.PRODUCT_TREE_MIN else "weights"
     assert stores == Counter(
-        [("xi", name) for name in ("arg", "cls", "form", "nums", "product", sums, "volume")]
+        [("xi", name) for name in ("arg", "cls", "form", "nums", sums, "volume")]
         + [("beta", name) for name in ("arg", "cls", "form", "nums")])
 
 
@@ -905,7 +909,9 @@ def test_class_bundle_builds_the_product_tree_once(monkeypatch, lie_type):
     entry = p._entry(xi, "xi")
     assert trees == [entry.nums]
     assert [n for n in products if n is entry.nums] == [entry.nums]  # the cross check's
-    assert entry.product == entry.tree[-1][0] == prod(entry.nums)
+    assert entry.tree[-1][0] == prod(entry.nums)
+    assert entry.volume == Fraction(degree(p) * entry.tree[-1][0],
+                                    entry.form[0]**p.dim * p._delta_product)
 
 
 def test_volume_routes_agree_with_and_without_the_product_tree(monkeypatch):

@@ -25,6 +25,8 @@ def test_every_exported_name_resolves_and_appears_once():
     # supports are read off the raising-step pass; no bitmask is stored
     rs_type = flagtke.rootsys.RootSystem
     assert not hasattr(rs_type, "support_masks") and "support_masks" not in rs_type._fields
+    # a record's fields are its constructor's arguments; nothing hides fields from the repr
+    assert not hasattr(flagtke.rootsys._Record, "_hidden")
     # the catalog rows live in `catalog` alone, and the flag report type is gone
     assert "families" not in names and importlib.util.find_spec("flagtke.families") is None
     for name in ("flag_report", "FlagReport"):

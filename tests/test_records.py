@@ -1,10 +1,11 @@
 """The contract of the 16 record types: what a frozen dataclass gave them.
 
-Each type compares and hashes by its fields, against its own type only,
-keeps the dataclass repr (private and bulky fields hidden), refuses
-assignment and deletion, is built positionally or by keyword, and
-survives pickle, copy and deepcopy.  The expected reprs are the frozen
-dataclasses' output, hard-coded.
+A record's fields are its constructor's arguments.  Each type compares
+and hashes by its fields, against its own type only, has the repr of its
+constructor call, refuses assignment and deletion, is built positionally
+or by keyword, and survives pickle, copy and deepcopy.  The expected
+reprs are hard-coded: a frozen dataclass with the same fields prints
+the same.
 """
 
 import copy
@@ -61,12 +62,10 @@ RECORDS = {
         "Root(coeffs=(1, 2, 1))",
     ),
     RootSystem: (
-        ("lie_type", "cartan", "symmetrizer", "positive_roots", "coroot_forms",
-         "raising_steps"),
+        ("lie_type",),
         lambda: build_root_system.__wrapped__("A1"),
         lambda: build_root_system.__wrapped__("A2"),
-        "RootSystem(lie_type=LieType(series='A', rank=1), cartan=((2,),), "
-        "symmetrizer=(Fraction(1, 1),), positive_roots=(Root(coeffs=(1,)),))",
+        "RootSystem(lie_type=LieType(series='A', rank=1))",
     ),
     CohomologyClass: (
         ("coords",),
@@ -81,14 +80,10 @@ RECORDS = {
         "KahlerClass(coords=(Fraction(1, 1), Fraction(3, 2)))",
     ),
     ParabolicData: (
-        ("rs", "theta", "complement", "radical_roots", "delta_p", "koszul",
-         "_delta_pairings", "_delta_product", "_rho_product", "_degree", "_is_radical"),
+        ("rs", "theta"),
         lambda: parabolic("A1", ()),
         lambda: parabolic("A2", (1,)),
-        "ParabolicData(rs=RootSystem(lie_type=LieType(series='A', rank=1), "
-        "cartan=((2,),), symmetrizer=(Fraction(1, 1),), positive_roots=(Root(coeffs=(1,)),)), "
-        "theta=(), complement=(1,), radical_roots=(Root(coeffs=(1,)),), "
-        "delta_p=Root(coeffs=(1,)), koszul=(2,))",
+        "ParabolicData(rs=RootSystem(lie_type=LieType(series='A', rank=1)), theta=())",
     ),
     SnowCheck: (
         ("degree", "bound", "ok", "equality"),
@@ -229,3 +224,8 @@ def test_record_contract(cls):
         if cls is ParabolicData:
             assert not clone._memo
             assert volume_class(clone, (3,)) == volume_class(a, (3,))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_fields_are_the_constructor_arguments(cls):
+    assert tuple(inspect.signature(cls).parameters) == cls._fields == RECORDS[cls][0]

@@ -3,6 +3,7 @@
 import operator
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from flagtke import LieType, build_root_system
 from flagtke.catalog import catalog_rows, example_projectivized_tangent
-from flagtke.rootsys import RootSystem, types_of_rank
+from flagtke.rootsys import types_of_rank
 from flagtke.sweep import SplitMix64
 
 # ---------------------------------------------------------------------------
@@ -279,8 +280,9 @@ def test_pairing_linear_in_weight(t, a, b, data):
 @settings(max_examples=40, deadline=None)
 def test_symmetrizer_rescaling_leaves_pairings_unchanged(t, scale):
     rs = build_root_system(t)
-    scaled = RootSystem(rs.lie_type, rs.cartan, tuple(scale * d for d in rs.symmetrizer),
-                        rs.positive_roots, rs.coroot_forms, rs.raising_steps)
+    # the oracle reads the Cartan matrix, the symmetrizer and the rank only
+    scaled = SimpleNamespace(cartan=rs.cartan, rank=rs.rank,
+                             symmetrizer=tuple(scale * d for d in rs.symmetrizer))
     for i in range(1, rs.rank + 1):
         lam = oracle.unit(rs.rank, i)
         assert oracle.pairings(scaled, lam, rs.positive_roots) == oracle.pairings(
