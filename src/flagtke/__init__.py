@@ -29,7 +29,6 @@ from .flag import (
     snow_check,
 )
 from .invariants import (
-    grlb,
     grlb_report,
     scalar_curvature,
     tke_exists,
@@ -54,7 +53,6 @@ __all__ = [
     "anticanonical_class",
     "tke_exists",
     "tke_solve_from_kahler",
-    "grlb",
     "grlb_report",
     "volume_class",
     "volume_cross_check",

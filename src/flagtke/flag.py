@@ -20,10 +20,11 @@ degree is one exact big-integer division; `fractions.Fraction` appears
 only in the classes of the public API.  A class takes exact coordinates
 only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s.
 
-A `ParabolicData` pays once for each class argument: its memo (see
-`ParabolicData._entry`) keeps one `_Entry` per argument, which holds
-everything the invariants read of that class, its radical pairings
-first (see `_Entry`).
+Every class argument goes through one check, `ParabolicData._checked`.
+An invariant that reads a class's radical pairings pays once for each
+argument: the flag's memo (see `ParabolicData._entry`) keeps one `_Entry`
+per argument, which holds everything the invariants read of that class,
+its radical pairings first (see `_Entry`).
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -69,11 +70,6 @@ class CohomologyClass(_Record):
         if any(type(c) is not Fraction for c in coords):
             coords = tuple(_exact_coordinate(i, c) for i, c in enumerate(coords, 1))
         _setattr(self, "coords", coords)
-
-    @classmethod
-    def of(cls, values: Iterable[Rational]) -> "CohomologyClass":
-        """The class of ``values``; the same as calling the type."""
-        return cls(values)
 
     @classmethod
     def _trusted(cls, coords: tuple[Fraction, ...]) -> "CohomologyClass":
@@ -323,19 +319,26 @@ class ParabolicData(_Record):
     def picard_rank(self) -> int:
         return len(self.complement)
 
-    def checked_class(
-        self, values: ClassLike, what: str, *, positive: bool = False
-    ) -> CohomologyClass:
-        """The class of ``values`` as `_entry` checks it."""
-        return self._entry(values, what, positive).cls
+    def _checked(self, values: ClassLike, what: str, positive: bool = False) -> CohomologyClass:
+        """The one check of a class argument.  A sequence becomes a class
+        of `Fraction`s, a `CohomologyClass` passes through; the arity must
+        be the Picard rank.  With ``positive`` (a Kahler slot) the class
+        returned is a `KahlerClass`, so it is strictly positive.
+        """
+        cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
+        if len(cls.coords) != self.picard_rank:
+            raise ValueError(
+                f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
+                f"has Picard rank {self.picard_rank}"
+            )
+        if positive and not isinstance(cls, KahlerClass):
+            cls = _kahler(cls, what)
+        return cls
 
     def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
-        """The one check of a class argument, and its memo entry.  A
-        sequence becomes a class of `Fraction`s, a `CohomologyClass` passes
-        through; the arity must be the Picard rank.  With ``positive`` (a
-        Kahler slot) the entry's class is a `KahlerClass`, so it is
-        strictly positive.  A new entry is paired when it is made (see
-        `_Entry`), so every entry served holds its pairings.
+        """The memo entry of a class argument: on a miss the class checked
+        by `_checked`, paired when the entry is made (see `_Entry`), so
+        every entry served holds its pairings.
 
         ``_memo`` keeps the entries of the last `PAIRING_MEMO_SIZE`
         arguments, keyed by the argument's id, and serves an entry only to
@@ -353,20 +356,9 @@ class ParabolicData(_Record):
             if positive and not isinstance(entry.cls, KahlerClass):
                 entry.cls = _kahler(entry.cls, what)
             return entry
-        if isinstance(values, CohomologyClass):
-            cls, remember = values, True
-        else:
-            cls = CohomologyClass(values)
-            remember = type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)
-        if len(cls.coords) != self.picard_rank:
-            raise ValueError(
-                f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
-                f"has Picard rank {self.picard_rank}"
-            )
-        if positive and not isinstance(cls, KahlerClass):
-            cls = _kahler(cls, what)
-        entry = _Entry(values, cls, self._pairings)
-        if remember:
+        entry = _Entry(values, self._checked(values, what, positive), self._pairings)
+        if isinstance(values, CohomologyClass) or (
+                type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)):
             memo[id(values)] = entry
             if len(memo) > PAIRING_MEMO_SIZE:
                 memo.popitem(last=False)
@@ -471,4 +463,4 @@ def snow_check(p: ParabolicData) -> SnowCheck:
 
 def anticanonical_class(p: ParabolicData) -> KahlerClass:
     """The anticanonical class in Picard coordinates (the koszul numbers)."""
-    return KahlerClass.of(p.koszul)
+    return KahlerClass(p.koszul)

@@ -13,23 +13,26 @@ coordinates on the complement nodes, and all are computed exactly:
 Arithmetic inside is integer, and each public function builds
 `fractions.Fraction`s only for what it returns:
 
-* the grlb compares koszul_i / n_i by cross-multiplying, n over den
-  being the class's integer form;
+* the grlb compares koszul_i * d_i / n_i by cross-multiplying, n_i / d_i
+  being the class's coordinate at node i;
 * a margin of `tke_exists`, and a coordinate of the twist that
   `tke_solve_from_kahler` returns, is (k*d - n)/d for a coordinate n/d,
   positive by the sign of k*d - n;
 * the volume, trace and curvature pair the class with the radical
   coroots, as integer numerators over its common denominator.
 
-Each public function checks each class argument once, by
-`ParabolicData._entry` (arity = Picard rank; in a Kahler slot, strictly
-positive), and works on the entry it returns: the flag's memo entry of
-that argument, which holds its integer form, its pairings and what is
-built from them (see `flag._Entry`).  `volume_bound_report` calls
-`grlb_report` and `volume_class`, so a remembered argument costs it two
-memo hits.  `volume_cross_check` never reads the kept volume or the
-product tree of the pairings: it is the independent route, and
-multiplies the pairings out itself.
+Every class argument passes the one check `ParabolicData._checked`
+(arity = Picard rank; in a Kahler slot, strictly positive).
+`grlb_report`, `tke_exists` and `tke_solve_from_kahler` read only the
+checked coordinates, so they call it directly and make no memo entry.
+The others read the radical pairings, and work on the entry
+`ParabolicData._entry` returns: the flag's memo entry of that argument,
+checked when it is made, which holds its integer form, its pairings and
+what is built from them (see `flag._Entry`).  `volume_bound_report`
+calls `grlb_report` and `volume_class`, so a remembered argument costs
+it one check and one memo hit.  `volume_cross_check` never reads the
+kept volume or the product tree of the pairings: it is the independent
+route, and multiplies the pairings out itself.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -56,7 +59,6 @@ __all__ = [
     "VolumeBoundReport",
     "tke_exists",
     "tke_solve_from_kahler",
-    "grlb",
     "grlb_report",
     "volume_class",
     "volume_cross_check",
@@ -133,7 +135,7 @@ def tke_exists(p: ParabolicData, beta: ClassLike) -> TkeResult:
     Solvable iff every twist coordinate is strictly below the koszul
     number at its node; the solution class is then koszul - beta.
     """
-    b = p.checked_class(beta, "twist class")
+    b = p._checked(beta, "twist class")
     diffs, ok = _koszul_minus(p, b)
     metric = KahlerClass._trusted(diffs) if ok else None
     return TkeResult(exists=ok, metric=metric, margins=dict(zip(p.complement, diffs)))
@@ -145,7 +147,7 @@ def tke_solve_from_kahler(p: ParabolicData, xi: ClassLike) -> TwistedSolution:
     For any positive xi the pair (omega, beta) = (xi, koszul - xi)
     solves Ric(omega) = omega + beta; this never fails on valid input.
     """
-    x = p.checked_class(xi, "Kahler class", positive=True)
+    x = p._checked(xi, "Kahler class", positive=True)
     return TwistedSolution(omega=x, beta=CohomologyClass._trusted(_koszul_minus(p, x)[0]))
 
 
@@ -164,23 +166,19 @@ def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fractio
 
 def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     """Greatest Ricci lower bound with its full argmin set (no tie break)."""
-    # with xi = nums/den, koszul/xi = k*den/n: compare k/n by cross-multiplying
-    den, *nums = p._entry(xi, "Kahler class", positive=True).form
-    nodes = zip(p.complement, p.koszul, nums)
-    idx, best_k, best_n = next(nodes)
+    # with a coordinate n/d, koszul/xi = k*d/n: compare those by cross-multiplying
+    nodes = zip(p.complement, p.koszul, p._checked(xi, "Kahler class", positive=True).coords)
+    idx, k, c = next(nodes)
+    best_num, best_den = k * c.denominator, c.numerator
     argmin = [idx]
-    for idx, k, n in nodes:
-        cross = k * best_n - best_k * n
+    for idx, k, c in nodes:
+        num, den = k * c.denominator, c.numerator
+        cross = num * best_den - best_num * den
         if cross < 0:
-            best_k, best_n, argmin = k, n, [idx]
+            best_num, best_den, argmin = num, den, [idx]
         elif cross == 0:
             argmin.append(idx)
-    return GrlbReport(value=Fraction(best_k * den, best_n), argmin=tuple(argmin))
-
-
-def grlb(p: ParabolicData, xi: ClassLike) -> Fraction:
-    """min over complement nodes of koszul / xi coordinate, exact."""
-    return grlb_report(p, xi).value
+    return GrlbReport(value=Fraction(best_num, best_den), argmin=tuple(argmin))
 
 
 def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:

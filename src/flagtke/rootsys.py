@@ -342,6 +342,10 @@ class RootSystem(_Record):
         m = lie_type.rank
         _setattr(self, "_heights", tuple(self._coroot_pairings(range(1, m + 1), [1] * m)))
 
+    def __reduce__(self) -> tuple:
+        """Pickle and copy as `build_root_system` of the type: the cached one."""
+        return build_root_system, (self.lie_type,)
+
     @property
     def rank(self) -> int:
         return self.lie_type.rank

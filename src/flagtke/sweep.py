@@ -51,18 +51,6 @@ def _seed(value: object) -> int:
     return seed
 
 
-def _range(lo: object, hi: object) -> tuple[int, int]:
-    """``lo`` and ``hi`` as integers (`rootsys._integer`) with lo <= hi,
-    holding at most 2**64 values, so that `_limit` of the span is not 0."""
-    lo = _integer("lo", lo)
-    hi = _integer("hi", hi)
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if hi - lo > _MASK:
-        raise ValueError(f"range [{lo}, {hi}] holds more than 2**64 values")
-    return lo, hi
-
-
 def _limit(span: int) -> int:
     """The largest multiple of ``span`` up to 2**64: a draw below it is
     kept, so ``u % span`` has no modulo bias."""
@@ -90,24 +78,12 @@ class SplitMix64:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
         return _mix(self._state)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], via rejection (no modulo bias)."""
-        lo, hi = _range(lo, hi)
-        span = hi - lo + 1
-        limit = _limit(span)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + (u % span)
-
-    def rational(self, rng_num: tuple[int, int], rng_den: tuple[int, int]) -> Fraction:
-        return self._rationals(1, *_range(*rng_num), *_range(*rng_den))[0]
-
     def _rationals(self, k: int, num_lo: int, num_hi: int, den_lo: int,
                    den_hi: int) -> tuple[Fraction, ...]:
-        """k rationals, each a numerator then a denominator drawn as
-        `randint` draws them from checked ranges: the same outputs, with
-        the state kept in a local."""
+        """k rationals, each a numerator uniform in [num_lo, num_hi] then a
+        denominator uniform in [den_lo, den_hi], with the state in a local:
+        an output u below the `_limit` of a range's span gives lo + u % span,
+        any other is dropped.  Each range holds 1 to 2**64 values."""
         num_span = num_hi - num_lo + 1
         den_span = den_hi - den_lo + 1
         num_limit = _limit(num_span)
@@ -133,11 +109,6 @@ class SplitMix64:
 def draw_kahler(rng: SplitMix64, k: int) -> tuple[Fraction, ...]:
     """k positive rationals, numerator and denominator uniform in [1, 100]."""
     return rng._rationals(k, 1, 100, 1, 100)
-
-
-def draw_twist(rng: SplitMix64, k: int) -> tuple[Fraction, ...]:
-    """k signed rationals (numerator in [-100, 100], denominator in [1, 100])."""
-    return rng._rationals(k, -100, 100, 1, 100)
 
 
 CHECKS = ("snow", "volbound", "cross", "cscK", "roundtrip")

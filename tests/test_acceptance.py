@@ -16,7 +16,7 @@ from flagtke import (
     build_root_system,
     catalog_rows,
     degree,
-    grlb,
+    grlb_report,
     parabolic,
     scalar_curvature,
     snow_check,
@@ -27,7 +27,7 @@ from flagtke import (
     volume_class,
     volume_cross_check,
 )
-from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
+from flagtke.sweep import SplitMix64, draw_kahler, enumerate_flags
 
 
 def _verdict(num: int, desc: str, ok: bool) -> bool:
@@ -154,7 +154,7 @@ def sweep():
     for p in flags:
         k = p.picard_rank
         xis = [draw_kahler(rng, k) for _ in range(50)]
-        twists = [draw_twist(rng, k) for _ in range(5)]
+        twists = [rng._rationals(k, -100, 100, 1, 100) for _ in range(5)]
         per_flag.append((p, xis, twists))
     records = []
     for p, xis, twists in per_flag:
@@ -164,7 +164,7 @@ def sweep():
             rep = volume_bound_report(p, xi)
             v1 = volume_class(p, xi)
             v2 = volume_cross_check(p, xi)
-            r = grlb(p, xi)
+            r = grlb_report(p, xi).value
             prop = len({x / k for x, k in zip(xi, kos)}) == 1
             sol = tke_solve_from_kahler(p, xi)
             back = tke_exists(p, sol.beta)

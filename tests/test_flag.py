@@ -20,7 +20,7 @@ from flagtke import (
     snow_check,
 )
 from flagtke.flag import ParabolicData
-from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
+from flagtke.sweep import SplitMix64, draw_kahler, enumerate_flags
 
 # the six flags of the `classes` benchmark workload
 CLASS_FLAGS = (("E8", ()), ("B8", ()), ("A8", ()), ("F4", ()), ("E7", (2,)), ("D8", (1, 3)))
@@ -227,10 +227,10 @@ def test_dim_shrinks_as_theta_grows():
 
 def test_kahler_class_requires_positive_entries():
     with pytest.raises(ValueError):
-        KahlerClass.of((1, 0))
+        KahlerClass((1, 0))
     with pytest.raises(ValueError):
-        KahlerClass.of((-1, 2))
-    assert KahlerClass.of((Fraction(1, 3), 2)).coords == (Fraction(1, 3), Fraction(2))
+        KahlerClass((-1, 2))
+    assert KahlerClass((Fraction(1, 3), 2)).coords == (Fraction(1, 3), Fraction(2))
 
 
 def test_anticanonical_class_matches_koszul():
@@ -242,8 +242,10 @@ def signed_classes(rng, p):
     """Seeded classes of every sign pattern: positive, signed, and ones
     with zero coordinates."""
     k = p.picard_rank
-    zeros = tuple(Fraction(0) if i % 2 else c for i, c in enumerate(draw_twist(rng, k)))
-    return [draw_kahler(rng, k), draw_twist(rng, k), draw_twist(rng, k), zeros]
+    zeros = tuple(Fraction(0) if i % 2 else c
+                  for i, c in enumerate(rng._rationals(k, -100, 100, 1, 100)))
+    return [draw_kahler(rng, k), rng._rationals(k, -100, 100, 1, 100),
+            rng._rationals(k, -100, 100, 1, 100), zeros]
 
 
 def test_raising_step_pairings_match_the_oracle():
@@ -320,9 +322,20 @@ def test_copies_rebuild_every_derived_value_on_every_flag_of_rank_at_most_4():
     assert count == 109
 
 
+def test_copies_share_the_cached_root_system():
+    # a root system pickles and copies as its type, so every copy of a
+    # flag carries the one root system `build_root_system` keeps
+    p = parabolic("E8", theta=())
+    rs = build_root_system("E8")
+    assert p.rs is rs
+    for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert clone == p and clone.rs is p.rs
+    assert pickle.loads(pickle.dumps(rs)) is rs and copy.deepcopy(rs) is rs
+
+
 def test_radical_pairings_agree_with_direct_pairing():
     p = parabolic("B3", theta=(2,))
-    xi = KahlerClass.of((Fraction(3, 2), 1))
+    xi = KahlerClass((Fraction(3, 2), 1))
     direct = oracle.pairings(p.rs, oracle.class_weight(p, xi.coords), p.radical_roots)
     nums, den = p.radical_pairings(xi)
     assert all(isinstance(n, int) for n in nums) and den == 2

@@ -18,7 +18,6 @@ from flagtke import (
     KahlerClass,
     anticanonical_class,
     degree,
-    grlb,
     grlb_report,
     parabolic,
     scalar_curvature,
@@ -32,7 +31,7 @@ from flagtke import (
 )
 from flagtke import flag
 from flagtke.flag import PAIRING_MEMO_SIZE, ParabolicData
-from flagtke.sweep import SplitMix64, draw_kahler, draw_twist, enumerate_flags
+from flagtke.sweep import SplitMix64, draw_kahler, enumerate_flags
 
 P1 = parabolic("A1", theta=())
 P2 = parabolic("A2", complement=(1,))
@@ -41,6 +40,12 @@ A2FULL = parabolic("A2", theta=())
 
 def small_flags(max_rank):
     return list(enumerate_flags(max_rank))
+
+
+def draw_signed(rng, k):
+    """k seeded rationals of any sign: numerators in [-100, 100],
+    denominators in [1, 100]."""
+    return rng._rationals(k, -100, 100, 1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +93,7 @@ def test_tke_matches_positivity_of_difference():
     rng = SplitMix64(13)
     for p in small_flags(3):
         for _ in range(8):
-            beta = draw_twist(rng, p.picard_rank)
+            beta = draw_signed(rng, p.picard_rank)
             res = tke_exists(p, beta)
             want = all(k > b for k, b in zip(p.koszul, beta))
             assert res.exists == want, (p.lie_type, p.theta, beta)
@@ -141,11 +146,11 @@ def test_grlb_of_anticanonical_is_one():
 
 
 def test_grlb_spot_values():
-    assert grlb(A2FULL, (1, 1)) == 2
-    assert grlb(A2FULL, (1, 2)) == 1
+    assert grlb_report(A2FULL, (1, 1)).value == 2
+    assert grlb_report(A2FULL, (1, 2)).value == 1
     rep = grlb_report(A2FULL, (1, 2))
     assert rep.argmin == (2,)
-    assert grlb(P2, (1,)) == 3
+    assert grlb_report(P2, (1,)).value == 3
 
 
 def test_grlb_tie_reports_all_argmins():
@@ -175,9 +180,9 @@ def test_grlb_inverse_homogeneity(t, data):
 
 def test_grlb_requires_kahler():
     with pytest.raises(ValueError):
-        grlb(P2, (0,))
+        grlb_report(P2, (0,))
     with pytest.raises(ValueError):
-        grlb(A2FULL, (1, -1))
+        grlb_report(A2FULL, (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def test_volume_requires_kahler_and_arity():
 
 
 def test_trace_spot_and_linearity():
-    om = KahlerClass.of((1, 1))
+    om = KahlerClass((1, 1))
     assert trace(A2FULL, om, (0, 0)) == 0
     a = trace(A2FULL, om, (1, 0))
     b = trace(A2FULL, om, (0, 1))
@@ -326,7 +331,7 @@ def test_bound_report_values_are_consistent():
     p = parabolic("B2", theta=(1,))
     xi = (Fraction(5, 3),)
     rep = volume_bound_report(p, xi)
-    r = grlb(p, xi)
+    r = grlb_report(p, xi).value
     v = volume_class(p, xi)
     assert rep.r_pow_vol == r**p.dim * v
     assert rep.degree == degree(p)
@@ -340,11 +345,11 @@ def test_bound_report_values_are_consistent():
 
 
 def test_class_inputs_accept_sequences_and_classes():
-    assert volume_class(P2, CohomologyClass.of((2,))) == 4
-    assert volume_class(P2, KahlerClass.of((2,))) == 4
+    assert volume_class(P2, CohomologyClass((2,))) == 4
+    assert volume_class(P2, KahlerClass((2,))) == 4
     assert volume_class(P2, [2]) == 4
     assert volume_class(P2, (Fraction(2),)) == 4
-    for xi in ((1,), CohomologyClass.of((1,)), KahlerClass.of((1,))):
+    for xi in ((1,), CohomologyClass((1,)), KahlerClass((1,))):
         sol = tke_solve_from_kahler(P2, xi)
         assert type(sol.omega) is KahlerClass and type(sol.beta) is CohomologyClass
         assert sol.beta.coords == (Fraction(2),) and type(sol.beta.coords[0]) is Fraction
@@ -358,7 +363,7 @@ def test_class_inputs_accept_sequences_and_classes():
 CLASS_SLOTS = (
     ("tke_exists", lambda c: tke_exists(A2FULL, c), False),
     ("tke_solve_from_kahler", lambda c: tke_solve_from_kahler(A2FULL, c), True),
-    ("grlb", lambda c: grlb(A2FULL, c), True),
+    ("grlb", lambda c: grlb_report(A2FULL, c).value, True),
     ("grlb_report", lambda c: grlb_report(A2FULL, c), True),
     ("volume_class", lambda c: volume_class(A2FULL, c), True),
     ("volume_cross_check", lambda c: volume_cross_check(A2FULL, c), True),
@@ -370,7 +375,7 @@ CLASS_SLOTS = (
 )
 
 
-@pytest.mark.parametrize("wrap", (tuple, CohomologyClass.of), ids=("sequence", "class"))
+@pytest.mark.parametrize("wrap", (tuple, CohomologyClass), ids=("sequence", "class"))
 @pytest.mark.parametrize(
     "call, kahler", [s[1:] for s in CLASS_SLOTS], ids=[s[0] for s in CLASS_SLOTS]
 )
@@ -380,7 +385,7 @@ def test_every_class_argument_is_checked_at_the_boundary(call, kahler, wrap):
         with pytest.raises(ValueError, match=arity):
             call(wrap(bad))
         with pytest.raises(ValueError, match=arity):
-            call(KahlerClass.of(bad))
+            call(KahlerClass(bad))
     for nonpositive in ((1, 0), (-1, 2)):
         if kahler:
             with pytest.raises(ValueError, match="must have strictly positive coordinates"):
@@ -391,7 +396,7 @@ def test_every_class_argument_is_checked_at_the_boundary(call, kahler, wrap):
 
 
 def test_twist_may_be_any_sign_but_kahler_may_not():
-    assert tke_exists(P2, CohomologyClass.of((-1,))).exists
+    assert tke_exists(P2, CohomologyClass((-1,))).exists
     with pytest.raises(ValueError):
         tke_solve_from_kahler(P2, (-1,))
 
@@ -415,7 +420,7 @@ def test_pairing_memo_evicts_and_refills_without_changing_any_answer():
     )
     for p in small_flags(4):
         xis = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 2)]
-        betas = [draw_twist(rng, p.picard_rank) for _ in xis]
+        betas = [draw_signed(rng, p.picard_rank) for _ in xis]
         for step, i in enumerate(order):
             xi, beta = xis[i], betas[i]
             for call in calls[step % len(calls):] + calls[:step % len(calls)]:
@@ -442,7 +447,7 @@ def test_equal_arguments_of_every_kind_give_identical_answers():
 
     first = answers(half)
     assert sorted(first[0][0]) == [1, 2, 3] and first[0][1] == 2
-    kinds = (list(half), CohomologyClass.of(half), KahlerClass.of(half),
+    kinds = (list(half), CohomologyClass(half), KahlerClass(half),
              (Fraction(2, 4), Fraction(1)))
     for x in kinds:
         assert answers(x) == first, x
@@ -535,7 +540,7 @@ def test_product_tree_and_lcm_sums_agree(monkeypatch):
     dims = {parabolic(t, th).dim for t, th in specs}
     assert {120, 64} <= dims and {n % 2 for n in dims} == {0, 1}
     rng = SplitMix64(4242)
-    cases = [(t, th, draw_kahler(rng, k), draw_twist(rng, k))
+    cases = [(t, th, draw_kahler(rng, k), draw_signed(rng, k))
              for t, th in specs for k in [parabolic(t, th).picard_rank] for _ in range(3)]
     results = {}
     for constant in (1, 10**9):
@@ -561,7 +566,7 @@ def test_product_tree_sums_match_the_oracle_pairings(lie_type):
     assert p.dim >= flag.PRODUCT_TREE_MIN  # the tree side at the default constant
     rng = SplitMix64(808)
     xi = draw_kahler(rng, p.picard_rank)
-    beta = draw_twist(rng, p.picard_rank)
+    beta = draw_signed(rng, p.picard_rank)
     ratio = oracle.pairings(p.rs, oracle.class_weight(p, xi), p.radical_roots)
     delta = oracle.pairings(p.rs, oracle.root_to_weight(p.rs, p.delta_p.coeffs), p.radical_roots)
     twist = oracle.pairings(p.rs, oracle.class_weight(p, beta), p.radical_roots)
@@ -593,10 +598,33 @@ def test_class_bundle_pairs_each_distinct_class_once(monkeypatch):
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume == v1
     assert len(passes) == 2
-    # each public call checks each class argument once (trace two), and
-    # volume_bound_report reaches the memo through grlb_report and
-    # volume_class, once each
-    assert len(checked) == 9
+    # each call that reads pairings reaches the memo once per class
+    # argument (trace twice, volume_bound_report once, through
+    # volume_class); grlb_report and tke_exists read the coordinates only
+    # and never reach it
+    assert len(checked) == 6
+
+
+@pytest.mark.parametrize(
+    "call", (grlb_report, tke_exists, tke_solve_from_kahler),
+    ids=("grlb_report", "tke_exists", "tke_solve_from_kahler"),
+)
+def test_coordinate_readers_run_no_pairing_pass_and_make_no_entry(monkeypatch, call):
+    # these three read the checked coordinates only: a fresh argument
+    # costs them no pairing pass, and the memo is left as it was
+    p = parabolic("E8", theta=())
+    xi = [Fraction(k, k + 2) for k in range(1, 9)]
+    expected = call(parabolic("E8", theta=()), xi)
+    volume_class(p, tuple(xi))
+    before = list(p._memo.items())
+
+    def no_pass(self, form):
+        raise AssertionError("a pairing pass")
+
+    monkeypatch.setattr(ParabolicData, "_pairings", no_pass)
+    assert call(p, list(xi)) == expected
+    assert call(p, tuple(xi)) == expected
+    assert list(p._memo.items()) == before
 
 
 def test_class_bundle_builds_the_volume_once(monkeypatch):
@@ -662,9 +690,10 @@ def bundle(p, xi, beta):
 
 @pytest.mark.parametrize("lie_type", ("E8", "F4"))
 def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_type):
-    # xi and beta = koszul - xi, each a tuple of Fractions, become a class
-    # and a memo entry, which works out the integer form, once per flag,
-    # not once per call
+    # xi and beta = koszul - xi, each a tuple of Fractions, become a memo
+    # entry, which works out the integer form, once per flag, not once per
+    # call; grlb_report (twice a bundle) and tke_exists read coordinates
+    # only, and check a class of their own on each call
     built, forms = [], []
     init = CohomologyClass.__init__
 
@@ -685,9 +714,9 @@ def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_
     xi = tuple(Fraction(k, k + 2) for k in range(1, p.picard_rank + 1))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     first = bundle(p, xi, beta)
-    assert len(built) == 2 and len(forms) == 2
-    assert bundle(p, xi, beta) == first  # served from the memo, nothing built
-    assert len(built) == 2 and len(forms) == 2
+    assert len(built) == 5 and len(forms) == 2
+    assert bundle(p, xi, beta) == first  # both entries served from the memo
+    assert len(built) == 8 and len(forms) == 2
     assert first == bundle(parabolic(lie_type, theta=()), list(xi), list(beta))
 
 
@@ -720,7 +749,7 @@ def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, 
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     first = bundle(p, xi, beta)
     assert bundle(p, xi, beta) == first
-    assert len(served) == 18 and all(type(nums) is tuple for nums in served)
+    assert len(served) == 12 and all(type(nums) is tuple for nums in served)
     sums = "tree" if p.dim >= flag.PRODUCT_TREE_MIN else "weights"
     assert stores == Counter(
         [("xi", name) for name in ("arg", "cls", "form", "nums", sums, "volume")]
@@ -729,7 +758,8 @@ def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, 
 
 def test_a_list_mutated_between_calls_gives_the_new_answer():
     def answers(q, x):
-        return volume_class(q, x), grlb(q, x), trace(q, x, x), q.radical_pairings(x)
+        return (volume_class(q, x), grlb_report(q, x).value, trace(q, x, x),
+                q.radical_pairings(x))
 
     p = parabolic("B3", theta=(2,))
     xi = [1, 2]
@@ -758,20 +788,20 @@ def test_argument_memo_evicts_the_oldest_without_changing_any_answer():
 def test_a_positive_request_after_a_plain_one_returns_a_kahler_class():
     p = parabolic("A3", theta=(2,))
     t = (Fraction(1, 2), 3)
-    plain = p.checked_class(t, "class")
+    plain = p._entry(t, "class").cls
     entry = p._memo[id(t)]
     assert type(plain) is CohomologyClass and entry.arg is t and entry.cls is plain
-    kahler = p.checked_class(t, "Kahler class", positive=True)
+    kahler = p._entry(t, "Kahler class", positive=True).cls
     assert type(kahler) is KahlerClass and kahler.coords == plain.coords
     assert entry.cls is kahler  # stored back: the sign is checked once
-    assert p.checked_class(t, "Kahler class", positive=True) is kahler
-    assert p.checked_class(t, "class") is kahler  # any-sign slots take it as is
+    assert p._entry(t, "Kahler class", positive=True).cls is kahler
+    assert p._entry(t, "class").cls is kahler  # any-sign slots take it as is
     # a remembered class that is not positive fails every positive request
     neg = (Fraction(-1, 2), 3)
-    assert type(p.checked_class(neg, "twist class")) is CohomologyClass
+    assert type(p._entry(neg, "twist class").cls) is CohomologyClass
     for _ in range(2):
         with pytest.raises(ValueError, match="Kahler class must have strictly positive"):
-            p.checked_class(neg, "Kahler class", positive=True)
+            p._entry(neg, "Kahler class", positive=True)
     assert type(p._memo[id(neg)].cls) is CohomologyClass
 
 
@@ -784,16 +814,16 @@ def test_only_tuples_of_exact_coordinates_are_remembered():
 
     p = parabolic("A3", theta=(2,))
     for values in ((Int(1), 2), [1, 2], Pair((1, 2)), (1, Int(2)), iter((1, 2))):
-        assert p.checked_class(values, "class").coords == (1, 2)
+        assert p._entry(values, "class").cls.coords == (1, 2)
     assert not p._memo
     # exact int, Fraction and str, and a class, which cannot change either
-    for values in ((1, 2), (Fraction(1), "2"), CohomologyClass.of((1, 2))):
-        p.checked_class(values, "class")
+    for values in ((1, 2), (Fraction(1), "2"), CohomologyClass((1, 2))):
+        p._entry(values, "class")
         assert p._memo[id(values)].arg is values
     # an argument of the wrong arity is refused, and not remembered
     wrong = (1, 2, 3)
     with pytest.raises(ValueError, match="3 coordinates"):
-        p.checked_class(wrong, "class")
+        p._entry(wrong, "class")
     assert id(wrong) not in p._memo
 
 
@@ -801,8 +831,8 @@ def test_argument_memo_serves_only_the_tuple_it_holds():
     # an entry under the id of another object is never served
     p = parabolic("A2", theta=())
     t = (1, 2)
-    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass.of((5, 7)), p._pairings)
-    assert p.checked_class(t, "class").coords == (1, 2)
+    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass((5, 7)), p._pairings)
+    assert p._entry(t, "class").cls.coords == (1, 2)
     assert p._memo[id(t)].arg is t
 
 
@@ -844,7 +874,7 @@ def test_argument_memo_shared_by_threads_gives_single_thread_answers():
     p = parabolic("D4", theta=(2,))
     rng = SplitMix64(88)
     xis = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
-    betas = [draw_twist(rng, p.picard_rank) for _ in xis]
+    betas = [draw_signed(rng, p.picard_rank) for _ in xis]
     fresh = parabolic("D4", theta=(2,))
     expected = [bundle(fresh, xi, beta) + (trace(fresh, xi, xi),)
                 for xi, beta in zip(xis, betas)]

@@ -33,6 +33,37 @@ def test_every_exported_name_resolves_and_appears_once():
         assert not hasattr(flagtke, name) and not hasattr(flagtke.flag, name)
     for name in ("CatalogRow", "rows_within"):
         assert not hasattr(flagtke.catalog, name)
+    # one class check, and no wrapper without a caller in the package
+    assert not hasattr(flagtke.flag.ParabolicData, "checked_class")
+    assert not hasattr(flagtke.flag.CohomologyClass, "of")
+    assert not hasattr(flagtke.invariants, "grlb") and not hasattr(flagtke, "grlb")
+    for name in ("randint", "rational"):
+        assert not hasattr(flagtke.sweep.SplitMix64, name)
+    for name in ("draw_twist", "_range"):
+        assert not hasattr(flagtke.sweep, name)
+
+
+def test_readme_library_example_shows_the_values_it_computes():
+    # each expression line of the README's Library block is followed by
+    # a comment that is the repr of its value; run the block line by line
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    shown = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        code, comment = code.strip(), comment.strip()
+        if not code:
+            continue
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        assert repr(eval(expression, namespace)) == comment, code
+        shown += 1
+    assert shown == 7
+    assert len(namespace["rows"]) == 221  # "221 verified survey rows"
 
 
 def test_cli_import_loads_every_layer_and_no_dataclasses_inspect_or_typing():

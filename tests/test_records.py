@@ -69,14 +69,14 @@ RECORDS = {
     ),
     CohomologyClass: (
         ("coords",),
-        lambda: CohomologyClass.of((1, "-1/2")),
-        lambda: CohomologyClass.of((1, 2)),
+        lambda: CohomologyClass((1, "-1/2")),
+        lambda: CohomologyClass((1, 2)),
         "CohomologyClass(coords=(Fraction(1, 1), Fraction(-1, 2)))",
     ),
     KahlerClass: (
         ("coords",),
-        lambda: KahlerClass.of((1, "3/2")),
-        lambda: KahlerClass.of((1, 2)),
+        lambda: KahlerClass((1, "3/2")),
+        lambda: KahlerClass((1, 2)),
         "KahlerClass(coords=(Fraction(1, 1), Fraction(3, 2)))",
     ),
     ParabolicData: (
@@ -186,7 +186,7 @@ def test_record_contract(cls):
     else:
         assert hash(a) == hash(b)
     if cls in (KahlerClass, CohomologyClass):  # the same coordinates, the other type
-        k, c = KahlerClass.of((1, 2)), CohomologyClass.of((1, 2))
+        k, c = KahlerClass((1, 2)), CohomologyClass((1, 2))
         assert k != c and c != k and k.coords == c.coords
     for other_cls, (_, make_foreign, _, _) in RECORDS.items():
         if other_cls is not cls:

@@ -16,7 +16,6 @@ from flagtke.sweep import (
     SplitMix64,
     SweepConfig,
     draw_kahler,
-    draw_twist,
     enumerate_flags,
     run_sweep,
 )
@@ -55,23 +54,19 @@ def test_generator_and_config_share_one_seed_rule():
 
 
 def test_randint_bounds_and_coverage():
+    # randint's rule keeps each numerator and denominator in its range
+    # and reaches every value of it
     rng = SplitMix64(42)
-    seen = set()
-    for _ in range(500):
-        v = rng.randint(1, 6)
-        assert 1 <= v <= 6
-        seen.add(v)
-    assert seen == {1, 2, 3, 4, 5, 6}
-    assert rng.randint(3, 3) == 3
-    with pytest.raises(ValueError):
-        rng.randint(5, 4)
+    assert set(rng._rationals(500, 1, 6, 1, 1)) == {1, 2, 3, 4, 5, 6}
+    assert {1 / x for x in rng._rationals(500, 1, 1, 1, 6)} == {1, 2, 3, 4, 5, 6}
+    assert rng._rationals(3, 3, 3, 1, 1) == (3, 3, 3)
 
 
 def test_draws_have_expected_shape():
     rng = SplitMix64(1)
     xi = draw_kahler(rng, 3)
     assert len(xi) == 3 and all(x > 0 for x in xi)
-    tw = draw_twist(rng, 2)
+    tw = rng._rationals(2, -100, 100, 1, 100)
     assert len(tw) == 2
     for f in (*xi, *tw):
         assert 1 <= f.denominator <= 100
@@ -126,11 +121,11 @@ def test_every_draw_follows_randint_over_next_u64(seed):
     rng, ref = SplitMix64(seed), SplitMix64(seed)
     for k in (0, 1, 2, 5, 8):
         assert draw_kahler(rng, k) == ref_rationals(ref, k, (1, 100), (1, 100))
-        assert draw_twist(rng, k) == ref_rationals(ref, k, (-100, 100), (1, 100))
-    for num, den in (((1, 100), (1, 100)), ((-7, 3), (2, 2)), ((0, 2**63), (1, 3**40))):
-        assert rng.rational(num, den) == ref_rationals(ref, 1, num, den)[0]
-    for lo, hi in ((1, 6), (-5, 5), (0, 2**64 - 1), (3, 3)):
-        assert rng.randint(lo, hi) == ref_randint(ref, lo, hi)
+        assert rng._rationals(k, -100, 100, 1, 100) == ref_rationals(ref, k, (-100, 100), (1, 100))
+    for num, den in (((1, 100), (1, 100)), ((-7, 3), (2, 2)), ((0, 2**63), (1, 3**40)),
+                     ((1, 6), (1, 1)), ((-5, 5), (1, 1)), ((0, 2**64 - 1), (1, 1)),
+                     ((3, 3), (1, 1))):
+        assert rng._rationals(1, *num, *den) == ref_rationals(ref, 1, num, den)
     assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
 
 
@@ -142,52 +137,23 @@ def test_outputs_at_the_rejection_limits_are_drawn_alike(output):
         seed = (state - j * GAMMA) & MASK
         probe = SplitMix64(seed)
         assert [probe.next_u64() for _ in range(j)][-1] == output
-        for draw, num in ((draw_kahler, (1, 100)), (draw_twist, (-100, 100))):
+        for k, num in ((2, (1, 100)), (2, (-100, 100)), (1, (-100, 100)), (1, (1, 100))):
             rng, ref = SplitMix64(seed), SplitMix64(seed)
-            assert draw(rng, 2) == ref_rationals(ref, 2, num, (1, 100))
+            assert rng._rationals(k, *num, 1, 100) == ref_rationals(ref, k, num, (1, 100))
             assert rng.next_u64() == ref.next_u64()  # the states agree too
         rng, ref = SplitMix64(seed), SplitMix64(seed)
-        assert rng.rational((-100, 100), (1, 100)) == ref_rationals(ref, 1, (-100, 100), (1, 100))[0]
-        assert rng.randint(1, 100) == ref_randint(ref, 1, 100)
+        assert draw_kahler(rng, 2) == ref_rationals(ref, 2, (1, 100), (1, 100))
         assert rng.next_u64() == ref.next_u64()
-
-
-def test_rational_checks_its_ranges_as_randint_does():
-    rng = SplitMix64(3)
-    for bad, message in (((1.5, 2), "lo must be an integer, got 1.5"),
-                         ((True, 2), "lo must be an integer, got True"),
-                         ((1, "2"), "hi must be an integer, got '2'"),
-                         ((5, 4), r"empty range \[5, 4\]")):
-        for call in (lambda: rng.randint(*bad), lambda: rng.rational(bad, (1, 2)),
-                     lambda: rng.rational((1, 2), bad)):
-            with pytest.raises(ValueError, match=message):
-                call()
-
-
-def test_ranges_of_more_than_2_64_values_raise_at_once():
-    # such a span leaves no draw below the rejection limit, so drawing
-    # from it would never return; nothing is drawn before the raise
-    rng = SplitMix64(0)
-    wide = ((0, 2**64), (-(2**63), 2**63), (5, 5 + 2**70))
-    for bad in wide:
-        message = rf"range \[{bad[0]}, {bad[1]}\] holds more than 2\*\*64 values"
-        for call in (lambda: rng.randint(*bad), lambda: rng.rational(bad, (1, 2)),
-                     lambda: rng.rational((1, 2), bad)):
-            with pytest.raises(ValueError, match=message):
-                call()
-    with pytest.raises(ValueError, match="more than 2"):
-        rng.rational((1, 2), (1, 2**64 + 1))
-    assert rng.next_u64() == SplitMix64(0).next_u64()
 
 
 def test_a_range_of_exactly_2_64_values_still_draws():
     # every output is below the limit 2**64, so each draw is one output
     for seed in (0, 1, 2**64 - 1):
         ref, rng = SplitMix64(seed), SplitMix64(seed)
-        assert rng.randint(0, 2**64 - 1) == ref.next_u64()
-        assert rng.randint(-(2**63), 2**63 - 1) == ref.next_u64() - 2**63
         num, den = ref.next_u64(), ref.next_u64()
-        assert rng.rational((0, 2**64 - 1), (1, 2**64)) == Fraction(num, den + 1)
+        assert rng._rationals(1, 0, 2**64 - 1, 1, 2**64) == (Fraction(num, den + 1),)
+        num, den = ref.next_u64(), ref.next_u64()
+        assert rng._rationals(1, -(2**63), 2**63 - 1, 1, 1) == (num - 2**63,)
         assert rng.next_u64() == ref.next_u64()
 
 
