@@ -320,11 +320,16 @@ class ParabolicData(_Record):
         return len(self.complement)
 
     def _checked(self, values: ClassLike, what: str, positive: bool = False) -> CohomologyClass:
-        """The one check of a class argument.  A sequence becomes a class
-        of `Fraction`s, a `CohomologyClass` passes through; the arity must
-        be the Picard rank.  With ``positive`` (a Kahler slot) the class
+        """The one check of a class argument.  An argument the memo
+        remembers (see `_remembered`) is served its entry's class, checked
+        when the entry was made.  Otherwise a sequence becomes a class of
+        `Fraction`s, a `CohomologyClass` passes through; the arity must be
+        the Picard rank.  With ``positive`` (a Kahler slot) the class
         returned is a `KahlerClass`, so it is strictly positive.
         """
+        entry = self._remembered(values, what, positive)
+        if entry is not None:
+            return entry.cls
         cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
@@ -335,30 +340,41 @@ class ParabolicData(_Record):
             cls = _kahler(cls, what)
         return cls
 
-    def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
-        """The memo entry of a class argument: on a miss the class checked
-        by `_checked`, paired when the entry is made (see `_Entry`), so
-        every entry served holds its pairings.
+    def _remembered(self, values: ClassLike, what: str, positive: bool) -> _Entry | None:
+        """The memo entry of ``values`` if ``_memo`` holds one, else None.
 
         ``_memo`` keeps the entries of the last `PAIRING_MEMO_SIZE`
         arguments, keyed by the argument's id, and serves an entry only to
         the very object it holds (``entry.arg is values``; while the entry
-        holds it, no other object can have its id).  It remembers only
-        arguments that cannot change: a `CohomologyClass`, or a `tuple`
-        whose coordinates are all exactly `Fraction`, `int` or `str`.  Any
-        other argument, a list say, gets a fresh entry on every call.  A
-        positive request on a remembered plain class checks its sign once
-        and stores the `KahlerClass` in the entry.
+        holds it, no other object can have its id).  A positive request on
+        a remembered plain class checks its sign once and stores the
+        `KahlerClass` in the entry.
         """
-        memo = self._memo
-        entry = memo.get(id(values))
-        if entry is not None and entry.arg is values:
-            if positive and not isinstance(entry.cls, KahlerClass):
-                entry.cls = _kahler(entry.cls, what)
+        entry = self._memo.get(id(values))
+        if entry is None or entry.arg is not values:
+            return None
+        if positive and not isinstance(entry.cls, KahlerClass):
+            entry.cls = _kahler(entry.cls, what)
+        return entry
+
+    def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
+        """The memo entry of a class argument: the remembered one (see
+        `_remembered`), or on a miss a new one of the class checked by
+        `_checked`, paired when it is made (see `_Entry`), so every entry
+        served holds its pairings.
+
+        It remembers only arguments that cannot change: a
+        `CohomologyClass`, or a `tuple` whose coordinates are all exactly
+        `Fraction`, `int` or `str`.  Any other argument, a list say, gets
+        a fresh entry on every call.
+        """
+        entry = self._remembered(values, what, positive)
+        if entry is not None:
             return entry
         entry = _Entry(values, self._checked(values, what, positive), self._pairings)
         if isinstance(values, CohomologyClass) or (
                 type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)):
+            memo = self._memo
             memo[id(values)] = entry
             if len(memo) > PAIRING_MEMO_SIZE:
                 memo.popitem(last=False)

@@ -11,7 +11,8 @@ coordinates on the complement nodes, and all are computed exactly:
 * the two-sided degree bound combining all of the above.
 
 Arithmetic inside is integer, and each public function builds
-`fractions.Fraction`s only for what it returns:
+`fractions.Fraction`s only for what it returns, with no `Fraction`
+arithmetic on the way:
 
 * the grlb compares koszul_i * d_i / n_i by cross-multiplying, n_i / d_i
   being the class's coordinate at node i;
@@ -19,10 +20,19 @@ Arithmetic inside is integer, and each public function builds
   `tke_solve_from_kahler` returns, is (k*d - n)/d for a coordinate n/d,
   positive by the sign of k*d - n;
 * the volume, trace and curvature pair the class with the radical
-  coroots, as integer numerators over its common denominator.
+  coroots, as integer numerators over its common denominator;
+* `volume_bound_report` multiplies r^n * Vol out of the lowest terms of
+  the grlb r and the volume, cancelling across as `Fraction` does, and
+  reads the left side's two verdicts off the sign of its numerator minus
+  degree times its denominator.
+
+Where the terms are coprime by construction (the margins and twist
+coordinates, and r^n * Vol) the `Fraction` is built by `_lowest`, which
+runs no gcd; every other one is a normalizing `Fraction(n, d)`.
 
 Every class argument passes the one check `ParabolicData._checked`
-(arity = Picard rank; in a Kahler slot, strictly positive).
+(arity = Picard rank; in a Kahler slot, strictly positive), which serves
+an argument the flag's memo remembers the class its entry holds.
 `grlb_report`, `tke_exists` and `tke_solve_from_kahler` read only the
 checked coordinates, so they call it directly and make no memo entry.
 The others read the radical pairings, and work on the entry
@@ -30,7 +40,7 @@ The others read the radical pairings, and work on the entry
 checked when it is made, which holds its integer form, its pairings and
 what is built from them (see `flag._Entry`).  `volume_bound_report`
 calls `grlb_report` and `volume_class`, so a remembered argument costs
-it one check and one memo hit.  `volume_cross_check` never reads the
+it two memo hits.  `volume_cross_check` never reads the
 kept volume or the product tree of the pairings: it is the independent
 route, and multiplies the pairings out itself.
 
@@ -43,7 +53,9 @@ Kahler classes must be strictly positive.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
 
 from . import flag
@@ -66,6 +78,14 @@ __all__ = [
     "scalar_curvature",
     "volume_bound_report",
 ]
+
+# Fraction(n, d) for coprime n and d > 0, built without a gcd; bound here,
+# to the real class, so patching this module's `Fraction` sees only the
+# builds that normalize.
+if sys.version_info >= (3, 12):
+    _lowest = Fraction._from_coprime_ints
+else:
+    _lowest = functools.partial(Fraction, _normalize=False)
 
 
 class TkeResult(_Record):
@@ -153,14 +173,15 @@ def tke_solve_from_kahler(p: ParabolicData, xi: ClassLike) -> TwistedSolution:
 
 def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fraction, ...], bool]:
     """koszul - cls, each coordinate (k*d - n)/d for the coordinate n/d of
-    cls, and whether all of them are positive (the signs of k*d - n)."""
+    cls, and whether all of them are positive (the signs of k*d - n).
+    k*d - n and d are coprime as n and d are, so `_lowest` builds them."""
     diffs = []
     positive = True
     for k, c in zip(p.koszul, cls.coords):
         d = c.denominator
         m = k * d - c.numerator
         positive = positive and m > 0
-        diffs.append(Fraction(m, d))
+        diffs.append(_lowest(m, d))
     return tuple(diffs), positive
 
 
@@ -243,17 +264,23 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     n = p.dim
     g = grlb_report(p, xi)
     vol = volume_class(p, xi)
-    rv = g.value**n * vol
+    # r^n * Vol as Fraction.__mul__ builds it: a^n/b^n and v/w are each in
+    # lowest terms, so cancelling across leaves the product in lowest terms
+    a_n, b_n = g.value.numerator**n, g.value.denominator**n
+    v, w = vol.numerator, vol.denominator
+    g1, g2 = math.gcd(a_n, w), math.gcd(v, b_n)
+    num, den = (a_n // g1) * (v // g2), (b_n // g2) * (w // g1)
     d = degree(p)
+    left = num - d * den  # the sign of r^n * Vol - degree, den being positive
     snow = (n + 1) ** n
     return VolumeBoundReport(
         grlb=g,
         volume=vol,
-        r_pow_vol=rv,
+        r_pow_vol=_lowest(num, den),
         degree=d,
         snow=snow,
-        left_ok=rv <= d,
+        left_ok=left <= 0,
         right_ok=d <= snow,
-        left_equality=rv == d,
+        left_equality=left == 0,
         right_equality=d == snow,
     )

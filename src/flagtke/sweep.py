@@ -207,7 +207,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Per flag: the degree bound once, then for each seeded sample one
     positive class, whose solved twist (cscK, roundtrip) is computed once;
     its volume is built once too, since `volbound` and `cross` ask the
-    same memo entry.
+    same memo entry.  A drawn class is built unchecked
+    (`KahlerClass._trusted`): `draw_kahler` returns only `Fraction`s with
+    numerators from 1 to 100, positive by construction.
     Returns all failures, each with a runnable `flagtke` command line that
     reproduces it; an empty failure list is the expected outcome on a
     correct build.
@@ -239,7 +241,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             continue
         for _ in range(config.samples_per_flag):
             samples += 1
-            xi = KahlerClass(draw_kahler(rng, p.picard_rank))
+            xi = KahlerClass._trusted(draw_kahler(rng, p.picard_rank))
             sol = None  # shared by the checks of this sample
             for check in per_sample:
                 checks_run += 1

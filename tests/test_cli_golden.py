@@ -17,11 +17,14 @@ refactor that changes any printed answer, rendering, message or JSON
 layout fails here.  Every
 JSON envelope printed on the way must also validate against the schema.
 The same replays must also pass under every other CPython >= 3.10 on
-PATH, so that no printed byte depends on the interpreter.
+PATH or under ``$PYENV_ROOT/versions``, so that no printed byte depends
+on the interpreter.
 """
 
+import glob
 import importlib.resources
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -66,30 +69,37 @@ _PROBE = ("import platform, sys; print('yes' if platform.python_implementation()
 
 
 def _other_interpreters() -> list[str]:
-    """Each ``python3.10`` to ``python3.14`` on PATH that starts and is a
-    CPython >= 3.10 other than the one running the tests.  A name that
-    fails to start (a version manager's shim for an uninstalled version,
-    say) counts as absent."""
-    found = []
+    """Each ``python3.10`` to ``python3.14`` on PATH or under
+    ``$PYENV_ROOT/versions/*/bin`` that starts and is a CPython >= 3.10
+    other than the one running the tests, one per version string.  A name
+    that fails to start (a version manager's shim for a version it does
+    not select, say) counts as absent."""
+    root = os.environ.get("PYENV_ROOT")
+    found, versions = [], {sys.version}
     for minor in range(10, 15):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None:
-            continue
-        try:
-            probe = subprocess.run([exe, "-c", _PROBE], capture_output=True, text=True,
-                                   timeout=60)
-        except (OSError, subprocess.TimeoutExpired):
-            continue
-        lines = probe.stdout.splitlines()
-        if probe.returncode == 0 and lines[:1] == ["yes"] and lines[1:] != [sys.version]:
-            found.append(exe)
+        name = f"python3.{minor}"
+        candidates = [shutil.which(name)]
+        if root:
+            candidates += sorted(glob.glob(os.path.join(glob.escape(root), "versions", "*",
+                                                        "bin", name)))
+        for exe in filter(None, candidates):
+            try:
+                probe = subprocess.run([exe, "-c", _PROBE], capture_output=True, text=True,
+                                       timeout=60)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            lines = probe.stdout.splitlines()
+            version = "\n".join(lines[1:])
+            if probe.returncode == 0 and lines[:1] == ["yes"] and version not in versions:
+                versions.add(version)
+                found.append(exe)
     return found
 
 
 def test_golden_replays_match_under_every_other_interpreter():
     interpreters = _other_interpreters()
     if not interpreters:
-        pytest.skip("no other CPython >= 3.10 on PATH")
+        pytest.skip("no other CPython >= 3.10 on PATH or under $PYENV_ROOT")
     script = str(Path(__file__).resolve().parent / "replay_golden.py")
     failed = []
     for exe in interpreters:

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import math
 import pickle
 import sys
 import threading
@@ -31,6 +32,7 @@ from flagtke import (
 )
 from flagtke import flag
 from flagtke.flag import PAIRING_MEMO_SIZE, ParabolicData
+from flagtke.invariants import _lowest
 from flagtke.sweep import SplitMix64, draw_kahler, enumerate_flags
 
 P1 = parabolic("A1", theta=())
@@ -338,6 +340,65 @@ def test_bound_report_values_are_consistent():
     assert rep.snow == (p.dim + 1) ** p.dim
     assert rep.left_ok == (rep.r_pow_vol <= rep.degree)
     assert rep.right_ok == (rep.degree <= rep.snow)
+
+
+def bound_cases():
+    """(flag, class) pairs for the bound report: ten seeded classes on each
+    flag of rank <= 5, a seeded class and a multiple of the anticanonical
+    class on three big full flags, and projective space."""
+    rng = SplitMix64(2207)
+    for p in small_flags(5):
+        for _ in range(10):
+            yield p, draw_kahler(rng, p.picard_rank)
+    for lie_type in ("E8", "B8", "A8"):
+        p = parabolic(lie_type, theta=())
+        yield p, draw_kahler(rng, p.picard_rank)
+        yield p, tuple(Fraction(2, 3) * k for k in p.koszul)
+    yield parabolic("A4", complement=(1,)), (Fraction(7, 5),)
+
+
+def test_bound_report_matches_the_fraction_oracle():
+    verdicts = Counter()
+    for p, xi in bound_cases():
+        rep = volume_bound_report(p, xi)
+        rv = grlb_report(p, xi).value ** p.dim * volume_class(p, xi)
+        d = degree(p)
+        assert type(rep.r_pow_vol) is Fraction
+        assert (rep.r_pow_vol.numerator, rep.r_pow_vol.denominator) == (
+            rv.numerator, rv.denominator), (p.describe(), xi)
+        assert (rep.left_ok, rep.left_equality) == (rv <= d, rv == d)
+        assert (rep.right_ok, rep.right_equality) == (d <= rep.snow, d == rep.snow)
+        verdicts[rep.left_equality, rep.right_equality] += 1
+    # strict ones, left equalities (the anticanonical multiples and every
+    # Picard rank one flag) and projective space's double equality
+    assert set(verdicts) == {(False, False), (True, False), (True, True)}
+
+
+def test_bound_report_does_no_fraction_arithmetic(monkeypatch):
+    cases = [(parabolic("A2", theta=()), (1, 2)), (parabolic("B2", theta=(1,)), (Fraction(5, 3),)),
+             (parabolic("E8", theta=()), tuple(Fraction(k, 9 - k) for k in range(1, 9))),
+             (parabolic("A4", complement=(1,)), (Fraction(7, 5),))]
+    expected = [volume_bound_report(p, xi) for p, xi in cases]
+
+    def arithmetic(*args):
+        raise AssertionError("Fraction arithmetic")
+
+    for name in ("__pow__", "__mul__", "__rmul__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, arithmetic)
+    for (p, xi), rep in zip(cases, expected):  # a fresh flag: nothing remembered
+        assert volume_bound_report(parabolic(p.lie_type, p.theta), xi) == rep
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (1, 1), (-1, 1), (-3, 4), (7, 2), (2**61 - 1, 2**64),
+    (3**2524, 2**4000), (-(3**2524), 5**1000 * 2), (2**4000 + 1, 7**30),
+])
+def test_lowest_builds_the_fraction_of_coprime_terms(n, d):
+    assert math.gcd(n, d) == 1 and d > 0
+    f = _lowest(n, d)
+    assert type(f) is Fraction
+    assert (f, f.numerator, f.denominator) == (Fraction(n, d), n, d)
+    assert hash(f) == hash(Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +752,9 @@ def bundle(p, xi, beta):
 @pytest.mark.parametrize("lie_type", ("E8", "F4"))
 def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_type):
     # xi and beta = koszul - xi, each a tuple of Fractions, become a memo
-    # entry, which works out the integer form, once per flag, not once per
-    # call; grlb_report (twice a bundle) and tke_exists read coordinates
-    # only, and check a class of their own on each call
+    # entry, which checks the class and works out the integer form once per
+    # flag, not once per call; grlb_report (twice a bundle) and tke_exists
+    # read coordinates only, and take the class their entry holds
     built, forms = [], []
     init = CohomologyClass.__init__
 
@@ -714,9 +775,9 @@ def test_class_bundle_builds_two_classes_and_two_integer_forms(monkeypatch, lie_
     xi = tuple(Fraction(k, k + 2) for k in range(1, p.picard_rank + 1))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
     first = bundle(p, xi, beta)
-    assert len(built) == 5 and len(forms) == 2
+    assert len(built) == 2 and len(forms) == 2
     assert bundle(p, xi, beta) == first  # both entries served from the memo
-    assert len(built) == 8 and len(forms) == 2
+    assert len(built) == 2 and len(forms) == 2
     assert first == bundle(parabolic(lie_type, theta=()), list(xi), list(beta))
 
 

@@ -72,6 +72,18 @@ def test_draws_have_expected_shape():
         assert 1 <= f.denominator <= 100
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+def test_drawn_classes_meet_the_kahler_class_contract(seed):
+    # run_sweep builds each drawn class unchecked, so every draw must be
+    # what the checked constructor would build from it
+    rng = SplitMix64(seed)
+    for _ in range(100):
+        for k in range(1, 9):
+            x = draw_kahler(rng, k)
+            assert type(x) is tuple and all(type(c) is Fraction for c in x)
+            assert KahlerClass(x) == KahlerClass._trusted(x)
+
+
 def test_identical_seeds_reproduce_streams():
     a, b = SplitMix64(777), SplitMix64(777)
     assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
@@ -245,12 +257,14 @@ def test_benchmark_sized_sweep_is_pinned(monkeypatch):
     # the counts and every drawn class of run_sweep at rank <= 5, as recorded
     # before the draw loop and the cscK verdict were rewritten
     drawn = []
+    draw = flagtke.sweep.draw_kahler
 
-    def recorded(coords):
+    def recorded(rng, k):
+        coords = draw(rng, k)
         drawn.append(",".join(map(str, coords)))
-        return KahlerClass(coords)
+        return coords
 
-    monkeypatch.setattr(flagtke.sweep, "KahlerClass", recorded)
+    monkeypatch.setattr(flagtke.sweep, "draw_kahler", recorded)
     res = run_sweep(SweepConfig(max_rank=5, samples_per_flag=10, seed=7))
     assert (res.flags, res.samples, res.checks_run, res.failures) == (233, 2330, 9553, ())
     assert len(drawn) == 2330
