@@ -83,8 +83,8 @@ def classify_picard2(p: ParabolicData) -> Picard2Class:
         )
     i, j = p.complement
     mu = p.rs.maximal_root()
-    heights = (mu.coeffs[i - 1], mu.coeffs[j - 1])
-    pairs = {(g.coeffs[i - 1], g.coeffs[j - 1]) for g in p.radical_roots}
+    heights = (mu[i - 1], mu[j - 1])
+    pairs = {(g[i - 1], g[j - 1]) for g in p.radical_roots}
     summands = len(pairs)
     return Picard2Class(
         heights=heights,

@@ -160,6 +160,10 @@ def _vec_text(values: Sequence, units: str) -> str:
     return (body + " * 2pi") if units == "raw" else body
 
 
+def _root_text(root: Sequence[int]) -> str:
+    return "(" + ",".join(map(str, root)) + ")"
+
+
 def _fields_of(record) -> dict:
     """A record's fields by name, in field order."""
     return {name: getattr(record, name) for name in record._fields}
@@ -328,25 +332,25 @@ _CLASS_HELP = {"beta": "twist coordinates, e.g. 5/2,1", "xi": "positive class co
 def _cmd_roots(args: argparse.Namespace) -> int:
     rs = build_root_system(_lie_type(args.type))
     mu = rs.maximal_root()
-    heights = list(mu.coeffs)
+    heights = list(mu)
     result = {
         "rank": rs.rank,
         "count": len(rs.positive_roots),
         "cartan": [list(row) for row in rs.cartan],
         "symmetrizer": [str(d) for d in rs.symmetrizer],
-        "maximal_root": list(mu.coeffs),
+        "maximal_root": list(mu),
         "heights_in_max": heights,
-        "positive_roots": [list(g.coeffs) for g in rs.positive_roots],
+        "positive_roots": [list(g) for g in rs.positive_roots],
     }
     lines = [
         f"type: {rs.lie_type}",
         f"rank: {rs.rank}",
         f"positive roots: {len(rs.positive_roots)}",
-        f"maximal root: {mu} (height {mu.height})",
+        f"maximal root: {_root_text(mu)} (height {sum(mu)})",
         f"heights in maximal root: {_vec_text(heights, '2pi')}",
         "roots (simple-root coefficients, by height):",
     ]
-    lines.extend(f"  {g}" for g in rs.positive_roots)
+    lines.extend(f"  {_root_text(g)}" for g in rs.positive_roots)
     _emit(args, {"type": str(rs.lie_type)}, result, lines)
     return EXIT_OK
 

@@ -36,11 +36,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import compress
 
-from .rootsys import LieType, Root, RootSystem, _integer, _Record, _setattr, build_root_system
+from .rootsys import LieType, RootSystem, _integer, _Record, _setattr, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -60,13 +60,17 @@ class CohomologyClass(_Record):
     Coordinates are listed against the ascending complement indices of
     the parabolic they belong to.  No positivity is implied.  Only exact
     coordinates are accepted: each must be an `int`, a `Fraction` or a
-    string that `Fraction` parses, and is stored as a `Fraction`.
+    string that `Fraction` parses, and is stored as a `Fraction`.  They
+    come in order: a whole `str`, bytes, set or mapping is refused.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[Rational]) -> None:
-        coords = tuple(coords)
+        if type(coords) is not tuple:
+            if isinstance(coords, (str, bytes, bytearray, memoryview, Set, Mapping)):
+                raise ValueError(f"class coordinates come in order, not a {type(coords).__name__}")
+            coords = tuple(coords)
         if any(type(c) is not Fraction for c in coords):
             coords = tuple(_exact_coordinate(i, c) for i, c in enumerate(coords, 1))
         _setattr(self, "coords", coords)
@@ -259,7 +263,7 @@ class ParabolicData(_Record):
         # fundamental weights.
         is_radical = tuple(n > 0 for n in rs._coroot_pairings(comp, [1] * len(comp)))
         radical = tuple(compress(rs.positive_roots, is_radical))
-        delta = tuple(map(sum, zip(*(g.coeffs for g in radical))))
+        delta = tuple(map(sum, zip(*radical)))
 
         # Anticanonical pairings: zero exactly on theta, strictly positive
         # on the complement.  A cheap sanity net, so enforced on every
@@ -286,7 +290,7 @@ class ParabolicData(_Record):
         delta_product = math.prod(delta_pairings)
         rho_product = math.prod(compress(rs._heights, is_radical))
         _setattr(self, "radical_roots", radical)
-        _setattr(self, "delta_p", Root(delta))
+        _setattr(self, "delta_p", delta)
         _setattr(self, "koszul", koszul_t)
         _setattr(self, "_delta_pairings", delta_pairings)
         _setattr(self, "_delta_product", delta_product)

@@ -28,7 +28,7 @@ arithmetic on the way:
 
 Where the terms are coprime by construction (the margins and twist
 coordinates, and r^n * Vol) the `Fraction` is built by `_lowest`, which
-runs no gcd; every other one is a normalizing `Fraction(n, d)`.
+fills its two slots with no gcd; any other is a normalizing `Fraction(n, d)`.
 
 Every class argument passes the one check `ParabolicData._checked`
 (arity = Picard rank; in a Kahler slot, strictly positive), which serves
@@ -53,9 +53,7 @@ Kahler classes must be strictly positive.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from fractions import Fraction
 
 from . import flag
@@ -79,13 +77,14 @@ __all__ = [
     "volume_bound_report",
 ]
 
-# Fraction(n, d) for coprime n and d > 0, built without a gcd; bound here,
-# to the real class, so patching this module's `Fraction` sees only the
-# builds that normalize.
-if sys.version_info >= (3, 12):
-    _lowest = Fraction._from_coprime_ints
-else:
-    _lowest = functools.partial(Fraction, _normalize=False)
+
+def _lowest(n: int, d: int, _new=object.__new__, _cls=Fraction) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, its two slots filled with
+    no gcd, as by `Fraction._from_coprime_ints` on CPython >= 3.12.  Bound
+    to the real class, so a patched `invariants.Fraction` sees no call."""
+    self = _new(_cls)
+    self._numerator, self._denominator = n, d
+    return self
 
 
 class TkeResult(_Record):

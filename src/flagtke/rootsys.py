@@ -28,8 +28,9 @@ Conventions, fixed once here and relied on everywhere else:
 * ``cartan[i][j]`` is <alpha_i, coroot(alpha_j)>.  Rows therefore give
   the fundamental-weight coordinates of a simple root and columns pair
   against a fixed simple coroot.
-* Roots are integer vectors in simple-root coordinates; a coroot form
-  pairs with a weight given in fundamental-weight coordinates.
+* A root is its integer vector in simple-root coordinates, a plain
+  `tuple` of `int`s; a coroot form pairs with a weight given in
+  fundamental-weight coordinates.
 * The symmetrizer ``d`` makes ``d[j] * cartan[i][j]`` symmetric, i.e.
   d[j] is proportional to half the squared length of alpha_j.  Every
   pairing is a ratio, so any positive rescaling of d gives identical
@@ -45,7 +46,6 @@ from fractions import Fraction
 
 __all__ = [
     "LieType",
-    "Root",
     "RootSystem",
     "build_root_system",
     "types_of_rank",
@@ -103,24 +103,6 @@ class _Record:
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
-class _OrderedRecord(_Record):
-    """A record that also orders by its fields, as a tuple would."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return self._key(self) < other._key(other) if type(other) is type(self) else NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return self._key(self) <= other._key(other) if type(other) is type(self) else NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        return self._key(self) > other._key(other) if type(other) is type(self) else NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return self._key(self) >= other._key(other) if type(other) is type(self) else NotImplemented
-
-
 def _integer(name: str, value: object) -> int:
     """``value`` as an `int`, the one rule for every integer argument of
     the package: a `bool`, a float or any other non-integer is refused."""
@@ -144,8 +126,10 @@ _RANK_RULES: dict[str, tuple[int, int | None]] = {
 }
 
 
-class LieType(_OrderedRecord):
-    """A simple series letter plus a rank, e.g. ``LieType("D", 5)``."""
+@functools.total_ordering
+class LieType(_Record):
+    """A simple series letter plus a rank, e.g. ``LieType("D", 5)``;
+    types order as their ``(series, rank)`` tuples."""
 
     __slots__ = ("series", "rank")
 
@@ -175,6 +159,9 @@ class LieType(_OrderedRecord):
             )
         return cls(series, int(tail))
 
+    def __lt__(self, other: object) -> bool:
+        return self._key(self) < other._key(other) if type(other) is type(self) else NotImplemented
+
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
 
@@ -185,22 +172,6 @@ def types_of_rank(rank: int) -> Iterator[LieType]:
     for series, (lo, hi) in _RANK_RULES.items():
         if lo <= rank and (hi is None or rank <= hi):
             yield LieType(series, rank)
-
-
-class Root(_OrderedRecord):
-    """A root (or integer root combination) in simple-root coordinates."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        _setattr(self, "coeffs", coeffs)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
 def _cartan_matrix(t: LieType) -> list[list[int]]:
@@ -258,7 +229,7 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
 
 def _positive_roots(
     cartan: Sequence[Sequence[int]],
-) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All positive roots with their integer coroot forms and raising
     steps, by upward closure.
 
@@ -306,12 +277,13 @@ def _positive_roots(
     index = {c: k for k, c in enumerate(order, 1)}  # a simple root's parent None -> 0
     steps = tuple((index.get(parent, 0), node, step)
                   for parent, node, step in map(raised.get, order))
-    return tuple(Root(c) for c in order), tuple(coroot[c] for c in order), steps
+    return tuple(order), tuple(coroot[c] for c in order), steps
 
 
 class RootSystem(_Record):
     """Immutable root-system data for one simple type, derived from the
-    type alone: its one field is ``lie_type``.
+    type alone: its one field is ``lie_type``.  ``positive_roots`` holds
+    each positive root as its `int` tuple, sorted by (height, coefficients).
 
     ``coroot_forms`` and ``raising_steps`` run parallel to
     ``positive_roots``: the coroot form of each root, i.e. its coroot in
@@ -372,11 +344,11 @@ class RootSystem(_Record):
         del pairs[0]
         return pairs
 
-    def maximal_root(self) -> Root:
+    def maximal_root(self) -> tuple[int, ...]:
         """The unique positive root dominating all others coefficientwise."""
-        mu = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
+        mu = self.positive_roots[-1]  # the highest, last in (height, coefficients) order
         for g in self.positive_roots:
-            if any(mc < gc for mc, gc in zip(mu.coeffs, g.coeffs, strict=True)):
+            if any(mc < gc for mc, gc in zip(mu, g, strict=True)):
                 raise RuntimeError(f"no dominating root in {self.lie_type}")
         return mu
 

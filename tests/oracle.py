@@ -91,10 +91,9 @@ def inner(rs, x: Sequence, y: Sequence[int]):
 def pairings(rs, lam: Sequence, gammas) -> tuple[Fraction, ...]:
     """<lam, coroot(gamma)> = 2(lam, gamma)/(gamma, gamma) for a weight lam
     in fundamental-weight coordinates and each nonzero gamma in ``gammas``
-    (a `Root` or integer simple-root coordinates)."""
+    (integer simple-root coordinates)."""
     x = weight_to_root(rs, lam)
-    coeffs = [getattr(g, "coeffs", g) for g in gammas]
-    return tuple(Fraction(2 * inner(rs, x, c)) / inner(rs, c, c) for c in coeffs)
+    return tuple(Fraction(2 * inner(rs, x, c)) / inner(rs, c, c) for c in gammas)
 
 
 def pairing(rs, lam: Sequence, gamma) -> Fraction:
@@ -106,7 +105,7 @@ def radical_pairings(rs, theta) -> tuple[tuple[Fraction, ...], tuple[Fraction, .
     """<delta_P, coroot(g)> and <rho, coroot(g)> over the radical roots g
     of the flag with Levi nodes ``theta`` (positive roots not supported on
     theta), with delta_P the sum of those roots; no parabolic data used."""
-    radical = [g.coeffs for g in rs.positive_roots if not support(g.coeffs) <= set(theta)]
+    radical = [g for g in rs.positive_roots if not support(g) <= set(theta)]
     delta = tuple(map(sum, zip(*radical)))
     return (pairings(rs, root_to_weight(rs, delta), radical),
             pairings(rs, weyl_vector(rs), radical))

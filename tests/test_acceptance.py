@@ -318,7 +318,7 @@ def test_criterion_10_structural_invariants():
         ok = ok and len(rs.positive_roots) == closed_form(t)
     for p in proper_flags(6):
         rs = p.rs
-        w = oracle.root_to_weight(rs, p.delta_p.coeffs)
+        w = oracle.root_to_weight(rs, p.delta_p)
         simple = oracle.pairings(rs, w, [oracle.unit(rs.rank, i) for i in range(1, rs.rank + 1)])
         for i in p.theta:
             ok = ok and simple[i - 1] == 0

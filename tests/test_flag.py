@@ -132,7 +132,7 @@ def test_flags_and_root_systems_are_hashable():
 def test_radical_roots_are_exactly_the_roots_meeting_the_complement():
     p = parabolic("D5", theta=(2, 3, 5))
     comp = set(p.complement)
-    expected = [r for r in p.rs.positive_roots if oracle.support(r.coeffs) & comp]
+    expected = [r for r in p.rs.positive_roots if oracle.support(r) & comp]
     assert list(p.radical_roots) == expected
     # |radical| = |positive roots| - |positive roots of the Levi part|, the
     # latter counted by the oracle's pairings: a root lies in the Levi part
@@ -140,7 +140,7 @@ def test_radical_roots_are_exactly_the_roots_meeting_the_complement():
     # complement node; theta {2, 3, 5} spans an A3, with 6 positive roots
     levi = [r for r in p.rs.positive_roots
             if all(oracle.pairing(p.rs, oracle.unit(p.rs.rank, i), r) == 0 for i in comp)]
-    assert all(oracle.support(r.coeffs) <= set(p.theta) for r in levi)
+    assert all(oracle.support(r) <= set(p.theta) for r in levi)
     assert len(p.rs.positive_roots) == 20 and len(levi) == 6
     assert p.dim == len(p.radical_roots) == 20 - 6
     assert p.picard_rank == 2
@@ -187,7 +187,7 @@ def test_e6_end_pair():
     p = parabolic("E6", complement=(1, 6))
     assert p.koszul == (8, 8)
     # direct reconstruction: the radical-sum weight must restrict to koszul
-    w = oracle.root_to_weight(p.rs, p.delta_p.coeffs)
+    w = oracle.root_to_weight(p.rs, p.delta_p)
     for pos, node in enumerate(p.complement):
         assert w[node - 1] == p.koszul[pos]
     for node in p.theta:
@@ -281,7 +281,7 @@ def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
     for t, theta in flags_up_to_rank(8):
         p = parabolic(t, theta)
         comp = set(p.complement)
-        assert p._is_radical == tuple(bool(oracle.support(r.coeffs) & comp)
+        assert p._is_radical == tuple(bool(oracle.support(r) & comp)
                                       for r in p.rs.positive_roots), p.describe()
         forms = compress(p.rs.coroot_forms, p._is_radical)
         assert p._rho_product == math.prod(sum(f) for f in forms), p.describe()

@@ -145,6 +145,22 @@ def test_inexact_coordinates_fail_at_the_boundary_of_every_entry_point():
         tke_exists(p, (1, Decimal(2)))
 
 
+UNORDERED = ("12", b"12", bytearray(b"12"), memoryview(b"12"), {5: "x", 7: "y"}, {3, 1},
+             frozenset({3, 1}), {3: 1}.keys())
+
+
+@pytest.mark.parametrize("whole", UNORDERED, ids=lambda v: type(v).__name__)
+def test_a_str_bytes_set_or_mapping_is_no_class(whole):
+    # each iterates, but not as the coordinates in order: "12" read as
+    # (1, 2), b"12" as (49, 50), a dict as its keys, a set in hash order
+    message = f"class coordinates come in order, not a {type(whole).__name__}"
+    p = parabolic("A2", ())
+    for call in (CohomologyClass, KahlerClass, lambda v: volume_class(p, v),
+                 lambda v: grlb_report(p, v), lambda v: tke_exists(p, v)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(whole)
+
+
 @pytest.mark.parametrize("bad", ("1/0", "x", " "))
 def test_a_malformed_string_coordinate_is_named(bad):
     message = f"class coordinate 1 is {bad!r}, not a rational number"

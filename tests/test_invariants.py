@@ -2,12 +2,15 @@
 
 import copy
 import inspect
+import json
 import math
 import pickle
+import subprocess
 import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -389,16 +392,50 @@ def test_bound_report_does_no_fraction_arithmetic(monkeypatch):
         assert volume_bound_report(parabolic(p.lie_type, p.theta), xi) == rep
 
 
-@pytest.mark.parametrize("n, d", [
+LOWEST_CASES = [
     (0, 1), (1, 1), (-1, 1), (-3, 4), (7, 2), (2**61 - 1, 2**64),
     (3**2524, 2**4000), (-(3**2524), 5**1000 * 2), (2**4000 + 1, 7**30),
-])
+]
+
+
+@pytest.mark.parametrize("n, d", LOWEST_CASES)
 def test_lowest_builds_the_fraction_of_coprime_terms(n, d):
     assert math.gcd(n, d) == 1 and d > 0
     f = _lowest(n, d)
     assert type(f) is Fraction
     assert (f, f.numerator, f.denominator) == (Fraction(n, d), n, d)
     assert hash(f) == hash(Fraction(n, d))
+
+
+# The cases of LOWEST_CASES, read as JSON from stdin, through `_lowest`
+# of the package under the source directory argv[1].
+_LOWEST_SCRIPT = """
+import json, pickle, sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from flagtke.invariants import _lowest
+cases = json.load(sys.stdin)
+for n, d in cases:
+    f, g = _lowest(n, d), Fraction(n, d)
+    assert type(f) is Fraction and (f.numerator, f.denominator) == (n, d), (n, d)
+    assert f == g and hash(f) == hash(g) and f * 3 - g == 2 * g, (n, d)
+    assert pickle.loads(pickle.dumps(f)) == g, (n, d)
+print(len(cases))
+"""
+
+
+def test_lowest_builds_the_same_fractions_under_every_other_interpreter():
+    # `_lowest` writes the private slots of CPython's `Fraction`
+    from test_cli_golden import _other_interpreters
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 on PATH or under $PYENV_ROOT")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {exe: subprocess.run([exe, "-c", _LOWEST_SCRIPT, src], input=json.dumps(LOWEST_CASES),
+                                capture_output=True, text=True, timeout=120)
+            for exe in interpreters}
+    assert {exe: (r.returncode, r.stdout, r.stderr[-2000:]) for exe, r in runs.items()} == {
+        exe: (0, f"{len(LOWEST_CASES)}\n", "") for exe in interpreters}
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +447,7 @@ def test_class_inputs_accept_sequences_and_classes():
     assert volume_class(P2, KahlerClass((2,))) == 4
     assert volume_class(P2, [2]) == 4
     assert volume_class(P2, (Fraction(2),)) == 4
+    assert volume_class(P2, ("6/3",)) == volume_class(P2, (c for c in ["2"])) == 4
     for xi in ((1,), CohomologyClass((1,)), KahlerClass((1,))):
         sol = tke_solve_from_kahler(P2, xi)
         assert type(sol.omega) is KahlerClass and type(sol.beta) is CohomologyClass
@@ -629,7 +667,7 @@ def test_product_tree_sums_match_the_oracle_pairings(lie_type):
     xi = draw_kahler(rng, p.picard_rank)
     beta = draw_signed(rng, p.picard_rank)
     ratio = oracle.pairings(p.rs, oracle.class_weight(p, xi), p.radical_roots)
-    delta = oracle.pairings(p.rs, oracle.root_to_weight(p.rs, p.delta_p.coeffs), p.radical_roots)
+    delta = oracle.pairings(p.rs, oracle.root_to_weight(p.rs, p.delta_p), p.radical_roots)
     twist = oracle.pairings(p.rs, oracle.class_weight(p, beta), p.radical_roots)
     assert scalar_curvature(p, xi) == sum(d / w for d, w in zip(delta, ratio))
     assert trace(p, xi, beta) == sum(b / w for b, w in zip(twist, ratio))

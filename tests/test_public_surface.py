@@ -41,6 +41,9 @@ def test_every_exported_name_resolves_and_appears_once():
         assert not hasattr(flagtke.sweep.SplitMix64, name)
     for name in ("draw_twist", "_range"):
         assert not hasattr(flagtke.sweep, name)
+    # a root is its coefficient tuple; no record type wraps it or orders records
+    for name in ("Root", "_OrderedRecord"):
+        assert not hasattr(flagtke.rootsys, name) and not hasattr(flagtke, name)
 
 
 def test_readme_library_example_shows_the_values_it_computes():

@@ -1,4 +1,4 @@
-"""The contract of the 16 record types: what a frozen dataclass gave them.
+"""The contract of the 15 record types: what a frozen dataclass gave them.
 
 A record's fields are its constructor's arguments.  Each type compares
 and hashes by its fields, against its own type only, has the repr of its
@@ -35,7 +35,7 @@ from flagtke.invariants import (
     volume_bound_report,
     volume_class,
 )
-from flagtke.rootsys import LieType, Root, RootSystem, build_root_system
+from flagtke.rootsys import LieType, RootSystem, build_root_system
 from flagtke.sweep import CHECKS, SweepConfig, SweepFailure, SweepResult, run_sweep
 
 
@@ -54,12 +54,6 @@ RECORDS = {
         lambda: LieType("D", 5),
         lambda: LieType("D", 6),
         "LieType(series='D', rank=5)",
-    ),
-    Root: (
-        ("coeffs",),
-        lambda: Root((1, 2, 1)),
-        lambda: Root((1, 1, 1)),
-        "Root(coeffs=(1, 2, 1))",
     ),
     RootSystem: (
         ("lie_type",),
@@ -157,7 +151,7 @@ RECORDS = {
         "heights=(1, 1), summands=3, family_consistent=True, note='')",
     ),
 }
-ORDERED = (LieType, Root)
+ORDERED = (LieType,)
 ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
 
 
@@ -195,7 +189,7 @@ def test_record_contract(cls):
             with pytest.raises(TypeError):
                 a < foreign  # noqa: B015
 
-    # ordering as the tuple of fields, on LieType and Root only
+    # ordering as the tuple of fields, on LieType only
     for op in ORDERINGS:
         if cls in ORDERED:
             key = tuple(values)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from flagtke import LieType, build_root_system
+from flagtke import LieType, build_root_system, parabolic
 from flagtke.catalog import catalog_rows, example_projectivized_tangent
 from flagtke.rootsys import types_of_rank
 from flagtke.sweep import SplitMix64
@@ -130,7 +130,7 @@ def test_every_spelling_of_a_type_shares_one_root_system():
 
 def test_a2_positive_roots_explicit():
     rs = build_root_system("A2")
-    assert {r.coeffs for r in rs.positive_roots} == {(1, 0), (0, 1), (1, 1)}
+    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 @pytest.mark.parametrize(
@@ -139,7 +139,7 @@ def test_a2_positive_roots_explicit():
 def test_reflection_closure_agrees_with_root_string_oracle(token):
     rs = build_root_system(token)
     oracle = roots_by_string_closure(rs.cartan)
-    assert {r.coeffs for r in rs.positive_roots} == oracle
+    assert set(rs.positive_roots) == oracle
 
 
 def test_cartan_matrices_frozen_spots():
@@ -194,13 +194,13 @@ def test_symmetrizer_symmetrizes_and_spots():
 def test_every_nonsimple_positive_root_has_simple_predecessor():
     for t in all_types(6):
         rs = build_root_system(t)
-        present = {r.coeffs for r in rs.positive_roots}
+        present = set(rs.positive_roots)
         for r in rs.positive_roots:
-            if r.height == 1:
+            if sum(r) == 1:
                 continue
             preds = 0
             for i in range(rs.rank):
-                down = list(r.coeffs)
+                down = list(r)
                 down[i] -= 1
                 if tuple(down) in present:
                     preds += 1
@@ -210,8 +210,25 @@ def test_every_nonsimple_positive_root_has_simple_predecessor():
 def test_positive_roots_sorted_by_height_then_coeffs():
     for t in all_types(6):
         rs = build_root_system(t)
-        keys = [(r.height, r.coeffs) for r in rs.positive_roots]
+        keys = [(sum(r), r) for r in rs.positive_roots]
         assert keys == sorted(keys)
+
+
+def _is_int_tuple(root) -> bool:
+    return type(root) is tuple and all(type(c) is int for c in root)
+
+
+def test_every_root_is_a_tuple_of_ints():
+    types = all_types(8)
+    assert len(types) == 32
+    for t in types:
+        rs = build_root_system(t)
+        assert all(map(_is_int_tuple, rs.positive_roots)), t
+        assert _is_int_tuple(rs.maximal_root()), t
+        flags = [parabolic(t, ()), *(parabolic(t, complement=(i,)) for i in range(1, t.rank + 1))]
+        for p in flags:
+            assert all(map(_is_int_tuple, p.radical_roots)), p.describe()
+            assert _is_int_tuple(p.delta_p) and len(p.delta_p) == t.rank, p.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +236,7 @@ def test_positive_roots_sorted_by_height_then_coeffs():
 
 
 def stored_form(rs, coeffs):
-    return rs.coroot_forms[[r.coeffs for r in rs.positive_roots].index(tuple(coeffs))]
+    return rs.coroot_forms[rs.positive_roots.index(tuple(coeffs))]
 
 
 def test_pairing_fundamental_weight_vs_simple_coroot_is_kronecker():
@@ -246,7 +263,7 @@ def test_pairing_negative_root_negates():
     rs = build_root_system("B3")
     lam = (1, Fraction(2, 3), -1)
     for r in rs.positive_roots:
-        neg = tuple(-c for c in r.coeffs)
+        neg = tuple(-c for c in r)
         assert oracle.pairing(rs, lam, neg) == -oracle.pairing(rs, lam, r)
 
 
@@ -315,12 +332,12 @@ def test_raising_steps_rebuild_every_coroot_form():
         m = rs.rank
         assert len(rs.raising_steps) == len(rs.positive_roots)
         forms = ((0,) * m, *rs.coroot_forms)  # forms[parent], the zero form first
-        roots = ((0,) * m, *(r.coeffs for r in rs.positive_roots))
+        roots = ((0,) * m, *rs.positive_roots)
         for k, (parent, node, step) in enumerate(rs.raising_steps):
             assert 0 <= parent <= k and 1 <= node <= m and step > 0, (t, k)
             raised = tuple(v + step * e for v, e in zip(forms[parent], oracle.unit(m, node)))
             assert rs.coroot_forms[k] == raised, (t, k)
-            rise = [c - b for c, b in zip(rs.positive_roots[k].coeffs, roots[parent])]
+            rise = [c - b for c, b in zip(rs.positive_roots[k], roots[parent])]
             assert rise[node - 1] > 0 and rise.count(0) == m - 1, (t, k)
         simple = sorted(s for s in rs.raising_steps if s[0] == 0)
         assert simple == [(0, i, 1) for i in range(1, m + 1)], t
@@ -367,18 +384,18 @@ def test_root_to_weight_preserves_pairings():
         a, d = rs.cartan, rs.symmetrizer
         m = rs.rank
         for g in rs.positive_roots:
-            w = oracle.root_to_weight(rs, g.coeffs)
-            assert oracle.weight_to_root(rs, w) == g.coeffs, (t, g)
+            w = oracle.root_to_weight(rs, g)
+            assert oracle.weight_to_root(rs, w) == g, (t, g)
             got = oracle.pairings(rs, w, rs.positive_roots)
             for b, form, value in zip(rs.positive_roots, rs.coroot_forms, got):
                 # symmetrized root-coordinate computation, no weight basis
                 num = sum(
-                    g.coeffs[i] * a[i][j] * d[j] * b.coeffs[j]
+                    g[i] * a[i][j] * d[j] * b[j]
                     for i in range(m)
                     for j in range(m)
                 )
                 den = sum(
-                    b.coeffs[i] * a[i][j] * d[j] * b.coeffs[j]
+                    b[i] * a[i][j] * d[j] * b[j]
                     for i in range(m)
                     for j in range(m)
                 )
@@ -398,7 +415,7 @@ def test_weyl_vector_is_all_ones_and_half_sum_of_positives():
         assert rho == tuple([Fraction(1)] * rs.rank)
         total = [0] * rs.rank
         for r in rs.positive_roots:
-            for k, c in enumerate(r.coeffs):
+            for k, c in enumerate(r):
                 total[k] += c
         half = tuple(x / 2 for x in oracle.root_to_weight(rs, total))
         assert half == rho, t
@@ -420,10 +437,10 @@ MAX_ROOT_HEIGHTS = {
 def test_maximal_root_heights_frozen():
     for token, heights in MAX_ROOT_HEIGHTS.items():
         rs = build_root_system(token)
-        assert rs.maximal_root().coeffs == heights, token
+        assert rs.maximal_root() == heights, token
     # one height per node 1..rank, none zero: every simple root occurs
     for t in all_types(8):
-        coeffs = build_root_system(t).maximal_root().coeffs
+        coeffs = build_root_system(t).maximal_root()
         assert len(coeffs) == t.rank and min(coeffs) >= 1, t
 
 
@@ -432,14 +449,14 @@ def test_maximal_root_dominates_every_positive_root():
         rs = build_root_system(t)
         mu = rs.maximal_root()
         for r in rs.positive_roots:
-            assert all(mc >= rc for mc, rc in zip(mu.coeffs, r.coeffs))
+            assert all(mc >= rc for mc, rc in zip(mu, r))
 
 
 def test_maximal_root_plus_simple_is_never_a_root():
     for t in all_types(7):
         rs = build_root_system(t)
-        mu = rs.maximal_root().coeffs
-        roots = {r.coeffs for r in rs.positive_roots}
+        mu = rs.maximal_root()
+        roots = set(rs.positive_roots)
         for i in range(1, rs.rank + 1):
             up = tuple(c + e for c, e in zip(mu, oracle.unit(rs.rank, i)))
             assert up not in roots, (t, i)

@@ -53,8 +53,8 @@ def test_diagram_automorphisms_permute_koszul_and_keep_degree_volume_grlb():
                 theta = tuple(i + 1 for i in range(m) if mask >> i & 1)
                 p = parabolic(t, theta)
                 q = parabolic(t, tuple(sorted(sigma[i] for i in theta)))
-                image = {tuple(g.coeffs[i - 1] for i in inverse) for g in p.radical_roots}
-                assert image == {g.coeffs for g in q.radical_roots}, (token, theta, sigma)
+                image = {tuple(g[i - 1] for i in inverse) for g in p.radical_roots}
+                assert image == set(q.radical_roots), (token, theta, sigma)
                 koszul_p = dict(zip(p.complement, p.koszul))
                 koszul_q = dict(zip(q.complement, q.koszul))
                 assert koszul_q == {sigma[i]: k for i, k in koszul_p.items()}, (token, theta)
