@@ -20,6 +20,11 @@ degree is one exact big-integer division; `fractions.Fraction` appears
 only in the classes of the public API.  A class takes exact coordinates
 only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s.
 
+The package builds and reads a `Fraction` through its two slots,
+``_numerator`` and ``_denominator``: `_lowest` and `_reduced` fill them,
+and a `Fraction` the package built or checked itself is read there, not
+through its ``numerator`` and ``denominator`` properties.
+
 Every class argument goes through one check, `ParabolicData._checked`.
 An invariant that reads a class's radical pairings pays once for each
 argument: the flag's memo (see `ParabolicData._entry`) keeps one `_Entry`
@@ -52,6 +57,24 @@ __all__ = [
     "snow_check",
     "anticanonical_class",
 ]
+
+
+def _lowest(n: int, d: int, _new=object.__new__, _cls=Fraction) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, its two slots filled with
+    no gcd, as by `Fraction._from_coprime_ints` on CPython >= 3.12.  Bound
+    to the real class, so a patched `Fraction` sees no call."""
+    self = _new(_cls)
+    self._numerator, self._denominator = n, d
+    return self
+
+
+def _reduced(n: int, d: int, _new=object.__new__, _cls=Fraction, _gcd=math.gcd) -> Fraction:
+    """Fraction(n, d) for d > 0: both terms divided by their one gcd, the
+    slots filled as `_lowest` fills them."""
+    g = _gcd(n, d)
+    self = _new(_cls)
+    self._numerator, self._denominator = n // g, d // g
+    return self
 
 
 class CohomologyClass(_Record):
@@ -116,7 +139,7 @@ def _exact_coordinate(i: int, value: object) -> Fraction:
 def _positive(cls: CohomologyClass) -> bool:
     """Every coordinate strictly positive, read off the numerators' signs
     (a `Fraction` keeps its denominator positive)."""
-    return all(c.numerator > 0 for c in cls.coords)
+    return all(c._numerator > 0 for c in cls.coords)
 
 
 def _kahler(cls: CohomologyClass, what: str) -> KahlerClass:
@@ -179,9 +202,9 @@ class _Entry:
         self.arg = arg
         self.cls = cls
         coords = cls.coords
-        dens = [c.denominator for c in coords]
+        dens = [c._denominator for c in coords]
         den = math.lcm(*dens)
-        self.form = (den, *[c.numerator * (den // d) for c, d in zip(coords, dens)])
+        self.form = (den, *[c._numerator * (den // d) for c, d in zip(coords, dens)])
         self.nums = pair(self.form)
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
@@ -210,7 +233,7 @@ class _Entry:
                 lcm = math.lcm(*nums)
                 weights = self.weights = (lcm, tuple(lcm // n for n in nums))
             lcm, recips = weights
-            return Fraction(sum(map(operator.mul, b_nums, recips)) * self.form[0], lcm * b_den)
+            return _reduced(sum(map(operator.mul, b_nums, recips)) * self.form[0], lcm * b_den)
         tree = self.tree_levels()
         sums = b_nums
         for dens in tree[:-1]:
@@ -218,7 +241,7 @@ class _Entry:
             sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
                     in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
             sums += odd
-        return Fraction(sums[0] * self.form[0], tree[-1][0] * b_den)
+        return _reduced(sums[0] * self.form[0], tree[-1][0] * b_den)
 
 
 class ParabolicData(_Record):

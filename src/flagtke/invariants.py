@@ -27,8 +27,10 @@ arithmetic on the way:
   degree times its denominator.
 
 Where the terms are coprime by construction (the margins and twist
-coordinates, and r^n * Vol) the `Fraction` is built by `_lowest`, which
-fills its two slots with no gcd; any other is a normalizing `Fraction(n, d)`.
+coordinates, and r^n * Vol) the `Fraction` is built by `flag._lowest`,
+which fills its two slots with no gcd; any other by `flag._reduced`,
+which divides both terms by their one gcd first.  A class coordinate is
+read from its slots too (see `flag`).
 
 Every class argument passes the one check `ParabolicData._checked`
 (arity = Picard rank; in a Kahler slot, strictly positive), which serves
@@ -57,7 +59,7 @@ import math
 from fractions import Fraction
 
 from . import flag
-from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, degree
+from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _lowest, _reduced, degree
 from .rootsys import _Record, _setattr
 
 __all__ = [
@@ -76,15 +78,6 @@ __all__ = [
     "scalar_curvature",
     "volume_bound_report",
 ]
-
-
-def _lowest(n: int, d: int, _new=object.__new__, _cls=Fraction) -> Fraction:
-    """Fraction(n, d) for coprime n and d > 0, its two slots filled with
-    no gcd, as by `Fraction._from_coprime_ints` on CPython >= 3.12.  Bound
-    to the real class, so a patched `invariants.Fraction` sees no call."""
-    self = _new(_cls)
-    self._numerator, self._denominator = n, d
-    return self
 
 
 class TkeResult(_Record):
@@ -177,8 +170,8 @@ def _koszul_minus(p: ParabolicData, cls: CohomologyClass) -> tuple[tuple[Fractio
     diffs = []
     positive = True
     for k, c in zip(p.koszul, cls.coords):
-        d = c.denominator
-        m = k * d - c.numerator
+        d = c._denominator
+        m = k * d - c._numerator
         positive = positive and m > 0
         diffs.append(_lowest(m, d))
     return tuple(diffs), positive
@@ -189,16 +182,16 @@ def grlb_report(p: ParabolicData, xi: ClassLike) -> GrlbReport:
     # with a coordinate n/d, koszul/xi = k*d/n: compare those by cross-multiplying
     nodes = zip(p.complement, p.koszul, p._checked(xi, "Kahler class", positive=True).coords)
     idx, k, c = next(nodes)
-    best_num, best_den = k * c.denominator, c.numerator
+    best_num, best_den = k * c._denominator, c._numerator
     argmin = [idx]
     for idx, k, c in nodes:
-        num, den = k * c.denominator, c.numerator
+        num, den = k * c._denominator, c._numerator
         cross = num * best_den - best_num * den
         if cross < 0:
             best_num, best_den, argmin = num, den, [idx]
         elif cross == 0:
             argmin.append(idx)
-    return GrlbReport(value=Fraction(best_num, best_den), argmin=tuple(argmin))
+    return GrlbReport(value=_reduced(best_num, best_den), argmin=tuple(argmin))
 
 
 def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
@@ -214,7 +207,7 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
         nums = entry.nums
         product = (entry.tree_levels()[-1][0] if len(nums) >= flag.PRODUCT_TREE_MIN
                    else math.prod(nums))
-        entry.volume = Fraction(degree(p) * product, entry.form[0]**p.dim * p._delta_product)
+        entry.volume = _reduced(degree(p) * product, entry.form[0]**p.dim * p._delta_product)
     return entry.volume
 
 
@@ -227,7 +220,7 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     check each other.
     """
     entry = p._entry(xi, "Kahler class", positive=True)
-    return Fraction(
+    return _reduced(
         math.factorial(p.dim) * math.prod(entry.nums), entry.form[0]**p.dim * p._rho_product
     )
 
@@ -265,8 +258,8 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     vol = volume_class(p, xi)
     # r^n * Vol as Fraction.__mul__ builds it: a^n/b^n and v/w are each in
     # lowest terms, so cancelling across leaves the product in lowest terms
-    a_n, b_n = g.value.numerator**n, g.value.denominator**n
-    v, w = vol.numerator, vol.denominator
+    a_n, b_n = g.value._numerator**n, g.value._denominator**n
+    v, w = vol._numerator, vol._denominator
     g1, g2 = math.gcd(a_n, w), math.gcd(v, b_n)
     num, den = (a_n // g1) * (v // g2), (b_n // g2) * (w // g1)
     d = degree(p)

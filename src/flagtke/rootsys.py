@@ -305,6 +305,10 @@ class RootSystem(_Record):
     def __init__(self, lie_type: LieType) -> None:
         cartan = _cartan_matrix(lie_type)
         positives, forms, steps = _positive_roots(cartan)
+        # the highest root, last in (height, coefficients) order, must
+        # dominate every positive root coefficientwise
+        if tuple(map(max, zip(*positives))) != positives[-1]:
+            raise RuntimeError(f"no dominating root in {lie_type}")
         _setattr(self, "lie_type", lie_type)
         _setattr(self, "cartan", tuple(map(tuple, cartan)))
         _setattr(self, "symmetrizer", _symmetrizer(cartan))
@@ -345,12 +349,9 @@ class RootSystem(_Record):
         return pairs
 
     def maximal_root(self) -> tuple[int, ...]:
-        """The unique positive root dominating all others coefficientwise."""
-        mu = self.positive_roots[-1]  # the highest, last in (height, coefficients) order
-        for g in self.positive_roots:
-            if any(mc < gc for mc, gc in zip(mu, g, strict=True)):
-                raise RuntimeError(f"no dominating root in {self.lie_type}")
-        return mu
+        """The unique positive root dominating all others coefficientwise,
+        checked to do so when the root system was built."""
+        return self.positive_roots[-1]
 
 
 def _construct(lie_type: LieType | str) -> RootSystem:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .flag import KahlerClass, ParabolicData, parabolic, snow_check
+from .flag import KahlerClass, ParabolicData, _reduced, parabolic, snow_check
 from .invariants import (
     scalar_curvature,
     tke_exists,
@@ -83,7 +83,8 @@ class SplitMix64:
         """k rationals, each a numerator uniform in [num_lo, num_hi] then a
         denominator uniform in [den_lo, den_hi], with the state in a local:
         an output u below the `_limit` of a range's span gives lo + u % span,
-        any other is dropped.  Each range holds 1 to 2**64 values."""
+        any other is dropped.  Each range holds 1 to 2**64 values, and
+        den_lo is at least 1."""
         num_span = num_hi - num_lo + 1
         den_span = den_hi - den_lo + 1
         num_limit = _limit(num_span)
@@ -101,7 +102,7 @@ class SplitMix64:
                 den = _mix(state)
                 if den < den_limit:
                     break
-            out.append(Fraction(num_lo + num % num_span, den_lo + den % den_span))
+            out.append(_reduced(num_lo + num % num_span, den_lo + den % den_span))
         self._state = state
         return tuple(out)
 

@@ -35,7 +35,7 @@ from flagtke import (
 )
 from flagtke import flag
 from flagtke.flag import PAIRING_MEMO_SIZE, ParabolicData
-from flagtke.invariants import _lowest
+from flagtke.invariants import _lowest, _reduced
 from flagtke.sweep import SplitMix64, draw_kahler, enumerate_flags
 
 P1 = parabolic("A1", theta=())
@@ -407,35 +407,52 @@ def test_lowest_builds_the_fraction_of_coprime_terms(n, d):
     assert hash(f) == hash(Fraction(n, d))
 
 
-# The cases of LOWEST_CASES, read as JSON from stdin, through `_lowest`
-# of the package under the source directory argv[1].
+REDUCED_CASES = [
+    (0, 5), (6, 4), (-6, 4), (7, 1), (2**64, 2**70), (3**2524 * 10, 2**4000 * 5),
+]
+
+
+@pytest.mark.parametrize("n, d", REDUCED_CASES)
+def test_reduced_builds_the_fraction_in_lowest_terms(n, d):
+    f, g = _reduced(n, d), Fraction(n, d)
+    assert type(f) is Fraction
+    assert (f, f.numerator, f.denominator) == (g, g.numerator, g.denominator)
+    assert hash(f) == hash(g)
+
+
+# The cases of LOWEST_CASES and REDUCED_CASES, read as JSON from stdin,
+# through `_lowest` and `_reduced` of the package under the source
+# directory argv[1].
 _LOWEST_SCRIPT = """
 import json, pickle, sys
 sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
-from flagtke.invariants import _lowest
-cases = json.load(sys.stdin)
-for n, d in cases:
-    f, g = _lowest(n, d), Fraction(n, d)
-    assert type(f) is Fraction and (f.numerator, f.denominator) == (n, d), (n, d)
-    assert f == g and hash(f) == hash(g) and f * 3 - g == 2 * g, (n, d)
-    assert pickle.loads(pickle.dumps(f)) == g, (n, d)
-print(len(cases))
+from flagtke.invariants import _lowest, _reduced
+lowest, reduced = json.load(sys.stdin)
+for build, cases in ((_lowest, lowest), (_reduced, reduced)):
+    for n, d in cases:
+        f, g = build(n, d), Fraction(n, d)
+        assert type(f) is Fraction, (n, d)
+        assert (f.numerator, f.denominator) == (g.numerator, g.denominator), (n, d)
+        assert f == g and hash(f) == hash(g) and f * 3 - g == 2 * g, (n, d)
+        assert pickle.loads(pickle.dumps(f)) == g, (n, d)
+print(len(lowest), len(reduced))
 """
 
 
 def test_lowest_builds_the_same_fractions_under_every_other_interpreter():
-    # `_lowest` writes the private slots of CPython's `Fraction`
+    # `_lowest` and `_reduced` write the private slots of CPython's `Fraction`
     from test_cli_golden import _other_interpreters
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other CPython >= 3.10 on PATH or under $PYENV_ROOT")
     src = str(Path(__file__).resolve().parent.parent / "src")
-    runs = {exe: subprocess.run([exe, "-c", _LOWEST_SCRIPT, src], input=json.dumps(LOWEST_CASES),
+    cases = json.dumps([LOWEST_CASES, REDUCED_CASES])
+    runs = {exe: subprocess.run([exe, "-c", _LOWEST_SCRIPT, src], input=cases,
                                 capture_output=True, text=True, timeout=120)
             for exe in interpreters}
     assert {exe: (r.returncode, r.stdout, r.stderr[-2000:]) for exe, r in runs.items()} == {
-        exe: (0, f"{len(LOWEST_CASES)}\n", "") for exe in interpreters}
+        exe: (0, f"{len(LOWEST_CASES)} {len(REDUCED_CASES)}\n", "") for exe in interpreters}
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +750,12 @@ def test_class_bundle_builds_the_volume_once(monkeypatch):
 
     built = []
 
-    def recorded(*args):
-        value = Fraction(*args)
+    def recorded(n, d):
+        value = _reduced(n, d)
         built.append(value)
         return value
 
-    monkeypatch.setattr(flagtke.invariants, "Fraction", recorded)
+    monkeypatch.setattr(flagtke.invariants, "_reduced", recorded)
     p = parabolic("E8", theta=())
     xi = tuple(Fraction(k, k + 2) for k in range(1, 9))
     beta = tuple(k - x for k, x in zip(p.koszul, xi))
@@ -749,6 +766,42 @@ def test_class_bundle_builds_the_volume_once(monkeypatch):
     assert tke_exists(p, beta).exists
     assert volume_bound_report(p, xi).volume is v1
     assert built.count(v1) == 2  # volume_class once, volume_cross_check once
+
+
+def _bundle(p, xi, beta):
+    """The seven-call per-class bundle of the `classes` benchmark."""
+    return (volume_class(p, xi), volume_cross_check(p, xi), grlb_report(p, xi),
+            scalar_curvature(p, xi), trace(p, xi, beta), tke_exists(p, beta),
+            volume_bound_report(p, xi))
+
+
+def test_class_bundle_and_draws_build_and_read_fractions_through_their_slots(monkeypatch):
+    # no normalizing Fraction(n, d) and no numerator/denominator property
+    # read on the per-class path: patched to raise, the bundle on fresh
+    # flags and a seeded draw give what they give unpatched
+    cases = [("E8", {"theta": ()}, tuple(Fraction(k, 9 - k) for k in range(1, 9))),
+             ("B2", {"theta": (1,)}, (Fraction(5, 3),)),
+             ("A4", {"complement": (1,)}, (Fraction(7, 5),))]
+    inputs = []
+    for token, levi, xi in cases:
+        p = parabolic(token, **levi)
+        beta = tuple(k - x for k, x in zip(p.koszul, xi))
+        inputs.append((p, parabolic(token, **levi), xi, beta))
+    expected = [_bundle(fresh, xi, beta) for _, fresh, xi, beta in inputs]
+    expected_draw = draw_kahler(SplitMix64(1), 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction built or read through its public API")
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", forbidden)
+        m.setattr(Fraction, "numerator", property(forbidden))
+        m.setattr(Fraction, "denominator", property(forbidden))
+        got = [_bundle(p, xi, beta) for p, _, xi, beta in inputs]
+        got_draw = draw_kahler(SplitMix64(1), 3)
+    # compared only now: == reads the properties
+    assert got == expected
+    assert got_draw == expected_draw
 
 
 def test_volume_cross_check_never_reads_the_stored_volume():

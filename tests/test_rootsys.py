@@ -452,6 +452,22 @@ def test_maximal_root_dominates_every_positive_root():
             assert all(mc >= rc for mc, rc in zip(mu, r))
 
 
+def test_root_system_whose_last_root_does_not_dominate_raises(monkeypatch):
+    # the dominance check runs once, when the root system is built
+    from flagtke import rootsys
+
+    closure = rootsys._positive_roots
+
+    def last_two_swapped(cartan):
+        roots, forms, steps = closure(cartan)
+        return (*roots[:-2], roots[-1], roots[-2]), forms, steps
+
+    monkeypatch.setattr(rootsys, "_positive_roots", last_two_swapped)
+    for token in ("A2", "D5", "E8"):
+        with pytest.raises(RuntimeError, match=f"no dominating root in {token}"):
+            rootsys.RootSystem(LieType.parse(token))
+
+
 def test_maximal_root_plus_simple_is_never_a_root():
     for t in all_types(7):
         rs = build_root_system(t)
