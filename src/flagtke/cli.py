@@ -52,7 +52,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .catalog import catalog_rows
-from .flag import ParabolicData, parabolic, snow_check
+from .flag import ParabolicData, _exact_coordinate, parabolic, snow_check
 from .invariants import (
     grlb_report, tke_exists, volume_bound_report, volume_class, volume_cross_check,
 )
@@ -101,8 +101,9 @@ _int_arg.__name__ = "int"
 
 
 def _rational(tok: str) -> Fraction:
-    # OverflowError, not ValueError, so that argparse prints no usage block:
-    # main reports it as one line.
+    # The CLI's size bounds, then the library's spelling rule.  OverflowError,
+    # not ValueError, so that argparse prints no usage block: main reports it
+    # as one line.
     if len(tok) > MAX_RATIONAL_CHARS:
         raise OverflowError(f"a rational token has {len(tok)} characters; "
                             f"the CLI accepts at most {MAX_RATIONAL_CHARS}")
@@ -111,15 +112,13 @@ def _rational(tok: str) -> Fraction:
         raise OverflowError(
             f"rational {tok!r} has exponent {int(exponent.group(1))}; the CLI accepts "
             f"exponents from -{MAX_RATIONAL_EXPONENT} to {MAX_RATIONAL_EXPONENT}")
-    if not tok.isascii() or "_" in tok:  # Fraction reads "1_0" from CPython 3.11 on
-        raise ValueError(tok)
-    return Fraction(tok)
+    return _exact_coordinate(1, tok)  # its message is never shown
 
 
 def _rationals_arg(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(_rational(tok.strip()) for tok in text.strip().split(","))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated rationals like 2,5/3, got {text!r}"
         ) from None

@@ -18,7 +18,9 @@ pass over the root system's raising steps (`RootSystem._coroot_pairings`),
 delta_P pairs through the integer coroot forms of `rootsys`, and the
 degree is one exact big-integer division; `fractions.Fraction` appears
 only in the classes of the public API.  A class takes exact coordinates
-only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s.
+only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s; a `str`
+is read by the one spelling rule `_exact_coordinate`, which the CLI's
+class options share.
 
 The package builds and reads a `Fraction` through its two slots,
 ``_numerator`` and ``_denominator``: `_lowest` and `_reduced` fill them,
@@ -28,8 +30,9 @@ through its ``numerator`` and ``denominator`` properties.
 Every class argument goes through one check, `ParabolicData._checked`.
 An invariant that reads a class's radical pairings pays once for each
 argument: the flag's memo (see `ParabolicData._entry`) keeps one `_Entry`
-per argument, which holds everything the invariants read of that class,
-its radical pairings first (see `_Entry`).
+per argument, which holds the class's common denominator and radical
+pairings and builds all that the invariants read of them, the product of
+the pairings and the sums of their reciprocals (see `_Entry`).
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -124,7 +127,10 @@ class KahlerClass(CohomologyClass):
 
 def _exact_coordinate(i: int, value: object) -> Fraction:
     """Coordinate ``i`` (1-based) of a class as a `Fraction`: no float
-    (or other inexact number) ever becomes a class."""
+    (or other inexact number) ever becomes a class.  A `str` is read by
+    `Fraction` if it is ASCII and has no ``_``, so that the same spelling
+    gives the same answer on every CPython; this is the one rule for a
+    spelled rational, the CLI's class options included."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise ValueError(f"class coordinate {i} is {value!r}, a {type(value).__name__}: "
                          "coordinates must be int, Fraction or str")
@@ -173,10 +179,10 @@ class _Entry:
 
     * ``cls``, the class checked from ``arg``, replaced by its
       `KahlerClass` on the first positive request;
-    * ``form``, its integer form ``(den, n_1, ..., n_k)``: den is the lcm
-      of the coordinate denominators and coordinate i is n_i / den;
+    * ``den``, the lcm of the coordinate denominators;
     * ``nums``, its radical pairings over den, from the flag's pairing
-      pass ``pair``, run once when the entry is made;
+      pass ``pair`` on the coordinates' numerators over den, run once
+      when the entry is made;
     * filled on first use: ``weights`` or ``tree``, what `ratio_sum`
       sums against (a Kahler class only); and ``volume``, the value
       `invariants.volume_class` built.
@@ -189,23 +195,22 @@ class _Entry:
     levels of the product tree of ``nums``, from ``nums`` up to its
     product (each level the pairwise products of the one below, an odd
     last element carried up unchanged); a sum folds its numerators up
-    the tree with no lcm and no division, and the volume takes the
-    tree's root as the product of ``nums``, so it builds the tree the
-    sums read.  Each field is filled by one attribute store, so a thread
-    never reads half of it.  The entry keeps no reference to the flag.
+    the tree with no lcm and no division, and `product` takes the tree's
+    root, so the volume builds the tree the sums read.  Each field is
+    filled by one attribute store, so a thread never reads half of it.
+    The entry keeps no reference to the flag.
     """
 
-    __slots__ = ("arg", "cls", "form", "nums", "weights", "tree", "volume")
+    __slots__ = ("arg", "cls", "den", "nums", "weights", "tree", "volume")
 
     def __init__(self, arg: object, cls: CohomologyClass,
-                 pair: Callable[[tuple[int, ...]], tuple[int, ...]]) -> None:
+                 pair: Callable[[Sequence[int]], tuple[int, ...]]) -> None:
         self.arg = arg
         self.cls = cls
         coords = cls.coords
         dens = [c._denominator for c in coords]
-        den = math.lcm(*dens)
-        self.form = (den, *[c._numerator * (den // d) for c, d in zip(coords, dens)])
-        self.nums = pair(self.form)
+        den = self.den = math.lcm(*dens)
+        self.nums = pair([c._numerator * (den // d) for c, d in zip(coords, dens)])
         self.weights: tuple[int, tuple[int, ...]] | None = None
         self.tree: tuple[tuple[int, ...], ...] | None = None
         self.volume: Fraction | None = None
@@ -221,6 +226,13 @@ class _Entry:
             self.tree = tuple(levels)
         return self.tree
 
+    def product(self) -> int:
+        """The product of ``nums``: the root of ``tree`` from
+        `PRODUCT_TREE_MIN` pairings on, one `math.prod` below."""
+        if len(self.nums) >= PRODUCT_TREE_MIN:
+            return self.tree_levels()[-1][0]
+        return math.prod(self.nums)
+
     def ratio_sum(self, b_nums: Sequence[int], b_den: int) -> Fraction:
         """sum_k (b_nums[k]/b_den) / (nums[k]/den), for a Kahler class,
         whose pairings are all positive.  Up the product tree, two sibling
@@ -233,7 +245,7 @@ class _Entry:
                 lcm = math.lcm(*nums)
                 weights = self.weights = (lcm, tuple(lcm // n for n in nums))
             lcm, recips = weights
-            return _reduced(sum(map(operator.mul, b_nums, recips)) * self.form[0], lcm * b_den)
+            return _reduced(sum(map(operator.mul, b_nums, recips)) * self.den, lcm * b_den)
         tree = self.tree_levels()
         sums = b_nums
         for dens in tree[:-1]:
@@ -241,7 +253,7 @@ class _Entry:
             sums = [n_l * d_r + n_r * d_l for n_l, d_r, n_r, d_l
                     in zip(sums[0::2], dens[1::2], sums[1::2], dens[0::2])]
             sums += odd
-        return _reduced(sums[0] * self.form[0], tree[-1][0] * b_den)
+        return _reduced(sums[0] * self.den, tree[-1][0] * b_den)
 
 
 class ParabolicData(_Record):
@@ -416,15 +428,15 @@ class ParabolicData(_Record):
         coroot is ``Fraction(nums[k], den)``.
         """
         entry = self._entry(cls, "class")
-        return entry.nums, entry.form[0]
+        return entry.nums, entry.den
 
-    def _pairings(self, form: tuple[int, ...]) -> tuple[int, ...]:
-        """The radical pairings of the class of integer form ``form`` =
-        ``(den, *nums)``, over den: the numerators on the complement
-        nodes, paired by `RootSystem._coroot_pairings`, and the radical
-        selector keeps the radical pairings.
+    def _pairings(self, nums: Sequence[int]) -> tuple[int, ...]:
+        """The radical pairings of a class whose coordinates are ``nums``
+        over one denominator, over that denominator: the numerators on the
+        complement nodes, paired by `RootSystem._coroot_pairings`, and the
+        radical selector keeps the radical pairings.
         """
-        pairs = self.rs._coroot_pairings(self.complement, form[1:])
+        pairs = self.rs._coroot_pairings(self.complement, nums)
         return tuple(compress(pairs, self._is_radical))
 
     def describe(self) -> str:

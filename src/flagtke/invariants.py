@@ -39,12 +39,13 @@ an argument the flag's memo remembers the class its entry holds.
 checked coordinates, so they call it directly and make no memo entry.
 The others read the radical pairings, and work on the entry
 `ParabolicData._entry` returns: the flag's memo entry of that argument,
-checked when it is made, which holds its integer form, its pairings and
-what is built from them (see `flag._Entry`).  `volume_bound_report`
-calls `grlb_report` and `volume_class`, so a remembered argument costs
-it two memo hits.  `volume_cross_check` never reads the
-kept volume or the product tree of the pairings: it is the independent
-route, and multiplies the pairings out itself.
+checked when it is made, which holds its common denominator and its
+pairings, and builds their product and reciprocal sums (see
+`flag._Entry`).  `volume_bound_report` calls `grlb_report` and
+`volume_class`, so a remembered argument costs it two memo hits.
+`volume_cross_check` never reads the kept volume or the entry's product
+of the pairings: it is the independent route, and multiplies the
+pairings out itself.
 
 Unit convention (shared with `flag`): class coordinates absorb the
 customary 2*pi factor, so the anticanonical class IS the vector of
@@ -58,7 +59,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import flag
 from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _lowest, _reduced, degree
 from .rootsys import _Record, _setattr
 
@@ -199,15 +199,11 @@ def volume_class(p: ParabolicData, xi: ClassLike) -> Fraction:
     equals the anticanonical degree: degree * prod over radical roots of
     <xi, coroot(g)> / <delta_P, coroot(g)>.  Kept in the flag's memo
     entry of xi, so asking again for a remembered class builds nothing.
-    The product of the pairings is the root of the entry's product tree
-    from `flag.PRODUCT_TREE_MIN` pairings on, one `math.prod` below.
+    The product of the pairings is the entry's (`flag._Entry.product`).
     """
     entry = p._entry(xi, "Kahler class", positive=True)
     if entry.volume is None:
-        nums = entry.nums
-        product = (entry.tree_levels()[-1][0] if len(nums) >= flag.PRODUCT_TREE_MIN
-                   else math.prod(nums))
-        entry.volume = _reduced(degree(p) * product, entry.form[0]**p.dim * p._delta_product)
+        entry.volume = _reduced(degree(p) * entry.product(), entry.den**p.dim * p._delta_product)
     return entry.volume
 
 
@@ -221,7 +217,7 @@ def volume_cross_check(p: ParabolicData, xi: ClassLike) -> Fraction:
     """
     entry = p._entry(xi, "Kahler class", positive=True)
     return _reduced(
-        math.factorial(p.dim) * math.prod(entry.nums), entry.form[0]**p.dim * p._rho_product
+        math.factorial(p.dim) * math.prod(entry.nums), entry.den**p.dim * p._rho_product
     )
 
 
@@ -234,7 +230,7 @@ def trace(p: ParabolicData, omega: ClassLike, beta: ClassLike) -> Fraction:
     """
     w = p._entry(omega, "metric class", positive=True)
     b = p._entry(beta, "traced class")
-    return w.ratio_sum(b.nums, b.form[0])
+    return w.ratio_sum(b.nums, b.den)
 
 
 def scalar_curvature(p: ParabolicData, omega: ClassLike) -> Fraction:

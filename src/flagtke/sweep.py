@@ -212,40 +212,36 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     (`KahlerClass._trusted`): `draw_kahler` returns only `Fraction`s with
     numerators from 1 to 100, positive by construction.
     Returns all failures, each with a runnable `flagtke` command line that
-    reproduces it; an empty failure list is the expected outcome on a
-    correct build.
+    reproduces it (for `roundtrip`, with the solved twist); an empty
+    failure list is the expected outcome on a correct build.  The counts
+    of samples and checks run follow from the config and the number of
+    flags.
     """
     rng = SplitMix64(config.seed)
     failures: list[SweepFailure] = []
     flags = 0
-    samples = 0
-    checks_run = 0
 
-    def fail(p: ParabolicData, check: str, detail: str, xi=None) -> None:
+    def fail(p: ParabolicData, check: str, detail: str, cls=None) -> None:
         theta = ",".join(str(i) for i in p.theta)
         cmd = f"flagtke {_REPRODUCE[check]} {p.lie_type} --theta \"{theta}\""
-        if check == "roundtrip":  # "=" keeps a negative twist from reading as an option
-            cmd += " --beta=" + ",".join(str(k - c) for k, c in zip(p.koszul, xi.coords))
-        elif xi is not None:
-            cmd += " --xi " + ",".join(str(c) for c in xi.coords)
+        if cls is not None:  # "=" keeps a negative twist from reading as an option
+            option = " --beta=" if check == "roundtrip" else " --xi "
+            cmd += option + ",".join(str(c) for c in cls.coords)
         failures.append(SweepFailure(p.describe(), check, detail, reproducer=cmd))
 
     per_sample = [c for c in config.checks if c != "snow"]
     for p in enumerate_flags(config.max_rank):
         flags += 1
         if "snow" in config.checks:
-            checks_run += 1
             sc = snow_check(p)
             if not sc.ok:
                 fail(p, "snow", f"degree {sc.degree} > bound {sc.bound}")
         if not per_sample:
             continue
         for _ in range(config.samples_per_flag):
-            samples += 1
             xi = KahlerClass._trusted(draw_kahler(rng, p.picard_rank))
             sol = None  # shared by the checks of this sample
             for check in per_sample:
-                checks_run += 1
                 if check == "volbound":
                     rep = volume_bound_report(p, xi)
                     if not (rep.left_ok and rep.right_ok):
@@ -275,11 +271,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                     sol = sol or tke_solve_from_kahler(p, xi)
                     back = tke_exists(p, sol.beta).metric  # None iff no solution
                     if back is None or back.coords != xi.coords:
-                        fail(p, check, f"recovered {back}, expected {xi.coords}", xi)
+                        fail(p, check, f"recovered {back}, expected {xi.coords}", sol.beta)
+    samples = flags * config.samples_per_flag if per_sample else 0
     return SweepResult(
         config=config,
         flags=flags,
         samples=samples,
-        checks_run=checks_run,
+        checks_run=flags * ("snow" in config.checks) + samples * len(per_sample),
         failures=tuple(failures),
     )

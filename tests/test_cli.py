@@ -590,10 +590,12 @@ def test_answers_beyond_the_int_string_limit_are_printed_in_full(capsys):
     ids=["long", "exponent", "negative-exponent", "underscored-exponent"],
 )
 def test_oversized_rational_tokens_are_one_line_usage_errors(capsys, monkeypatch, argv):
+    # the size bounds are the CLI's own and run before the library's
+    # spelling rule, which parses
     def refuse(*_):
-        raise AssertionError("Fraction parsed a token past the input bounds")
+        raise AssertionError("the spelling rule read a token past the input bounds")
 
-    monkeypatch.setattr("flagtke.cli.Fraction", refuse)
+    monkeypatch.setattr("flagtke.cli._exact_coordinate", refuse)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
@@ -618,6 +620,27 @@ def test_rational_tokens_read_alike_on_every_interpreter(capsys, argv, token):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.endswith(f"expected comma-separated rationals like 2,5/3, got {token!r}\n")
+
+
+@pytest.mark.parametrize(("tok", "value"), [
+    ("1_0", None), ("\u0661", None), ("1/0", None), ("2/4", Fraction(1, 2)),
+    ("-3", Fraction(-3)), ("1e2", Fraction(100)), ("0.5", Fraction(1, 2)),
+    ("abc", None), ("1/2/3", None), ("nan", None),
+])
+def test_a_class_option_and_a_class_read_a_token_alike(tok, value):
+    # one spelling rule, flag._exact_coordinate, for both; None: both refuse
+    import argparse
+
+    from flagtke.cli import _rationals_arg
+    from flagtke.flag import CohomologyClass
+
+    if value is None:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _rationals_arg(tok)
+        with pytest.raises(ValueError):
+            CohomologyClass((tok,))
+    else:
+        assert _rationals_arg(tok) == CohomologyClass((tok,)).coords == (value,)
 
 
 def test_rational_tokens_at_the_bounds_are_accepted(capsys):

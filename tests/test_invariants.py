@@ -621,13 +621,17 @@ def assert_threads_match_a_fresh_flag(lie_type):
     start = threading.Barrier(8)
 
     def work(offset):
-        start.wait(timeout=60)
-        for k in range(300):
-            i = (k * (offset + 1) + offset) % len(classes)
-            xi = classes[i]
-            got = (scalar_curvature(p, xi), trace(p, xi, p.koszul), volume_class(p, xi))
-            if got != expected[i]:
-                wrong.append((offset, i))
+        # an exception ends only its own thread, so it is recorded as wrong
+        try:
+            start.wait(timeout=60)
+            for k in range(300):
+                i = (k * (offset + 1) + offset) % len(classes)
+                xi = classes[i]
+                got = (scalar_curvature(p, xi), trace(p, xi, p.koszul), volume_class(p, xi))
+                if got != expected[i]:
+                    wrong.append((offset, i))
+        except Exception as exc:
+            wrong.append((offset, repr(exc)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -904,8 +908,8 @@ def test_every_entry_is_paired_when_made_and_fills_each_field_once(monkeypatch, 
     assert len(served) == 12 and all(type(nums) is tuple for nums in served)
     sums = "tree" if p.dim >= flag.PRODUCT_TREE_MIN else "weights"
     assert stores == Counter(
-        [("xi", name) for name in ("arg", "cls", "form", "nums", sums, "volume")]
-        + [("beta", name) for name in ("arg", "cls", "form", "nums")])
+        [("xi", name) for name in ("arg", "cls", "den", "nums", sums, "volume")]
+        + [("beta", name) for name in ("arg", "cls", "den", "nums")])
 
 
 def test_a_list_mutated_between_calls_gives_the_new_answer():
@@ -1034,13 +1038,17 @@ def test_argument_memo_shared_by_threads_gives_single_thread_answers():
     start = threading.Barrier(8)
 
     def work(offset):
-        start.wait(timeout=60)
-        for k in range(120):
-            i = (k * (offset + 1) + offset) % len(xis)
-            xi, beta = xis[i], betas[i]
-            p.radical_pairings(xi)  # a plain request before the Kahler ones
-            if bundle(p, xi, beta) + (trace(p, xi, xi),) != expected[i]:
-                wrong.append((offset, i))
+        # an exception ends only its own thread, so it is recorded as wrong
+        try:
+            start.wait(timeout=60)
+            for k in range(120):
+                i = (k * (offset + 1) + offset) % len(xis)
+                xi, beta = xis[i], betas[i]
+                p.radical_pairings(xi)  # a plain request before the Kahler ones
+                if bundle(p, xi, beta) + (trace(p, xi, xi),) != expected[i]:
+                    wrong.append((offset, i))
+        except Exception as exc:
+            wrong.append((offset, repr(exc)))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1093,7 +1101,7 @@ def test_class_bundle_builds_the_product_tree_once(monkeypatch, lie_type):
     assert [n for n in products if n is entry.nums] == [entry.nums]  # the cross check's
     assert entry.tree[-1][0] == prod(entry.nums)
     assert entry.volume == Fraction(degree(p) * entry.tree[-1][0],
-                                    entry.form[0]**p.dim * p._delta_product)
+                                    entry.den**p.dim * p._delta_product)
 
 
 def test_volume_routes_agree_with_and_without_the_product_tree(monkeypatch):

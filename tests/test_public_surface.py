@@ -44,6 +44,10 @@ def test_every_exported_name_resolves_and_appears_once():
     # a root is its coefficient tuple; no record type wraps it or orders records
     for name in ("Root", "_OrderedRecord"):
         assert not hasattr(flagtke.rootsys, name) and not hasattr(flagtke, name)
+    # a memo entry keeps its denominator, not an integer form, and owns its
+    # product, so invariants reads no tree rule of flag's
+    assert "form" not in flagtke.flag._Entry.__slots__
+    assert not hasattr(flagtke.invariants, "flag")
 
 
 def test_readme_library_example_shows_the_values_it_computes():

@@ -327,6 +327,29 @@ def test_failure_reproducers_are_runnable_commands(monkeypatch, capsys):
     assert all(shlex.split(r)[3:5] == ["--theta", ""] for r in full)
 
 
+def test_roundtrip_reproducer_prints_the_solved_twist(monkeypatch):
+    # only tke_exists is broken, so every roundtrip sample fails; its
+    # reproducer's --beta= is the twist the library solved for the drawn class
+    drawn = []
+    draw = flagtke.sweep.draw_kahler
+
+    def recorded(rng, k):
+        drawn.append(draw(rng, k))
+        return drawn[-1]
+
+    monkeypatch.setattr(flagtke.sweep, "draw_kahler", recorded)
+    monkeypatch.setattr(flagtke.sweep, "tke_exists",
+                        lambda p, beta: TkeResult(exists=False, metric=None, margins={}))
+    res = run_sweep(SweepConfig(max_rank=2, samples_per_flag=2, seed=9, checks=("roundtrip",)))
+    flags = [p for p in enumerate_flags(2) for _ in range(2)]
+    assert len(res.failures) == len(drawn) == len(flags) == 26
+    betas = [tke_solve_from_kahler(p, xi).beta.coords for p, xi in zip(flags, drawn)]
+    for f, p, beta in zip(res.failures, flags, betas):
+        assert f.flag == p.describe()
+        assert shlex.split(f.reproducer)[-1] == "--beta=" + ",".join(map(str, beta))
+    assert any(c < 0 for beta in betas for c in beta)  # the "=" case is met
+
+
 def test_each_sample_pays_for_its_volume_and_solution_once(monkeypatch):
     # volbound and cross ask the same memo entry of the sample's class, so
     # its volume is built once; cscK and roundtrip share one solution
