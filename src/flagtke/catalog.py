@@ -2,23 +2,27 @@
 
 Two kinds of content:
 
-* worked examples with known answers (full flag varieties, the
-  projectivized tangent bundle of projective space), returned as their
+* worked examples with known answers (full flag varieties, and the
+  paper's projectivized tangent bundle P(T P^{n+1})), returned as their
   `ParabolicData` after their defining identities are asserted;
 * the three-family classification of Picard-rank-two flags.
 
 Flags with exactly two complement nodes fall into three named families
 by the number of irreducible isotropy summands (3, 4 or 5).  For each
-family the generators below list every known presentation as a
-parametrized row: the simple type, the two complement nodes in Bourbaki
+family the generators below list the presentations checked here as
+parametrized rows: the simple type, the two complement nodes in Bourbaki
 numbering, the concrete isotropy group, and the closed-form koszul
-numbers.  The closed forms are data, not computation: each row is
-recomputed from scratch through the root-system pipeline and compared
-field by field, so a wrong formula fails tests instead of being
-silently accepted.
+numbers.  The rows are not every flag with 3, 4 or 5 summands: E6
+{1,2} and E7 {1,7} (four summands) and most five-summand flags are
+missing; ROADMAP.md lists the known gaps under its item on the complete
+Picard-two table.  The closed forms are data, not computation: each row
+is recomputed from scratch through the root-system pipeline and
+compared field by field, so a wrong formula fails tests instead of
+being silently accepted.
 
 Node placements were fixed from the isotropy groups (the group label
-determines the Levi subdiagram up to diagram symmetry), and every
+gives the Levi subdiagram's type; where that type sits in more than one
+place, as D5 in E7, the rows list one placement), and every
 closed form below was re-derived by direct evaluation of the
 radical-root sum; derivations live in the test suite.
 """
@@ -196,8 +200,9 @@ def _family_two(max_rank: int) -> Iterator[TableRow]:
         yield _row(Family.II, LieType("E", 6), (1, 3), expected=(2, 8),
                    group="E6/SU(5)xU(1)xU(1)")
     if max_rank >= 7:
-        # Node pair fixed by the isotropy group: the Levi subdiagram
-        # must be D5, which sits on nodes {1,2,3,4,5} of E7.
+        # The Levi subdiagram of this isotropy group is D5, listed here on
+        # nodes {1,2,3,4,5} of E7.  D5 also sits on {2,...,6} (complement
+        # {1,7}, koszul (12, 10)), a placement that is not listed.
         yield _row(Family.II, LieType("E", 7), (6, 7), expected=(12, 2),
                    group="E7/SO(10)xU(1)xU(1)")
 
@@ -232,10 +237,12 @@ def catalog_rows(max_rank: int, family: str | None = None) -> tuple[TableRow, ..
 
 
 def example_projectivized_tangent(n: int) -> ParabolicData:
-    """The projectivized tangent bundle of n-dimensional projective space.
+    """The projectivized tangent bundle P(T P^{n+1}) of (n+1)-dimensional
+    projective space, the paper's example: a flag variety of dimension
+    2n+1.
 
-    Realized on the A-series with complement at the last two nodes; its
-    koszul numbers are (n+1, 2), asserted before returning.
+    Realized on A(n+1) with complement at the last two nodes; its koszul
+    numbers are (n+1, 2), asserted before returning.
     """
     n = _integer("n", n)
     if n < 1:
@@ -243,7 +250,7 @@ def example_projectivized_tangent(n: int) -> ParabolicData:
     p = parabolic(LieType("A", n + 1), complement=(n, n + 1))
     if p.koszul != (n + 1, 2):
         raise RuntimeError(
-            f"projectivized tangent bundle of P^{n}: koszul {p.koszul}, "
+            f"projectivized tangent bundle of P^{n + 1}: koszul {p.koszul}, "
             f"expected ({n + 1}, 2)"
         )
     return p

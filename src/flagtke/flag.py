@@ -359,17 +359,22 @@ class ParabolicData(_Record):
         return len(self.complement)
 
     def _checked(self, values: ClassLike, what: str, positive: bool = False) -> CohomologyClass:
-        """The one check of a class argument.  An argument the memo
-        remembers (see `_remembered`) is served its entry's class, checked
-        when the entry was made.  Otherwise a sequence becomes a class of
-        `Fraction`s, a `CohomologyClass` passes through; the arity must be
-        the Picard rank.  With ``positive`` (a Kahler slot) the class
-        returned is a `KahlerClass`, so it is strictly positive.
+        """The one check of a class argument.  A `CohomologyClass` is
+        checked as it is, with no memo lookup: its check is cheaper than
+        one.  A sequence the memo remembers (see `_remembered`) is served
+        its entry's class, checked when the entry was made; any other
+        sequence becomes a class of `Fraction`s.  The arity must be the
+        Picard rank.  With ``positive`` (a Kahler slot) the class returned
+        is a `KahlerClass`, so it is strictly positive: a plain class is
+        checked by `_kahler` on every call.
         """
-        entry = self._remembered(values, what, positive)
-        if entry is not None:
-            return entry.cls
-        cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
+        if isinstance(values, CohomologyClass):
+            cls = values
+        else:
+            entry = self._remembered(values, what, positive)
+            if entry is not None:
+                return entry.cls
+            cls = CohomologyClass(values)
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
                 f"{what} has {len(cls.coords)} coordinates but {self.describe()} "

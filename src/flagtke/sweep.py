@@ -197,6 +197,17 @@ def enumerate_flags(max_rank: int) -> Iterator[ParabolicData]:
                 yield parabolic(t, theta)
 
 
+def _same_terms(xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> bool:
+    """Whether two tuples of `Fraction`s in lowest terms are equal, read
+    from their slots: as long, with equal terms at every place."""
+    if len(xs) != len(ys):
+        return False
+    for x, y in zip(xs, ys):
+        if x._numerator != y._numerator or x._denominator != y._denominator:
+            return False
+    return True
+
+
 # The CLI command that reruns each check's input (none computes S or a trace).
 _REPRODUCE = {"snow": "flag", "cross": "volume", "volbound": "report",
               "cscK": "report", "roundtrip": "tke"}
@@ -210,7 +221,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     its volume is built once too, since `volbound` and `cross` ask the
     same memo entry.  A drawn class is built unchecked
     (`KahlerClass._trusted`): `draw_kahler` returns only `Fraction`s with
-    numerators from 1 to 100, positive by construction.
+    numerators from 1 to 100, positive by construction.  The `cross` and
+    `roundtrip` verdicts compare lowest terms, read from the two slots of
+    each `Fraction` (for `roundtrip`, `_same_terms`): every value they
+    compare was built in lowest terms by `flag._reduced` or
+    `flag._lowest`, so two are equal iff their terms are.
     Returns all failures, each with a runnable `flagtke` command line that
     reproduces it (for `roundtrip`, with the solved twist); an empty
     failure list is the expected outcome on a correct build.  The counts
@@ -255,7 +270,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 elif check == "cross":
                     v1 = volume_class(p, xi)
                     v2 = volume_cross_check(p, xi)
-                    if v1 != v2:
+                    if v1._numerator != v2._numerator or v1._denominator != v2._denominator:
                         fail(p, check, f"volume_class={v1} cross_check={v2}", xi)
                 elif check == "cscK":
                     sol = sol or tke_solve_from_kahler(p, xi)
@@ -270,7 +285,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 elif check == "roundtrip":
                     sol = sol or tke_solve_from_kahler(p, xi)
                     back = tke_exists(p, sol.beta).metric  # None iff no solution
-                    if back is None or back.coords != xi.coords:
+                    if back is None or not _same_terms(back.coords, xi.coords):
                         fail(p, check, f"recovered {back}, expected {xi.coords}", sol.beta)
     samples = flags * config.samples_per_flag if per_sample else 0
     return SweepResult(

@@ -983,6 +983,38 @@ def test_only_tuples_of_exact_coordinates_are_remembered():
     assert id(wrong) not in p._memo
 
 
+def test_checked_serves_a_remembered_tuple_and_checks_a_class_as_it_is(monkeypatch):
+    lookups = []
+    remembered = ParabolicData._remembered
+
+    def counted(self, values, what, positive):
+        lookups.append(values)
+        return remembered(self, values, what, positive)
+
+    monkeypatch.setattr(ParabolicData, "_remembered", counted)
+    p = parabolic("A3", theta=(2,))
+    t = (Fraction(1, 2), 3)
+    entry = p._entry(t, "Kahler class", positive=True)
+    lookups.clear()
+    assert p._checked(t, "Kahler class", positive=True) is entry.cls
+    assert p._checked(t, "class") is entry.cls
+    assert lookups == [t, t]
+    # a class object, remembered or not, is checked with no lookup
+    plain, neg = CohomologyClass((1, 2)), CohomologyClass((-1, 2))
+    for cls in (plain, neg):
+        p._entry(cls, "class")
+        assert p._memo[id(cls)].arg is cls
+    lookups.clear()
+    assert p._checked(plain, "class") is plain
+    kahler = p._checked(plain, "Kahler class", positive=True)
+    assert type(kahler) is KahlerClass and kahler.coords == plain.coords
+    with pytest.raises(ValueError, match="Kahler class must have strictly positive"):
+        p._checked(neg, "Kahler class", positive=True)
+    with pytest.raises(ValueError, match="3 coordinates"):
+        p._checked(KahlerClass((1, 2, 3)), "Kahler class", positive=True)
+    assert lookups == []
+
+
 def test_argument_memo_serves_only_the_tuple_it_holds():
     # an entry under the id of another object is never served
     p = parabolic("A2", theta=())

@@ -373,3 +373,90 @@ def test_each_sample_pays_for_its_volume_and_solution_once(monkeypatch):
     res = run_sweep(SweepConfig(max_rank=3, samples_per_flag=2))
     assert res.ok and res.samples > 0
     assert calls == {"volume": res.samples, "tke_solve_from_kahler": res.samples}
+
+
+@pytest.mark.parametrize("seed", [0, 26, 2**64 - 1])
+def test_sweep_verdicts_call_no_fraction_eq(monkeypatch, seed):
+    # cross and roundtrip compare lowest terms slot by slot, so a sweep
+    # gives the same counts and failures with Fraction.__eq__ unusable
+    cfg = SweepConfig(3, 3, seed)
+    expected = run_sweep(cfg)
+
+    def refused(self, other):
+        raise AssertionError("Fraction.__eq__ called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__eq__", refused)
+        res = run_sweep(cfg)
+    assert res == expected and res.ok
+
+
+@pytest.mark.parametrize("break_volume", [
+    lambda v: Fraction(v.numerator, v.denominator * v.numerator + 1),  # numerator kept
+    lambda v: Fraction(v.numerator + v.denominator, v.denominator),  # denominator kept
+])
+def test_cross_fails_when_one_term_of_the_volume_differs(monkeypatch, break_volume):
+    seen = []
+    real = flagtke.sweep.volume_cross_check
+
+    def broken(p, xi):
+        v = real(p, xi)
+        b = break_volume(v)
+        assert (b.numerator == v.numerator) != (b.denominator == v.denominator)
+        seen.append((v, b))
+        return b
+
+    monkeypatch.setattr(flagtke.sweep, "volume_cross_check", broken)
+    res = run_sweep(SweepConfig(2, 2, 31, checks=("cross",)))
+    assert len(res.failures) == len(seen) == res.samples == 26
+    for f, (v, b) in zip(res.failures, seen):
+        assert f.check == "cross"
+        assert f.detail == f"volume_class={v} cross_check={b}"
+
+
+@pytest.mark.parametrize("break_metric", [
+    lambda c: (*c[:-1], c[-1] + 1),  # the last coordinate off by one
+    lambda c: (Fraction(c[0].numerator, c[0].denominator * c[0].numerator + 1), *c[1:]),
+    lambda c: c[:-1],  # one coordinate short
+])
+def test_roundtrip_fails_when_the_metric_differs(monkeypatch, break_metric):
+    drawn, recovered = [], []
+    draw, real = flagtke.sweep.draw_kahler, flagtke.sweep.tke_exists
+
+    def recorded(rng, k):
+        drawn.append(draw(rng, k))
+        return drawn[-1]
+
+    def broken(p, beta):
+        r = real(p, beta)
+        metric = KahlerClass._trusted(break_metric(r.metric.coords))
+        recovered.append(metric)
+        return TkeResult(exists=r.exists, metric=metric, margins=r.margins)
+
+    monkeypatch.setattr(flagtke.sweep, "draw_kahler", recorded)
+    monkeypatch.setattr(flagtke.sweep, "tke_exists", broken)
+    res = run_sweep(SweepConfig(2, 2, 33, checks=("roundtrip",)))
+    assert len(res.failures) == len(recovered) == len(drawn) == 26
+    for f, back, xi in zip(res.failures, recovered, drawn):
+        assert f.check == "roundtrip"
+        assert f.detail == f"recovered {back}, expected {xi}"
+
+
+def test_a_default_sample_makes_six_memo_lookups(monkeypatch):
+    # volume_class (a miss, then a hit for cross), volume_cross_check,
+    # scalar_curvature and trace's two classes: the drawn class and its
+    # solved twist are class objects, which _checked takes as they are
+    lookups = []
+    remembered = flagtke.flag.ParabolicData._remembered
+
+    def counted(self, values, what, positive):
+        lookups.append(type(values).__name__)
+        return remembered(self, values, what, positive)
+
+    monkeypatch.setattr(flagtke.flag.ParabolicData, "_remembered", counted)
+    res = run_sweep(SweepConfig(1, 1))  # one A1 sample
+    assert res.ok and res.samples == 1 and len(lookups) == 6
+    assert set(lookups) == {"KahlerClass", "CohomologyClass"}
+    lookups.clear()
+    res = run_sweep(SweepConfig(3, 2, 5))
+    assert res.ok and len(lookups) == 6 * res.samples
