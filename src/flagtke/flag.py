@@ -14,13 +14,14 @@ we compute, exactly:
 
 Construction is integer arithmetic throughout: the radical selector,
 the Weyl vector's pairings and every class's pairings come from the one
-pass over the root system's raising steps (`RootSystem._coroot_pairings`),
-delta_P pairs through the integer coroot forms of `rootsys`, and the
-degree is one exact big-integer division; `fractions.Fraction` appears
-only in the classes of the public API.  A class takes exact coordinates
-only (`int`, `Fraction`, `str`) and keeps them as `Fraction`s; a `str`
-is read by the one spelling rule `_exact_coordinate`, which the CLI's
-class options share.
+pass over the root system's raising steps (`RootSystem._coroot_pairings`);
+delta_P is 2*rho - 2*rho_L, the root system's 2*rho (`RootSystem._two_rho`)
+less the sum of the few Levi roots, and pairs through the integer coroot
+forms of `rootsys`; the degree is one exact big-integer division; and
+`fractions.Fraction` appears only in the classes of the public API.  A
+class takes exact coordinates only (`int`, `Fraction`, `str`) and keeps
+them as `Fraction`s; a `str` is read by the one spelling rule
+`_exact_coordinate`, which the CLI's class options share.
 
 The package builds and reads a `Fraction` through its two slots,
 ``_numerator`` and ``_denominator``: `_lowest` and `_reduced` fill them,
@@ -243,7 +244,7 @@ class _Entry:
             weights = self.weights
             if weights is None:
                 lcm = math.lcm(*nums)
-                weights = self.weights = (lcm, tuple(lcm // n for n in nums))
+                weights = self.weights = (lcm, tuple(map(lcm.__floordiv__, nums)))
             lcm, recips = weights
             return _reduced(sum(map(operator.mul, b_nums, recips)) * self.den, lcm * b_den)
         tree = self.tree_levels()
@@ -263,7 +264,9 @@ class ParabolicData(_Record):
     ``theta`` is checked and normalized as `parabolic` does (integer
     nodes in range, sorted, each once), and a theta that covers every
     simple root is refused.  The rest is derived here, once per flag:
-    the complement, the radical roots, delta_P and the koszul numbers;
+    the complement, the radical roots, delta_P and the koszul numbers,
+    delta_P as 2*rho - 2*rho_L (`RootSystem._two_rho` less the sum of
+    the Levi roots, which are far fewer than the radical ones);
     and, in private slots, the integer pairings of delta_P with every
     radical coroot, their product and the product of the Weyl vector's
     pairings with the radical coroots (the two sides of the degree
@@ -295,17 +298,21 @@ class ParabolicData(_Record):
 
         # A root is radical iff its support meets the complement, iff its
         # coroot pairs positively with the sum of the complement's
-        # fundamental weights.
-        is_radical = tuple(n > 0 for n in rs._coroot_pairings(comp, [1] * len(comp)))
+        # fundamental weights (the pass's output is never negative).
+        is_radical = tuple(map(bool, rs._coroot_pairings(comp, [1] * len(comp))))
         radical = tuple(compress(rs.positive_roots, is_radical))
-        delta = tuple(map(sum, zip(*radical)))
+        # delta_P = 2*rho - 2*rho_L: the sum of the radical roots is 2*rho
+        # less the sum of the Levi roots, the positive roots off the selector
+        levi = tuple(compress(rs.positive_roots, map(operator.not_, is_radical)))
+        delta = (tuple(map(operator.sub, rs._two_rho, map(sum, zip(*levi)))) if levi
+                 else rs._two_rho)
 
         # Anticanonical pairings: zero exactly on theta, strictly positive
         # on the complement.  A cheap sanity net, so enforced on every
         # flag rather than in tests only.
         koszul: list[int] = []
-        for i in range(1, rs.rank + 1):
-            n = sum(d * row[i - 1] for d, row in zip(delta, rs.cartan))
+        for i, column in enumerate(zip(*rs.cartan), 1):
+            n = sum(map(operator.mul, delta, column))
             if i in theta:
                 if n != 0:
                     raise RuntimeError(
@@ -405,7 +412,8 @@ class ParabolicData(_Record):
         """The memo entry of a class argument: the remembered one (see
         `_remembered`), or on a miss a new one of the class checked by
         `_checked`, paired when it is made (see `_Entry`), so every entry
-        served holds its pairings.
+        served holds its pairings.  A sequence is made a class before that
+        check, which then looks the memo up no second time.
 
         It remembers only arguments that cannot change: a
         `CohomologyClass`, or a `tuple` whose coordinates are all exactly
@@ -415,7 +423,8 @@ class ParabolicData(_Record):
         entry = self._remembered(values, what, positive)
         if entry is not None:
             return entry
-        entry = _Entry(values, self._checked(values, what, positive), self._pairings)
+        cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
+        entry = _Entry(values, self._checked(cls, what, positive), self._pairings)
         if isinstance(values, CohomologyClass) or (
                 type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)):
             memo = self._memo

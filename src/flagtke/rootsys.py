@@ -16,7 +16,11 @@ the pairings <lam, coroot(g)> of one weight with every positive coroot
 are a single forward pass of additions over these steps,
 `RootSystem._coroot_pairings`.  `flag` pairs through that one pass
 alone: every class and the radical selector; the Weyl vector's pairings
-are the pass with 1 on every node, run once per type.
+are the pass with 1 on every node, run once per type.  2*rho, the sum
+of the positive roots in root coordinates, is also kept once per type
+(`RootSystem._two_rho`): a flag's delta_P, the sum of its radical roots,
+is 2*rho - 2*rho_L, 2*rho less the sum of the few roots of its Levi
+factor.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -296,11 +300,14 @@ class RootSystem(_Record):
     `flag` finds a flag's radical roots and every class's pairings there.
     ``_heights``, also parallel, holds the Weyl vector's pairings
     <rho, coroot(g)>, the coroot heights: that pass with 1 on every node.
+    ``_two_rho`` is 2*rho, the sum of the positive roots in simple-root
+    coordinates, checked to pair to 2 with every simple coroot; a flag
+    takes its delta_P as 2*rho - 2*rho_L from it.
     """
 
     _fields = ("lie_type",)
     __slots__ = (*_fields, "cartan", "symmetrizer", "positive_roots", "coroot_forms",
-                 "raising_steps", "_heights")
+                 "raising_steps", "_heights", "_two_rho")
 
     def __init__(self, lie_type: LieType) -> None:
         cartan = _cartan_matrix(lie_type)
@@ -309,12 +316,17 @@ class RootSystem(_Record):
         # dominate every positive root coefficientwise
         if tuple(map(max, zip(*positives))) != positives[-1]:
             raise RuntimeError(f"no dominating root in {lie_type}")
+        # 2*rho pairs to 2 with every simple coroot
+        two_rho = tuple(map(sum, zip(*positives)))
+        if any(sum(map(operator.mul, two_rho, column)) != 2 for column in zip(*cartan)):
+            raise RuntimeError(f"2*rho of {lie_type} does not pair to 2 with every simple coroot")
         _setattr(self, "lie_type", lie_type)
         _setattr(self, "cartan", tuple(map(tuple, cartan)))
         _setattr(self, "symmetrizer", _symmetrizer(cartan))
         _setattr(self, "positive_roots", positives)
         _setattr(self, "coroot_forms", forms)
         _setattr(self, "raising_steps", steps)
+        _setattr(self, "_two_rho", two_rho)
         m = lie_type.rank
         _setattr(self, "_heights", tuple(self._coroot_pairings(range(1, m + 1), [1] * m)))
 

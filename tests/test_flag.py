@@ -4,7 +4,9 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from hashlib import sha256
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +124,8 @@ def test_flags_and_root_systems_are_hashable():
     rebuilt = build_root_system.__wrapped__("E8")  # bypass the cache
     assert rebuilt is not rs and rebuilt == rs and hash(rebuilt) == hash(rs)
     # equality reads the type alone; the data derived from it agree too
-    for name in ("cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps"):
+    for name in ("cartan", "symmetrizer", "positive_roots", "coroot_forms", "raising_steps",
+                 "_two_rho"):
         assert getattr(rebuilt, name) == getattr(rs, name), name
     p, q = parabolic("B3", (2,)), parabolic("B3", (2,))
     assert p is not q and p == q and hash(p) == hash(q)
@@ -287,6 +290,38 @@ def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
         assert p._rho_product == math.prod(sum(f) for f in forms), p.describe()
         count += 1
     assert count == 2458
+
+
+def test_delta_p_is_the_sum_of_the_radical_roots_on_every_flag_of_rank_at_most_8():
+    # delta_P is built as 2*rho - 2*rho_L from the few Levi roots; summing
+    # the radical roots, as the definition reads, must give the same vector
+    count = 0
+    for t, theta in flags_up_to_rank(8):
+        p = parabolic(t, theta)
+        total = [0] * p.rs.rank
+        for r in p.radical_roots:
+            for k, c in enumerate(r):
+                total[k] += c
+        assert p.delta_p == tuple(total), p.describe()
+        count += 1
+    assert count == 2458
+
+
+def test_every_flag_of_rank_at_most_8_reproduces_the_atlas_reference():
+    # the benchmark's atlas oracle: one hash of type|theta|dim|koszul|degree
+    # per flag, in the order of flags_up_to_rank, then the digest of all rows
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "atlas_reference.txt"
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    _, digest, _, flags = header.split()
+    assert int(flags) == len(lines) == 2458
+    join = lambda xs: ",".join(map(str, xs))  # noqa: E731
+    rows = []
+    for (t, theta), line in zip(flags_up_to_rank(8), lines, strict=True):
+        p = parabolic(t, theta)
+        row = f"{t}|{join(theta)}|{p.dim}|{join(p.koszul)}|{degree(p)}"
+        assert line == f"{t} {join(theta) or '-'} {sha256(row.encode()).hexdigest()[:16]}", row
+        rows.append(row)
+    assert sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
 def test_radical_selector_is_a_hidden_field():

@@ -1015,6 +1015,35 @@ def test_checked_serves_a_remembered_tuple_and_checks_a_class_as_it_is(monkeypat
     assert lookups == []
 
 
+def test_a_memo_miss_makes_one_lookup(monkeypatch):
+    # the miss path checks its argument with no second lookup: the first
+    # volume_class of a new tuple, and every call with a list, look once
+    lookups = []
+    remembered = ParabolicData._remembered
+
+    def counted(self, values, what, positive):
+        lookups.append(values)
+        return remembered(self, values, what, positive)
+
+    monkeypatch.setattr(ParabolicData, "_remembered", counted)
+    p = parabolic("A3", theta=(2,))
+    t = (Fraction(1, 2), 3)
+    first = volume_class(p, t)
+    assert lookups == [t] and p._memo[id(t)].arg is t
+    lookups.clear()
+    assert volume_class(p, t) == first and lookups == [t]
+    xs = [Fraction(1, 2), 3]
+    for _ in range(3):
+        lookups.clear()
+        assert volume_class(p, xs) == first and lookups == [xs]
+    assert id(xs) not in p._memo
+    # a refused argument is looked up once too
+    lookups.clear()
+    with pytest.raises(ValueError, match="3 coordinates"):
+        volume_class(p, (1, 2, 3))
+    assert len(lookups) == 1
+
+
 def test_argument_memo_serves_only_the_tuple_it_holds():
     # an entry under the id of another object is never served
     p = parabolic("A2", theta=())

@@ -409,7 +409,9 @@ def test_root_to_weight_preserves_pairings():
 
 
 def test_weyl_vector_is_all_ones_and_half_sum_of_positives():
-    for t in all_types(8):
+    # and the stored 2*rho is that sum, of ints: on every type of rank <= 8
+    # and three large ones
+    for t in [*all_types(8), *map(LieType.parse, ("A32", "C32", "D32"))]:
         rs = build_root_system(t)
         rho = oracle.weyl_vector(rs)
         assert rho == tuple([Fraction(1)] * rs.rank)
@@ -419,6 +421,24 @@ def test_weyl_vector_is_all_ones_and_half_sum_of_positives():
                 total[k] += c
         half = tuple(x / 2 for x in oracle.root_to_weight(rs, total))
         assert half == rho, t
+        assert rs._two_rho == tuple(total) and all(type(c) is int for c in rs._two_rho), t
+
+
+def test_root_system_whose_two_rho_does_not_pair_to_two_raises(monkeypatch):
+    # the 2*rho check runs once, when the root system is built: without
+    # alpha_1, the sum pairs to 0 with the first simple coroot
+    from flagtke import rootsys
+
+    closure = rootsys._positive_roots
+
+    def first_dropped(cartan):
+        roots, forms, steps = closure(cartan)
+        return roots[1:], forms[1:], steps[1:]
+
+    monkeypatch.setattr(rootsys, "_positive_roots", first_dropped)
+    for token in ("A2", "D5", "E8"):
+        with pytest.raises(RuntimeError, match=f"2\\*rho of {token} does not pair to 2"):
+            rootsys.RootSystem(LieType.parse(token))
 
 
 MAX_ROOT_HEIGHTS = {
