@@ -24,9 +24,10 @@ the factor; it never changes a stored or serialized value.
 Limits: a type token or a table --max-rank above MAX_TYPE_RANK (32) and
 a sweep with --max-rank above MAX_SWEEP_RANK (8) are rejected as usage
 errors before any root system is built; their cost grows steeply with
-the rank.  So is a --digits outside 1 to MAX_DIGITS (1000), since a
-decimal hint grows with it.  A rational token longer than
-MAX_RATIONAL_CHARS (100) or with an exponent beyond
+the rank.  So are a sweep with --samples above MAX_SWEEP_SAMPLES (100),
+whose cost grows with the samples per flag, and a --digits outside 1 to
+MAX_DIGITS (1000), since a decimal hint grows with it.  A rational token
+longer than MAX_RATIONAL_CHARS (100) or with an exponent beyond
 MAX_RATIONAL_EXPONENT (300) in size is rejected the same way, before
 `Fraction` parses it.  Answers are rendered in full, however many
 digits they have: CPython's limit on int -> str conversion is lifted
@@ -67,6 +68,7 @@ EXIT_USAGE = 2
 
 MAX_TYPE_RANK = 32
 MAX_SWEEP_RANK = 8
+MAX_SWEEP_SAMPLES = 100
 MAX_DIGITS = 1000
 # Bounds on one rational token: Fraction("1e3000000") alone takes seconds,
 # and an answer grows with the size of its input.
@@ -358,6 +360,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_rank > MAX_SWEEP_RANK:
         raise ValueError(f"--max-rank {args.max_rank} is above the sweep limit {MAX_SWEEP_RANK}"
                          " (a sweep walks 2^rank flags per series)")
+    if args.samples > MAX_SWEEP_SAMPLES:
+        raise ValueError(f"--samples {args.samples} is above the sweep limit {MAX_SWEEP_SAMPLES}")
     config = SweepConfig(args.max_rank, args.samples, args.seed, args.checks)
     res = run_sweep(config)
     result = {

@@ -28,12 +28,15 @@ The package builds and reads a `Fraction` through its two slots,
 and a `Fraction` the package built or checked itself is read there, not
 through its ``numerator`` and ``denominator`` properties.
 
-Every class argument goes through one check, `ParabolicData._checked`.
-An invariant that reads a class's radical pairings pays once for each
+Every class argument goes through one check, `ParabolicData._checked`,
+and a Kahler class through one sign rule, `_require_positive`.  An
+invariant that reads a class's radical pairings pays once for each
 argument: the flag's memo (see `ParabolicData._entry`) keeps one `_Entry`
-per argument, which holds the class's common denominator and radical
-pairings and builds all that the invariants read of them, the product of
-the pairings and the sums of their reciprocals (see `_Entry`).
+per argument, whose class is fixed when it is made, which holds the
+class's common denominator and radical pairings and builds all that the
+invariants read of them, the product of the pairings and the sums of
+their reciprocals (see `_Entry`).  Each call looks the memo up at most
+once.
 
 All classes live in the Picard basis dual to the complement coroots and
 are stored in units that already absorb the customary 2*pi factor; see
@@ -95,7 +98,8 @@ class CohomologyClass(_Record):
 
     def __init__(self, coords: Iterable[Rational]) -> None:
         if type(coords) is not tuple:
-            if isinstance(coords, (str, bytes, bytearray, memoryview, Set, Mapping)):
+            if (isinstance(coords, (str, bytes, bytearray, memoryview, Set, Mapping))
+                    or not isinstance(coords, Iterable)):
                 raise ValueError(f"class coordinates come in order, not a {type(coords).__name__}")
             coords = tuple(coords)
         if any(type(c) is not Fraction for c in coords):
@@ -122,8 +126,7 @@ class KahlerClass(CohomologyClass):
 
     def __init__(self, coords: Iterable[Rational]) -> None:
         super().__init__(coords)
-        if not _positive(self):
-            raise ValueError(f"Kahler class needs positive coordinates, got {self}")
+        _require_positive(self, "Kahler class")
 
 
 def _exact_coordinate(i: int, value: object) -> Fraction:
@@ -143,23 +146,15 @@ def _exact_coordinate(i: int, value: object) -> Fraction:
         raise ValueError(f"class coordinate {i} is {value!r}, not a rational number") from None
 
 
-def _positive(cls: CohomologyClass) -> bool:
-    """Every coordinate strictly positive, read off the numerators' signs
-    (a `Fraction` keeps its denominator positive)."""
-    return all(c._numerator > 0 for c in cls.coords)
-
-
-def _kahler(cls: CohomologyClass, what: str) -> KahlerClass:
-    """``cls`` as a `KahlerClass`, or `ValueError` naming ``what`` if a
-    coordinate is not strictly positive."""
-    if not _positive(cls):
+def _require_positive(cls: CohomologyClass, what: str) -> None:
+    """The one sign rule of a Kahler class: `ValueError` naming ``what``
+    unless every coordinate is strictly positive, read off the numerators'
+    signs (a `Fraction` keeps its denominator positive)."""
+    if not all(c._numerator > 0 for c in cls.coords):
         raise ValueError(f"{what} must have strictly positive coordinates, got {cls}")
-    return KahlerClass._trusted(cls.coords)
 
 
 Rational = Fraction | int | str
-# The exact coordinate types of a tuple that `ParabolicData._entry` remembers.
-_EXACT_TYPES = (Fraction, int, str)
 ClassLike = CohomologyClass | Sequence[Rational]
 
 # How many class arguments one ParabolicData remembers; the oldest is
@@ -178,8 +173,10 @@ class _Entry:
     """Memo entry of one class argument ``arg``, made by
     `ParabolicData._entry`.  It holds:
 
-    * ``cls``, the class checked from ``arg``, replaced by its
-      `KahlerClass` on the first positive request;
+    * ``arg`` itself, so that no other object takes its id, the memo's
+      key, while the entry is kept;
+    * ``cls``, the class checked from ``arg``, fixed when the entry is
+      made (a `KahlerClass` if a Kahler slot made it);
     * ``den``, the lcm of the coordinate denominators;
     * ``nums``, its radical pairings over den, from the flag's pairing
       pass ``pair`` on the coordinates' numerators over den, run once
@@ -368,65 +365,53 @@ class ParabolicData(_Record):
     def _checked(self, values: ClassLike, what: str, positive: bool = False) -> CohomologyClass:
         """The one check of a class argument.  A `CohomologyClass` is
         checked as it is, with no memo lookup: its check is cheaper than
-        one.  A sequence the memo remembers (see `_remembered`) is served
-        its entry's class, checked when the entry was made; any other
-        sequence becomes a class of `Fraction`s.  The arity must be the
-        Picard rank.  With ``positive`` (a Kahler slot) the class returned
-        is a `KahlerClass`, so it is strictly positive: a plain class is
-        checked by `_kahler` on every call.
+        one.  A sequence costs one lookup: if the memo holds its entry
+        (see `_entry`), the entry's class is checked, else the sequence
+        becomes a class of `Fraction`s.  The arity must be the Picard
+        rank.  With ``positive`` (a Kahler slot) the class returned is a
+        `KahlerClass`: a plain class passes `_require_positive` first.
         """
         if isinstance(values, CohomologyClass):
             cls = values
         else:
-            entry = self._remembered(values, what, positive)
-            if entry is not None:
-                return entry.cls
-            cls = CohomologyClass(values)
+            entry = self._memo.get(id(values))
+            cls = CohomologyClass(values) if entry is None else entry.cls
         if len(cls.coords) != self.picard_rank:
             raise ValueError(
                 f"{what} has {len(cls.coords)} coordinates but {self.describe()} "
                 f"has Picard rank {self.picard_rank}"
             )
         if positive and not isinstance(cls, KahlerClass):
-            cls = _kahler(cls, what)
+            _require_positive(cls, what)
+            cls = KahlerClass._trusted(cls.coords)
         return cls
 
-    def _remembered(self, values: ClassLike, what: str, positive: bool) -> _Entry | None:
-        """The memo entry of ``values`` if ``_memo`` holds one, else None.
+    def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
+        """The memo entry of a class argument, looked up once.
 
         ``_memo`` keeps the entries of the last `PAIRING_MEMO_SIZE`
-        arguments, keyed by the argument's id, and serves an entry only to
-        the very object it holds (``entry.arg is values``; while the entry
-        holds it, no other object can have its id).  A positive request on
-        a remembered plain class checks its sign once and stores the
-        `KahlerClass` in the entry.
-        """
-        entry = self._memo.get(id(values))
-        if entry is None or entry.arg is not values:
-            return None
-        if positive and not isinstance(entry.cls, KahlerClass):
-            entry.cls = _kahler(entry.cls, what)
-        return entry
-
-    def _entry(self, values: ClassLike, what: str, positive: bool = False) -> _Entry:
-        """The memo entry of a class argument: the remembered one (see
-        `_remembered`), or on a miss a new one of the class checked by
-        `_checked`, paired when it is made (see `_Entry`), so every entry
-        served holds its pairings.  A sequence is made a class before that
-        check, which then looks the memo up no second time.
+        arguments, keyed by the argument's id: an entry holds its
+        argument, so no other live object has that id while it is kept.
+        A hit is served as it is, its class checked for its sign in a
+        Kahler slot (``positive``).  A miss makes a new entry of the
+        class checked by `_checked`, paired when it is made (see
+        `_Entry`); a sequence is made a class before that check, which
+        then makes no lookup.
 
         It remembers only arguments that cannot change: a
         `CohomologyClass`, or a `tuple` whose coordinates are all exactly
         `Fraction`, `int` or `str`.  Any other argument, a list say, gets
         a fresh entry on every call.
         """
-        entry = self._remembered(values, what, positive)
+        entry = self._memo.get(id(values))
         if entry is not None:
+            if positive and not isinstance(entry.cls, KahlerClass):
+                _require_positive(entry.cls, what)
             return entry
         cls = values if isinstance(values, CohomologyClass) else CohomologyClass(values)
         entry = _Entry(values, self._checked(cls, what, positive), self._pairings)
         if isinstance(values, CohomologyClass) or (
-                type(values) is tuple and all(type(c) in _EXACT_TYPES for c in values)):
+                type(values) is tuple and all(type(c) in (Fraction, int, str) for c in values)):
             memo = self._memo
             memo[id(values)] = entry
             if len(memo) > PAIRING_MEMO_SIZE:
@@ -460,6 +445,8 @@ class ParabolicData(_Record):
 
 
 def _normalize_indices(rs: RootSystem, indices: Iterable[int], what: str) -> tuple[int, ...]:
+    if not isinstance(indices, Iterable):
+        raise ValueError(f"{what} is a collection of node indices, not a {type(indices).__name__}")
     name = f"{what} index"
     out = sorted({_integer(name, i) for i in indices})
     for i in out:

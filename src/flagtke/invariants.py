@@ -33,18 +33,19 @@ which divides both terms by their one gcd first.  A class coordinate is
 read from its slots too (see `flag`).
 
 Every class argument passes the one check `ParabolicData._checked`
-(arity = Picard rank; in a Kahler slot, strictly positive).  It serves a
-sequence the flag's memo remembers the class its entry holds, and checks
-a class object as it is, with no memo lookup.  `grlb_report`,
-`tke_exists` and `tke_solve_from_kahler` read only the checked
-coordinates, so they call it directly and make no memo entry.
+(arity = Picard rank; in a Kahler slot, strictly positive by the one
+sign rule `flag._require_positive`).  It checks a sequence the flag's
+memo remembers through the class its entry holds, and a class object as
+it is, with no memo lookup.  `grlb_report`, `tke_exists` and
+`tke_solve_from_kahler` read only the checked coordinates, so they call
+it directly and make no memo entry.
 The others read the radical pairings, and work on the entry
-`ParabolicData._entry` returns: the flag's memo entry of that argument,
-checked when it is made, which holds its common denominator and its
-pairings, and builds their product and reciprocal sums (see
-`flag._Entry`).  `volume_bound_report` calls `grlb_report` and
-`volume_class`, so a remembered tuple costs it two memo hits, a class
-object one.
+`ParabolicData._entry` finds or makes with one lookup: the flag's memo
+entry of that argument, whose class is fixed when it is made, which
+holds its common denominator and its pairings, and builds their product
+and reciprocal sums (see `flag._Entry`).  `volume_bound_report` calls
+`grlb_report` and `volume_class`, so a remembered tuple costs it two
+memo hits, a class object one.
 `volume_cross_check` never reads the kept volume or the entry's product
 of the pairings: it is the independent route, and multiplies the
 pairings out itself.

@@ -138,7 +138,7 @@ class LieType(_Record):
     __slots__ = ("series", "rank")
 
     def __init__(self, series: str, rank: int) -> None:
-        rule = _RANK_RULES.get(series)
+        rule = _RANK_RULES.get(series) if isinstance(series, str) else None
         if rule is None:
             raise ValueError(f"unknown series {series!r}: expected one of A, B, C, D, E, F, G")
         rank = _integer("rank", rank)
@@ -152,6 +152,9 @@ class LieType(_Record):
     @classmethod
     def parse(cls, token: str) -> "LieType":
         """Parse a compact token such as ``"D5"`` or ``"e7"``."""
+        if not isinstance(token, str):
+            raise ValueError("a type is a LieType or a token such as 'D5', "
+                             f"not a {type(token).__name__}")
         token = token.strip()
         if len(token) < 2:
             raise ValueError(f"malformed type token {token!r}: expected e.g. 'D5'")
@@ -367,7 +370,7 @@ class RootSystem(_Record):
 
 
 def _construct(lie_type: LieType | str) -> RootSystem:
-    return RootSystem(LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type)
+    return RootSystem(lie_type if isinstance(lie_type, LieType) else LieType.parse(lie_type))
 
 
 _cached = functools.lru_cache(maxsize=None)(_construct)
@@ -381,7 +384,7 @@ def build_root_system(lie_type: LieType | str) -> RootSystem:
     is reachable as on any ``lru_cache`` function: ``cache_info``,
     ``cache_clear``, and ``__wrapped__`` for an uncached build.
     """
-    return _cached(LieType.parse(lie_type) if isinstance(lie_type, str) else lie_type)
+    return _cached(lie_type if isinstance(lie_type, LieType) else LieType.parse(lie_type))
 
 
 build_root_system.cache_info = _cached.cache_info

@@ -542,6 +542,24 @@ def test_rank_limits_admit_the_largest_allowed_rank(capsys):
     assert doc["result"]["dim"] == 32
 
 
+@pytest.mark.parametrize("samples", ["101", "99999999999999999999"])
+def test_sweep_samples_above_the_limit_reject_before_any_root_system(capsys, monkeypatch,
+                                                                    samples):
+    # without the bound the second runs until it is killed
+    argv = ("sweep", "--max-rank", "1", "--samples", samples)
+    assert_usage_error_before_any_root_system(capsys, monkeypatch, argv)
+    assert run(capsys, *argv) == (EXIT_USAGE, "",
+                                  f"error: --samples {samples} is above the sweep limit 100\n")
+
+
+def test_sweep_samples_limit_is_accepted(capsys):
+    from flagtke.cli import MAX_SWEEP_SAMPLES
+
+    assert MAX_SWEEP_SAMPLES == 100
+    code, doc, _ = run_json(capsys, "sweep", "--max-rank", "1", "--samples", "100")
+    assert code == EXIT_OK and doc["result"]["samples"] == 100 and doc["result"]["ok"]
+
+
 @pytest.mark.parametrize("digits", [0, -5, MAX_DIGITS + 1])
 def test_digits_outside_the_range_reject_before_any_root_system(capsys, monkeypatch, digits):
     argv = ("grlb", "A2", "--theta", "2", "--xi", "7", f"--digits={digits}")

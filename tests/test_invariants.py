@@ -8,7 +8,7 @@ import pickle
 import subprocess
 import sys
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -608,9 +608,28 @@ def test_pairing_memo_shared_by_threads_on_a_product_tree_flag():
     assert_threads_match_a_fresh_flag("B8")
 
 
+def test_threads_store_each_entry_class_once(monkeypatch):
+    # entries made by plain and by Kahler requests, shared by threads: each
+    # entry's class is stored once, when the entry is made
+    stores = []
+
+    class RecordedEntry(flag._Entry):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if name == "cls":
+                stores.append(self)  # kept alive, so no two share an id
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(flag, "_Entry", RecordedEntry)
+    assert_threads_match_a_fresh_flag("B4")
+    assert stores and len({id(entry) for entry in stores}) == len(stores)
+
+
 def assert_threads_match_a_fresh_flag(lie_type):
     # more threads than cores share one flag's memo; a tiny switch interval
-    # interleaves fills, hits and evictions of the same entries
+    # interleaves fills, hits and evictions of the same entries, and every
+    # other request is plain first, so both kinds of entry are made
     p = parabolic(lie_type, theta=())
     rng = SplitMix64(77)
     classes = [draw_kahler(rng, p.picard_rank) for _ in range(PAIRING_MEMO_SIZE + 3)]
@@ -627,6 +646,8 @@ def assert_threads_match_a_fresh_flag(lie_type):
             for k in range(300):
                 i = (k * (offset + 1) + offset) % len(classes)
                 xi = classes[i]
+                if k % 2:
+                    p.radical_pairings(xi)
                 got = (scalar_curvature(p, xi), trace(p, xi, p.koszul), volume_class(p, xi))
                 if got != expected[i]:
                     wrong.append((offset, i))
@@ -947,11 +968,12 @@ def test_a_positive_request_after_a_plain_one_returns_a_kahler_class():
     plain = p._entry(t, "class").cls
     entry = p._memo[id(t)]
     assert type(plain) is CohomologyClass and entry.arg is t and entry.cls is plain
-    kahler = p._entry(t, "Kahler class", positive=True).cls
-    assert type(kahler) is KahlerClass and kahler.coords == plain.coords
-    assert entry.cls is kahler  # stored back: the sign is checked once
-    assert p._entry(t, "Kahler class", positive=True).cls is kahler
-    assert p._entry(t, "class").cls is kahler  # any-sign slots take it as is
+    for _ in range(2):  # each Kahler request checks the sign, and stores nothing
+        assert p._entry(t, "Kahler class", positive=True) is entry
+        kahler = p._checked(t, "Kahler class", positive=True)
+        assert type(kahler) is KahlerClass and kahler.coords == plain.coords
+        assert entry.cls is plain
+    assert p._entry(t, "class").cls is plain
     # a remembered class that is not positive fails every positive request
     neg = (Fraction(-1, 2), 3)
     assert type(p._entry(neg, "twist class").cls) is CohomologyClass
@@ -983,22 +1005,28 @@ def test_only_tuples_of_exact_coordinates_are_remembered():
     assert id(wrong) not in p._memo
 
 
-def test_checked_serves_a_remembered_tuple_and_checks_a_class_as_it_is(monkeypatch):
+def count_memo_lookups(monkeypatch):
+    """The keys of every memo lookup of each flag built after this call."""
     lookups = []
-    remembered = ParabolicData._remembered
 
-    def counted(self, values, what, positive):
-        lookups.append(values)
-        return remembered(self, values, what, positive)
+    class CountedMemo(OrderedDict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(ParabolicData, "_remembered", counted)
+    monkeypatch.setattr(flag, "OrderedDict", CountedMemo)
+    return lookups
+
+
+def test_checked_serves_a_remembered_tuple_and_checks_a_class_as_it_is(monkeypatch):
+    lookups = count_memo_lookups(monkeypatch)
     p = parabolic("A3", theta=(2,))
     t = (Fraction(1, 2), 3)
     entry = p._entry(t, "Kahler class", positive=True)
     lookups.clear()
     assert p._checked(t, "Kahler class", positive=True) is entry.cls
     assert p._checked(t, "class") is entry.cls
-    assert lookups == [t, t]
+    assert lookups == [id(t), id(t)]
     # a class object, remembered or not, is checked with no lookup
     plain, neg = CohomologyClass((1, 2)), CohomologyClass((-1, 2))
     for cls in (plain, neg):
@@ -1018,39 +1046,23 @@ def test_checked_serves_a_remembered_tuple_and_checks_a_class_as_it_is(monkeypat
 def test_a_memo_miss_makes_one_lookup(monkeypatch):
     # the miss path checks its argument with no second lookup: the first
     # volume_class of a new tuple, and every call with a list, look once
-    lookups = []
-    remembered = ParabolicData._remembered
-
-    def counted(self, values, what, positive):
-        lookups.append(values)
-        return remembered(self, values, what, positive)
-
-    monkeypatch.setattr(ParabolicData, "_remembered", counted)
+    lookups = count_memo_lookups(monkeypatch)
     p = parabolic("A3", theta=(2,))
     t = (Fraction(1, 2), 3)
     first = volume_class(p, t)
-    assert lookups == [t] and p._memo[id(t)].arg is t
+    assert lookups == [id(t)] and p._memo[id(t)].arg is t
     lookups.clear()
-    assert volume_class(p, t) == first and lookups == [t]
+    assert volume_class(p, t) == first and lookups == [id(t)]
     xs = [Fraction(1, 2), 3]
     for _ in range(3):
         lookups.clear()
-        assert volume_class(p, xs) == first and lookups == [xs]
+        assert volume_class(p, xs) == first and lookups == [id(xs)]
     assert id(xs) not in p._memo
     # a refused argument is looked up once too
     lookups.clear()
     with pytest.raises(ValueError, match="3 coordinates"):
         volume_class(p, (1, 2, 3))
     assert len(lookups) == 1
-
-
-def test_argument_memo_serves_only_the_tuple_it_holds():
-    # an entry under the id of another object is never served
-    p = parabolic("A2", theta=())
-    t = (1, 2)
-    p._memo[id(t)] = flag._Entry((5, 7), CohomologyClass((5, 7)), p._pairings)
-    assert p._entry(t, "class").cls.coords == (1, 2)
-    assert p._memo[id(t)].arg is t
 
 
 def test_a_tuple_at_a_freed_tuples_address_gives_its_own_answer():

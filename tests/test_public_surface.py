@@ -4,11 +4,17 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import flagtke
+from flagtke.flag import CohomologyClass, parabolic
+from flagtke.invariants import volume_class
+from flagtke.rootsys import LieType, build_root_system
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -48,6 +54,26 @@ def test_every_exported_name_resolves_and_appears_once():
     # product, so invariants reads no tree rule of flag's
     assert "form" not in flagtke.flag._Entry.__slots__
     assert not hasattr(flagtke.invariants, "flag")
+    # the memo is read in place, and a Kahler class has one sign rule
+    assert not hasattr(flagtke.flag.ParabolicData, "_remembered")
+    for name in ("_kahler", "_positive"):
+        assert not hasattr(flagtke.flag, name)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: volume_class(parabolic("A2"), None), "class coordinates come in order, not a NoneType"),
+    (lambda: CohomologyClass(5), "class coordinates come in order, not a int"),
+    (lambda: parabolic("A2", theta=5), "theta is a collection of node indices, not a int"),
+    (lambda: parabolic(None), "a type is a LieType or a token such as 'D5', not a NoneType"),
+    (lambda: build_root_system(None), "a type is a LieType or a token such as 'D5', not a NoneType"),
+    (lambda: LieType(["A"], 3), "unknown series ['A']: expected one of A, B, C, D, E, F, G"),
+], ids=("volume_class-None", "CohomologyClass-int", "parabolic-theta-int", "parabolic-None",
+        "build_root_system-None", "LieType-list"))
+def test_a_wrong_library_argument_raises_one_line_value_error(call, message):
+    # the README's Library section: a wrong argument raises ValueError
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert str(info.value) == message and "\n" not in message
 
 
 def test_readme_library_example_shows_the_values_it_computes():

@@ -2,6 +2,7 @@
 
 import hashlib
 import shlex
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -444,19 +445,20 @@ def test_roundtrip_fails_when_the_metric_differs(monkeypatch, break_metric):
 
 def test_a_default_sample_makes_six_memo_lookups(monkeypatch):
     # volume_class (a miss, then a hit for cross), volume_cross_check,
-    # scalar_curvature and trace's two classes: the drawn class and its
-    # solved twist are class objects, which _checked takes as they are
-    lookups = []
-    remembered = flagtke.flag.ParabolicData._remembered
+    # scalar_curvature and trace's two classes (the drawn class a hit, its
+    # solved twist a miss): both are class objects, which _checked takes
+    # as they are
+    hits = []
 
-    def counted(self, values, what, positive):
-        lookups.append(type(values).__name__)
-        return remembered(self, values, what, positive)
+    class CountedMemo(OrderedDict):
+        def get(self, key, default=None):
+            hits.append(key in self)
+            return super().get(key, default)
 
-    monkeypatch.setattr(flagtke.flag.ParabolicData, "_remembered", counted)
+    monkeypatch.setattr(flagtke.flag, "OrderedDict", CountedMemo)
+    sample = [False, True, True, True, True, False]
     res = run_sweep(SweepConfig(1, 1))  # one A1 sample
-    assert res.ok and res.samples == 1 and len(lookups) == 6
-    assert set(lookups) == {"KahlerClass", "CohomologyClass"}
-    lookups.clear()
+    assert res.ok and res.samples == 1 and hits == sample
+    hits.clear()
     res = run_sweep(SweepConfig(3, 2, 5))
-    assert res.ok and len(lookups) == 6 * res.samples
+    assert res.ok and hits == sample * res.samples
