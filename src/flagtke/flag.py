@@ -282,6 +282,8 @@ class ParabolicData(_Record):
                  "_is_radical", "_memo")
 
     def __init__(self, rs: RootSystem, theta: Iterable[int]) -> None:
+        if not isinstance(rs, RootSystem):
+            raise ValueError(f"a flag is built on a RootSystem, not a {type(rs).__name__}")
         theta = _normalize_indices(rs, theta, "theta")
         comp = tuple(i for i in range(1, rs.rank + 1) if i not in theta)
         if not comp:

@@ -36,7 +36,8 @@ Conventions, fixed once here and relied on everywhere else:
   `tuple` of `int`s; a coroot form pairs with a weight given in
   fundamental-weight coordinates.
 * The symmetrizer ``d`` makes ``d[j] * cartan[i][j]`` symmetric, i.e.
-  d[j] is proportional to half the squared length of alpha_j.  Every
+  d[j] is proportional to half the squared length of alpha_j, with
+  d[0] = 1; it is read off the highest root's coroot form.  Every
   pairing is a ratio, so any positive rescaling of d gives identical
   results (tested).
 """
@@ -217,23 +218,6 @@ def _cartan_matrix(t: LieType) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """Positive d with d[j]*a[i][j] symmetric, found by edge propagation."""
-    m = len(cartan)
-    d: list[Fraction | None] = [None] * m
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(m):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                stack.append(j)
-    if any(v is None or v <= 0 for v in d):
-        raise RuntimeError("Dynkin diagram is not connected; cannot symmetrize")
-    return tuple(v for v in d if v is not None)
-
-
 def _positive_roots(
     cartan: Sequence[Sequence[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -289,7 +273,8 @@ def _positive_roots(
 
 class RootSystem(_Record):
     """Immutable root-system data for one simple type, derived from the
-    type alone: its one field is ``lie_type``.  ``positive_roots`` holds
+    type alone: its one field is ``lie_type``, given as a `LieType` or a
+    token that `LieType.parse` reads.  ``positive_roots`` holds
     each positive root as its `int` tuple, sorted by (height, coefficients).
 
     ``coroot_forms`` and ``raising_steps`` run parallel to
@@ -312,20 +297,25 @@ class RootSystem(_Record):
     __slots__ = (*_fields, "cartan", "symmetrizer", "positive_roots", "coroot_forms",
                  "raising_steps", "_heights", "_two_rho")
 
-    def __init__(self, lie_type: LieType) -> None:
+    def __init__(self, lie_type: LieType | str) -> None:
+        if not isinstance(lie_type, LieType):
+            lie_type = LieType.parse(lie_type)
         cartan = _cartan_matrix(lie_type)
         positives, forms, steps = _positive_roots(cartan)
         # the highest root, last in (height, coefficients) order, must
         # dominate every positive root coefficientwise
         if tuple(map(max, zip(*positives))) != positives[-1]:
             raise RuntimeError(f"no dominating root in {lie_type}")
+        # theta^v = 2*theta/(theta, theta): form entry i is c_i*(alpha_i, alpha_i)/(theta, theta)
+        c, top_form = positives[-1], forms[-1]
+        symmetrizer = tuple(Fraction(f * c[0], ci * top_form[0]) for f, ci in zip(top_form, c))
         # 2*rho pairs to 2 with every simple coroot
         two_rho = tuple(map(sum, zip(*positives)))
         if any(sum(map(operator.mul, two_rho, column)) != 2 for column in zip(*cartan)):
             raise RuntimeError(f"2*rho of {lie_type} does not pair to 2 with every simple coroot")
         _setattr(self, "lie_type", lie_type)
         _setattr(self, "cartan", tuple(map(tuple, cartan)))
-        _setattr(self, "symmetrizer", _symmetrizer(cartan))
+        _setattr(self, "symmetrizer", symmetrizer)
         _setattr(self, "positive_roots", positives)
         _setattr(self, "coroot_forms", forms)
         _setattr(self, "raising_steps", steps)
@@ -369,11 +359,7 @@ class RootSystem(_Record):
         return self.positive_roots[-1]
 
 
-def _construct(lie_type: LieType | str) -> RootSystem:
-    return RootSystem(lie_type if isinstance(lie_type, LieType) else LieType.parse(lie_type))
-
-
-_cached = functools.lru_cache(maxsize=None)(_construct)
+_cached = functools.lru_cache(maxsize=None)(RootSystem)
 
 
 def build_root_system(lie_type: LieType | str) -> RootSystem:
@@ -389,4 +375,4 @@ def build_root_system(lie_type: LieType | str) -> RootSystem:
 
 build_root_system.cache_info = _cached.cache_info
 build_root_system.cache_clear = _cached.cache_clear
-build_root_system.__wrapped__ = _construct
+build_root_system.__wrapped__ = RootSystem

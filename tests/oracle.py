@@ -8,7 +8,11 @@ both inner products are taken in root coordinates through
 (alpha_i, alpha_j) = cartan[i][j] * d[j].  This module never reads the
 integer forms a root system stores, and it reaches them by another route
 (inner products, not reflections of coroots), so a test that compares
-those forms with it checks them instead of repeating them.
+those forms with it checks them instead of repeating them.  The stored
+symmetrizer is itself read off the highest root's coroot form; it stays
+independent of the forms because `test_symmetrizer_symmetrizes_and_spots`
+pins it by the Cartan matrix alone (positive, symmetrizing, d[0] = 1 has
+one solution on a connected diagram).
 """
 
 from __future__ import annotations

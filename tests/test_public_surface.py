@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import flagtke
-from flagtke.flag import CohomologyClass, parabolic
+from flagtke.flag import CohomologyClass, ParabolicData, parabolic
 from flagtke.invariants import volume_class
-from flagtke.rootsys import LieType, build_root_system
+from flagtke.rootsys import LieType, RootSystem, build_root_system
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -58,6 +58,11 @@ def test_every_exported_name_resolves_and_appears_once():
     assert not hasattr(flagtke.flag.ParabolicData, "_remembered")
     for name in ("_kahler", "_positive"):
         assert not hasattr(flagtke.flag, name)
+    # a root system reads its symmetrizer off the highest root and parses a
+    # type itself, so the cache wraps the constructor
+    for name in ("_symmetrizer", "_construct"):
+        assert not hasattr(flagtke.rootsys, name)
+    assert build_root_system.__wrapped__ is RootSystem
 
 
 @pytest.mark.parametrize("call, message", [
@@ -66,9 +71,13 @@ def test_every_exported_name_resolves_and_appears_once():
     (lambda: parabolic("A2", theta=5), "theta is a collection of node indices, not a int"),
     (lambda: parabolic(None), "a type is a LieType or a token such as 'D5', not a NoneType"),
     (lambda: build_root_system(None), "a type is a LieType or a token such as 'D5', not a NoneType"),
+    (lambda: RootSystem(None), "a type is a LieType or a token such as 'D5', not a NoneType"),
+    (lambda: ParabolicData(None, ()), "a flag is built on a RootSystem, not a NoneType"),
+    (lambda: ParabolicData("A2", ()), "a flag is built on a RootSystem, not a str"),
     (lambda: LieType(["A"], 3), "unknown series ['A']: expected one of A, B, C, D, E, F, G"),
 ], ids=("volume_class-None", "CohomologyClass-int", "parabolic-theta-int", "parabolic-None",
-        "build_root_system-None", "LieType-list"))
+        "build_root_system-None", "RootSystem-None", "ParabolicData-None", "ParabolicData-str",
+        "LieType-list"))
 def test_a_wrong_library_argument_raises_one_line_value_error(call, message):
     # the README's Library section: a wrong argument raises ValueError
     with pytest.raises(ValueError, match=re.escape(message)) as info:

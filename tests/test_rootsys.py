@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from flagtke import LieType, build_root_system, parabolic
+from flagtke import LieType, build_root_system, parabolic, rootsys
 from flagtke.catalog import catalog_rows, example_projectivized_tangent
 from flagtke.rootsys import types_of_rank
 from flagtke.sweep import SplitMix64
@@ -126,6 +126,10 @@ def test_every_spelling_of_a_type_shares_one_root_system():
     systems = [build_root_system(t) for t in ("A3", LieType("A", 3), " a3 ")]
     assert all(rs is systems[0] for rs in systems)
     assert build_root_system.cache_info().currsize == 1
+    # the constructor parses a token as well, but only build_root_system caches
+    built = rootsys.RootSystem(" a3 ")
+    assert built == systems[0] and built is not systems[0]
+    assert build_root_system.cache_info().currsize == 1
 
 
 def test_a2_positive_roots_explicit():
@@ -177,11 +181,14 @@ def test_cartan_entries_in_allowed_set():
 
 
 def test_symmetrizer_symmetrizes_and_spots():
-    for t in all_types(8):
+    # on a connected diagram "positive, symmetrizing, d[0] = 1" has one
+    # solution, so this pins the symmetrizer, which the oracle reads, by
+    # the Cartan matrix alone; the CLI's rank limit 32 included
+    for t in [*all_types(8), "A32", "B32", "C32", "D32"]:
         rs = build_root_system(t)
         a, d = rs.cartan, rs.symmetrizer
         m = rs.rank
-        assert all(x > 0 for x in d)
+        assert d[0] == 1 and all(x > 0 for x in d)
         for i in range(m):
             for j in range(m):
                 assert d[j] * a[i][j] == d[i] * a[j][i]
@@ -427,8 +434,6 @@ def test_weyl_vector_is_all_ones_and_half_sum_of_positives():
 def test_root_system_whose_two_rho_does_not_pair_to_two_raises(monkeypatch):
     # the 2*rho check runs once, when the root system is built: without
     # alpha_1, the sum pairs to 0 with the first simple coroot
-    from flagtke import rootsys
-
     closure = rootsys._positive_roots
 
     def first_dropped(cartan):
@@ -438,7 +443,7 @@ def test_root_system_whose_two_rho_does_not_pair_to_two_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "_positive_roots", first_dropped)
     for token in ("A2", "D5", "E8"):
         with pytest.raises(RuntimeError, match=f"2\\*rho of {token} does not pair to 2"):
-            rootsys.RootSystem(LieType.parse(token))
+            rootsys.RootSystem(token)
 
 
 MAX_ROOT_HEIGHTS = {
@@ -474,8 +479,6 @@ def test_maximal_root_dominates_every_positive_root():
 
 def test_root_system_whose_last_root_does_not_dominate_raises(monkeypatch):
     # the dominance check runs once, when the root system is built
-    from flagtke import rootsys
-
     closure = rootsys._positive_roots
 
     def last_two_swapped(cartan):
@@ -485,7 +488,7 @@ def test_root_system_whose_last_root_does_not_dominate_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "_positive_roots", last_two_swapped)
     for token in ("A2", "D5", "E8"):
         with pytest.raises(RuntimeError, match=f"no dominating root in {token}"):
-            rootsys.RootSystem(LieType.parse(token))
+            rootsys.RootSystem(token)
 
 
 def test_maximal_root_plus_simple_is_never_a_root():
