@@ -33,7 +33,7 @@ import enum
 from collections.abc import Iterator
 
 from .flag import ParabolicData, parabolic
-from .rootsys import LieType, _integer, _Record, _setattr
+from .rootsys import LieType, _integer, _Record
 
 __all__ = [
     "Family",
@@ -63,14 +63,10 @@ _RANGE_NOTE = "parameter range read as 3 <= p <= l-3"
 
 
 class Picard2Class(_Record):
-    """Classification data of one Picard-rank-two flag."""
+    """Classification data of one Picard-rank-two flag: the `int` pair
+    ``heights``, the `int` ``summands`` and the `Family` ``family``."""
 
     __slots__ = ("heights", "summands", "family")
-
-    def __init__(self, heights: tuple[int, int], summands: int, family: Family) -> None:
-        _setattr(self, "heights", heights)
-        _setattr(self, "summands", summands)
-        _setattr(self, "family", family)
 
 
 def classify_picard2(p: ParabolicData) -> Picard2Class:
@@ -98,29 +94,19 @@ def classify_picard2(p: ParabolicData) -> Picard2Class:
 
 
 class TableRow(_Record):
-    """A classification row with its recomputed values and verdicts."""
+    """A classification row with its recomputed values and verdicts.
+
+    ``family`` (a `Family` value), ``group`` and ``note`` are `str`s,
+    ``lie_type`` a `LieType`, ``params`` a tuple of (name, `int`) pairs,
+    ``summands`` an `int`; ``complement``, ``expected``, ``computed`` and
+    ``heights`` are `int` pairs, and ``match`` and ``family_consistent``
+    `bool`s.
+    """
 
     __slots__ = (
         "family", "group", "lie_type", "complement", "params", "expected", "computed",
         "match", "heights", "summands", "family_consistent", "note",
     )
-
-    def __init__(self, family: str, group: str, lie_type: LieType, complement: tuple[int, int],
-                 params: tuple[tuple[str, int], ...], expected: tuple[int, int],
-                 computed: tuple[int, int], match: bool, heights: tuple[int, int],
-                 summands: int, family_consistent: bool, note: str) -> None:
-        _setattr(self, "family", family)
-        _setattr(self, "group", group)
-        _setattr(self, "lie_type", lie_type)
-        _setattr(self, "complement", complement)
-        _setattr(self, "params", params)
-        _setattr(self, "expected", expected)
-        _setattr(self, "computed", computed)
-        _setattr(self, "match", match)
-        _setattr(self, "heights", heights)
-        _setattr(self, "summands", summands)
-        _setattr(self, "family_consistent", family_consistent)
-        _setattr(self, "note", note)
 
 
 def _row(

@@ -496,15 +496,11 @@ def degree(p: ParabolicData) -> int:
 
 
 class SnowCheck(_Record):
-    """Outcome of the degree upper bound against (dim+1)**dim."""
+    """Outcome of the degree upper bound against (dim+1)**dim: the `int`s
+    ``degree`` and ``bound``, and the `bool`s ``ok`` (degree <= bound)
+    and ``equality``."""
 
     __slots__ = ("degree", "bound", "ok", "equality")
-
-    def __init__(self, degree: int, bound: int, ok: bool, equality: bool) -> None:
-        _setattr(self, "degree", degree)
-        _setattr(self, "bound", bound)
-        _setattr(self, "ok", ok)
-        _setattr(self, "equality", equality)
 
 
 def snow_check(p: ParabolicData) -> SnowCheck:

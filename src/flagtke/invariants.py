@@ -63,7 +63,7 @@ import math
 from fractions import Fraction
 
 from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _lowest, _reduced, degree
-from .rootsys import _Record, _setattr
+from .rootsys import _Record
 
 __all__ = [
     "CohomologyClass",
@@ -86,62 +86,41 @@ __all__ = [
 class TkeResult(_Record):
     """Verdict of the twisted Einstein existence test.
 
-    ``margins`` maps each complement node to koszul minus the twist
-    coordinate there; existence is equivalent to all margins positive,
-    and then the metric class is exactly the margin vector.  A `dict`
+    ``margins`` maps each complement node (an `int`) to koszul minus the
+    twist coordinate there (a `Fraction`); ``exists``, a `bool`, is
+    equivalent to all margins positive, and then the ``metric`` class is
+    exactly the margin vector, a `KahlerClass` (else None).  A `dict`
     field, so the record compares but does not hash.
     """
 
     __slots__ = ("exists", "metric", "margins")
 
-    def __init__(self, exists: bool, metric: KahlerClass | None,
-                 margins: dict[int, Fraction]) -> None:
-        _setattr(self, "exists", exists)
-        _setattr(self, "metric", metric)
-        _setattr(self, "margins", margins)
-
 
 class TwistedSolution(_Record):
-    """Solved pair: Ricci of omega equals omega plus beta."""
+    """Solved pair: Ricci of omega equals omega plus beta, ``omega`` a
+    `KahlerClass` and ``beta`` a `CohomologyClass`."""
 
     __slots__ = ("omega", "beta")
 
-    def __init__(self, omega: KahlerClass, beta: CohomologyClass) -> None:
-        _setattr(self, "omega", omega)
-        _setattr(self, "beta", beta)
-
 
 class GrlbReport(_Record):
-    """Greatest Ricci lower bound plus the nodes attaining the minimum."""
+    """Greatest Ricci lower bound, the `Fraction` ``value``, plus
+    ``argmin``, the tuple of the `int` nodes attaining the minimum."""
 
     __slots__ = ("value", "argmin")
-
-    def __init__(self, value: Fraction, argmin: tuple[int, ...]) -> None:
-        _setattr(self, "value", value)
-        _setattr(self, "argmin", argmin)
 
 
 class VolumeBoundReport(_Record):
     """Both sides of r^n * Vol <= degree <= (n+1)^n, exactly evaluated,
-    with the grlb report and the volume they were built from."""
+    with the `GrlbReport` ``grlb`` and the `Fraction` ``volume`` they
+    were built from: the `Fraction` ``r_pow_vol``, the `int`s ``degree``
+    and ``snow`` = (n+1)^n, and a `bool` verdict per side, ``left_ok``,
+    ``right_ok``, ``left_equality`` and ``right_equality``."""
 
     __slots__ = (
         "grlb", "volume", "r_pow_vol", "degree", "snow",
         "left_ok", "right_ok", "left_equality", "right_equality",
     )
-
-    def __init__(self, grlb: GrlbReport, volume: Fraction, r_pow_vol: Fraction, degree: int,
-                 snow: int, left_ok: bool, right_ok: bool, left_equality: bool,
-                 right_equality: bool) -> None:
-        _setattr(self, "grlb", grlb)
-        _setattr(self, "volume", volume)
-        _setattr(self, "r_pow_vol", r_pow_vol)
-        _setattr(self, "degree", degree)
-        _setattr(self, "snow", snow)
-        _setattr(self, "left_ok", left_ok)
-        _setattr(self, "right_ok", right_ok)
-        _setattr(self, "left_equality", left_equality)
-        _setattr(self, "right_equality", right_equality)
 
 
 def tke_exists(p: ParabolicData, beta: ClassLike) -> TkeResult:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -65,15 +65,20 @@ class _Record:
     A record is the arguments that build it.  A subclass lists its fields,
     the parameters of its ``__init__`` in order, in ``__slots__``, or in
     ``_fields`` when further slots hold what ``__init__`` derives from
-    them; it stores each with ``_setattr``, and a subclass with
-    ``__slots__ = ()`` inherits its parent's fields.  The base then gives
-    what a frozen dataclass would, without generating code at import:
-    equality and hashing by the fields, against records of the very same
-    type only; the repr ``Name(field=value, ...)``, the constructor call;
-    `AttributeError` on assignment and deletion; and a ``__reduce__``
-    that rebuilds the record by calling its constructor on the fields,
-    for `pickle` and `copy`.  ``_fields`` is the field list, as on a
-    named tuple.
+    them, and a subclass with ``__slots__ = ()`` inherits its parent's
+    fields.  A subclass whose body sets a non-empty ``__slots__`` and
+    defines no ``__init__`` is a plain record: it gets an ``__init__``
+    that takes its fields in order, positionally or by keyword, and
+    stores each as given, generated once with `exec` when the class is
+    made, as `collections.namedtuple` makes its ``__new__``.  A record
+    that checks or derives writes its own ``__init__`` and stores each
+    field with ``_setattr``.  The base then gives what a frozen
+    dataclass would: equality and hashing by the fields, against
+    records of the very same type only; the repr
+    ``Name(field=value, ...)``, the constructor call; `AttributeError`
+    on assignment and deletion; and a ``__reduce__`` that rebuilds the
+    record by calling its constructor on the fields, for `pickle` and
+    `copy`.  ``_fields`` is the field list, as on a named tuple.
     """
 
     __slots__ = ()
@@ -81,10 +86,13 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if "_fields" not in vars(cls):
-            cls._fields = cls._fields + vars(cls).get("__slots__", ())
+        own = vars(cls)
+        if "_fields" not in own:
+            cls._fields = cls._fields + own.get("__slots__", ())
         if cls._fields:  # the field values, as one value or one tuple, read in C
             cls._key = staticmethod(operator.attrgetter(*cls._fields))
+        if own.get("__slots__") and "__init__" not in own:
+            cls.__init__ = _plain_init(cls)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -106,6 +114,20 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+def _plain_init(cls: type[_Record]) -> Callable[..., None]:
+    """The ``__init__`` of the plain record ``cls``: one argument per
+    field, each stored by the ``__set__`` of its slot's descriptor,
+    which goes past the refusing ``__setattr__``."""
+    names = cls._fields
+    namespace = {f"_set{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}
+    namespace |= {"__builtins__": {}, "__name__": cls.__module__}
+    stores = "".join(f"\n    _set{i}(self, {n})" for i, n in enumerate(names))
+    exec(f"def __init__(self, {', '.join(names)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _integer(name: str, value: object) -> int:

@@ -153,30 +153,20 @@ class SweepConfig(_Record):
 
 
 class SweepFailure(_Record):
-    """One failed check: the flag, the check, what was found, and a
-    `flagtke` command line that reruns its input."""
+    """One failed check, four `str`s: the ``flag``, the ``check``, what
+    was found (``detail``), and a `flagtke` command line that reruns its
+    input (``reproducer``)."""
 
     __slots__ = ("flag", "check", "detail", "reproducer")
 
-    def __init__(self, flag: str, check: str, detail: str, reproducer: str) -> None:
-        _setattr(self, "flag", flag)
-        _setattr(self, "check", check)
-        _setattr(self, "detail", detail)
-        _setattr(self, "reproducer", reproducer)
-
 
 class SweepResult(_Record):
-    """Counts of one sweep and its failures; ``ok`` when there are none."""
+    """Counts of one sweep and its failures; ``ok`` when there are none.
+    ``config`` is the `SweepConfig` run, ``flags``, ``samples`` and
+    ``checks_run`` are `int`s, and ``failures`` a tuple of
+    `SweepFailure`s."""
 
     __slots__ = ("config", "flags", "samples", "checks_run", "failures")
-
-    def __init__(self, config: SweepConfig, flags: int, samples: int, checks_run: int,
-                 failures: tuple[SweepFailure, ...]) -> None:
-        _setattr(self, "config", config)
-        _setattr(self, "flags", flags)
-        _setattr(self, "samples", samples)
-        _setattr(self, "checks_run", checks_run)
-        _setattr(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -189,8 +179,9 @@ def enumerate_flags(max_rank: int) -> Iterator[ParabolicData]:
     Deterministic order: rank ascending, series alphabetical, then the
     Levi set as an ascending bitmask (bit k set means node k+1 in theta);
     the full set is skipped since it gives a point, not a flag variety.
+    ``max_rank`` must be an integer (`rootsys._integer`).
     """
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, _integer("max_rank", max_rank) + 1):
         for t in types_of_rank(rank):
             for mask in range((1 << rank) - 1):
                 theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)

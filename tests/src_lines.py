@@ -2,13 +2,14 @@
 
     python tests/src_lines.py [DIR]
 
-prints two figures for the ``.py`` files under ``DIR`` (default
-``src/flagtke``): the total number of lines, as ``wc -l`` counts them,
-and the number left once docstrings, comments and blank lines are
-removed.  A docstring is the leading string statement of a module, a
-class or a function, found with `ast`; a comment line or a blank line is
-one that holds no token but comments and line ends, found with
-`tokenize`.  Stdlib only; the file name keeps it out of pytest's
+prints two figures for each ``.py`` file under ``DIR`` (default
+``src/flagtke``), one row ``<lines> <code lines> <path>`` per file with
+its path relative to ``DIR``, and then the two totals: the number of
+lines, as ``wc -l`` counts them, and the number left once docstrings,
+comments and blank lines are removed.  A docstring is the leading
+string statement of a module, a class or a function, found with `ast`;
+a comment line or a blank line is one that holds no token but comments
+and line ends, found with `tokenize`.  Stdlib only; the file name keeps it out of pytest's
 collection.
 """
 
@@ -52,6 +53,7 @@ def main(argv: list[str]) -> int:
     total = code = 0
     for path in sorted(root.rglob("*.py")):
         t, c = count(path.read_text(encoding="utf-8"))
+        print(f"{t} {c} {path.relative_to(root).as_posix()}")
         total += t
         code += c
     print(f"{total} lines")

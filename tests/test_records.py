@@ -5,16 +5,20 @@ and hashes by its fields, against its own type only, has the repr of its
 constructor call, refuses assignment and deletion, is built positionally
 or by keyword, and survives pickle, copy and deepcopy.  The expected
 reprs are hard-coded: a frozen dataclass with the same fields prints
-the same.
+the same.  Every subclass of the base `_Record` in the package is one
+of the 15, so a new record type cannot skip the contract.
 """
 
 import copy
+import importlib
 import inspect
 import operator
 import pickle
+import pkgutil
 
 import pytest
 
+import flagtke
 from flagtke.catalog import Picard2Class, TableRow, catalog_rows, classify_picard2
 from flagtke.flag import (
     CohomologyClass,
@@ -35,7 +39,7 @@ from flagtke.invariants import (
     volume_bound_report,
     volume_class,
 )
-from flagtke.rootsys import LieType, RootSystem, build_root_system
+from flagtke.rootsys import LieType, RootSystem, _Record, build_root_system
 from flagtke.sweep import CHECKS, SweepConfig, SweepFailure, SweepResult, run_sweep
 
 
@@ -223,3 +227,35 @@ def test_record_contract(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_fields_are_the_constructor_arguments(cls):
     assert tuple(inspect.signature(cls).parameters) == cls._fields == RECORDS[cls][0]
+
+
+def test_every_record_type_is_in_the_contract():
+    for module in pkgutil.iter_modules(flagtke.__path__):
+        importlib.import_module(f"flagtke.{module.name}")
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    assert found == set(RECORDS)
+
+
+WITHOUT_DEFAULTS = [
+    cls for cls in RECORDS
+    if all(p.default is p.empty for p in inspect.signature(cls).parameters.values())
+]
+
+
+def test_only_the_sweep_config_has_defaults():
+    assert set(RECORDS) - set(WITHOUT_DEFAULTS) == {SweepConfig}
+
+
+@pytest.mark.parametrize("cls", WITHOUT_DEFAULTS, ids=lambda cls: cls.__name__)
+def test_a_record_takes_exactly_its_fields(cls):
+    names, make, _, _ = RECORDS[cls]
+    values = [getattr(make(), name) for name in names]
+    for args, kwargs in ((values[:-1], {}), ([*values, None], {}),
+                         ((), {**dict(zip(names, values)), "extra": None})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)

@@ -17,4 +17,6 @@ def test_the_counter_drops_docstrings_comments_and_blank_lines(tmp_path, capsys)
     (tmp_path / "sub" / "b.py").write_text('def g():\n    """Doc,\n    two lines."""\n',
                                            encoding="utf-8")
     assert main(["src_lines.py", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "8 lines\n3 without docstrings, comments and blank lines\n"
+    assert capsys.readouterr().out == (
+        "5 2 a.py\n3 1 sub/b.py\n8 lines\n3 without docstrings, comments and blank lines\n"
+    )

@@ -194,6 +194,12 @@ def test_enumerate_flags_deterministic_order():
     assert ranks == sorted(ranks)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "3"], ids=repr)
+def test_enumerate_flags_takes_an_integer_rank(bad):
+    with pytest.raises(ValueError, match=f"max_rank must be an integer, got {bad!r}"):
+        list(enumerate_flags(bad))
+
+
 # ---------------------------------------------------------------------------
 # sweep configuration
 
