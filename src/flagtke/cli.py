@@ -178,7 +178,7 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str]
           warnings: Sequence[str] = ()) -> None:
     """Write the envelope to --out, then print it (--json) or the text lines.
     The envelope is serialized only when one of the two asks for it."""
-    if args.json or args.out:
+    if args.json or args.out is not None:
         import json
 
         doc = {
@@ -188,7 +188,7 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str]
             "warnings": list(warnings),
         }
         payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload)
     try:

@@ -263,7 +263,9 @@ class ParabolicData(_Record):
     simple root is refused.  The rest is derived here, once per flag:
     the complement, the radical roots, delta_P and the koszul numbers,
     delta_P as 2*rho - 2*rho_L (`RootSystem._two_rho` less the sum of
-    the Levi roots, which are far fewer than the radical ones);
+    the Levi roots, which are far fewer than the radical ones), and the
+    koszul numbers as delta_P's fundamental-weight coordinates
+    <delta_P, alpha_i^v> on the complement (checked to be 0 on theta);
     and, in private slots, the integer pairings of delta_P with every
     radical coroot, their product and the product of the Weyl vector's
     pairings with the radical coroots (the two sides of the degree
@@ -306,33 +308,27 @@ class ParabolicData(_Record):
         delta = (tuple(map(operator.sub, rs._two_rho, map(sum, zip(*levi)))) if levi
                  else rs._two_rho)
 
-        # Anticanonical pairings: zero exactly on theta, strictly positive
-        # on the complement.  A cheap sanity net, so enforced on every
-        # flag rather than in tests only.
-        koszul: list[int] = []
-        for i, column in enumerate(zip(*rs.cartan), 1):
-            n = sum(map(operator.mul, delta, column))
+        # delta_P's fundamental-weight coordinates <delta_P, alpha_i^v>: zero
+        # exactly on theta, strictly positive on the complement.  A cheap
+        # sanity net, so enforced on every flag rather than in tests only.
+        weights = [sum(map(operator.mul, delta, column)) for column in zip(*rs.cartan)]
+        for i, n in enumerate(weights, 1):
             if i in theta:
-                if n != 0:
-                    raise RuntimeError(
-                        f"anticanonical pairing at Levi node {i} is {n}, expected 0"
-                    )
-            else:
-                if n <= 0:
-                    raise RuntimeError(
-                        f"anticanonical pairing at complement node {i} is {n}, expected > 0"
-                    )
-                koszul.append(n)
+                if n:
+                    raise RuntimeError(f"anticanonical pairing at Levi node {i} is {n}, expected 0")
+            elif n <= 0:
+                raise RuntimeError(
+                    f"anticanonical pairing at complement node {i} is {n}, expected > 0")
+        koszul = tuple(weights[i - 1] for i in comp)
 
-        koszul_t = tuple(koszul)
         comp_forms = (tuple(f[i - 1] for i in comp)
                       for f in compress(rs.coroot_forms, is_radical))
-        delta_pairings = tuple(sum(map(operator.mul, koszul_t, row)) for row in comp_forms)
+        delta_pairings = tuple(sum(map(operator.mul, koszul, row)) for row in comp_forms)
         delta_product = math.prod(delta_pairings)
         rho_product = math.prod(compress(rs._heights, is_radical))
         _setattr(self, "radical_roots", radical)
         _setattr(self, "delta_p", delta)
-        _setattr(self, "koszul", koszul_t)
+        _setattr(self, "koszul", koszul)
         _setattr(self, "_delta_pairings", delta_pairings)
         _setattr(self, "_delta_product", delta_product)
         _setattr(self, "_rho_product", rho_product)

@@ -261,16 +261,13 @@ def _positive_roots(
     cols = [[(j, row[i]) for j, row in enumerate(cartan) if row[i]] for i in range(m)]
     rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     simples = [tuple(int(k == i) for k in range(m)) for i in range(m)]
-    coroot: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simples, simples))
-    # root -> (parent root, 1-based node, step); a simple root raises the zero form
-    raised: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int, int]] = {
-        s: (None, i + 1, 1) for i, s in enumerate(simples)
-    }
+    # root -> (coroot form, parent root, 1-based node, step); a simple root raises the zero form
+    closure = {s: (s, None, i + 1, 1) for i, s in enumerate(simples)}
     frontier = simples
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for c in frontier:
-            v = coroot[c]
+            v = closure[c][0]
             for i in range(m):
                 p = sum(c[j] * a for j, a in cols[i])  # <c, coroot(alpha_i)>
                 if p >= 0:
@@ -278,19 +275,18 @@ def _positive_roots(
                 up = list(c)
                 up[i] -= p
                 t = tuple(up)
-                if t not in coroot:
+                if t not in closure:
                     step = -sum(v[j] * a for j, a in rows[i])  # -<alpha_i, coroot(c)>
                     w = list(v)
                     w[i] += step
-                    coroot[t] = tuple(w)
-                    raised[t] = (c, i + 1, step)
+                    closure[t] = (tuple(w), c, i + 1, step)
                     nxt.append(t)
         frontier = nxt
-    order = sorted(coroot, key=lambda c: (sum(c), c))
+    order = sorted(closure, key=lambda c: (sum(c), c))
     index = {c: k for k, c in enumerate(order, 1)}  # a simple root's parent None -> 0
-    steps = tuple((index.get(parent, 0), node, step)
-                  for parent, node, step in map(raised.get, order))
-    return tuple(order), tuple(coroot[c] for c in order), steps
+    records = list(map(closure.get, order))
+    steps = tuple((index.get(parent, 0), node, step) for _, parent, node, step in records)
+    return tuple(order), tuple(form for form, *_ in records), steps
 
 
 class RootSystem(_Record):

@@ -15,7 +15,7 @@ Reproducibility requirements shape two choices:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Mapping, Set
 from fractions import Fraction
 
 from .flag import KahlerClass, ParabolicData, _reduced, parabolic, snow_check
@@ -118,9 +118,10 @@ CHECKS = ("snow", "volbound", "cross", "cscK", "roundtrip")
 class SweepConfig(_Record):
     """What `run_sweep` runs: flags up to ``max_rank``, ``samples_per_flag``
     seeded classes on each, and which of `CHECKS` to apply.  The three
-    counts must be integers (a `bool` is not one) and ``checks`` a
-    sequence of distinct names, kept as a tuple; anything else raises
-    `ValueError` naming the field."""
+    counts must be integers (a `bool` is not one) and ``checks`` an
+    ordered sequence of distinct names (not a set, a mapping, a `str` or
+    bytes), kept as a tuple; anything else raises `ValueError` naming the
+    field."""
 
     __slots__ = ("max_rank", "samples_per_flag", "seed", "checks")
 
@@ -133,12 +134,11 @@ class SweepConfig(_Record):
         if samples_per_flag < 1:
             raise ValueError(f"samples_per_flag must be >= 1, got {samples_per_flag}")
         seed = _seed(seed)
-        if isinstance(checks, str):
-            raise ValueError(f"checks must be a sequence of names, not the string {checks!r}")
-        try:
-            checks = tuple(checks)
-        except TypeError:
-            raise ValueError(f"checks must be a sequence of names, got {checks!r}") from None
+        # a set's order, and so the sweep's, would follow the hash seed
+        if (isinstance(checks, (str, bytes, bytearray, memoryview, Set, Mapping))
+                or not isinstance(checks, Iterable)):
+            raise ValueError(f"checks must be a sequence of names, not a {type(checks).__name__}")
+        checks = tuple(checks)
         bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ValueError(f"unknown checks {bad}: available {list(CHECKS)}")

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from flagtke.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, MAX_DIGITS, main
+from flagtke.rootsys import RootSystem
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -421,10 +422,12 @@ def test_text_output_never_serializes_the_envelope(capsys, monkeypatch, tmp_path
 
 def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, "flag", "A3", "--theta", "1", "--out", str(target))
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for path in (str(target), ""):  # an empty path opens no file either
+        code, out, err = run(capsys, "flag", "A3", "--theta", "1", "--out", path)
+        assert code == EXIT_USAGE, path
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
     assert not target.exists()
 
 
@@ -434,6 +437,16 @@ def test_internal_verification_error_is_one_line_exit_one(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert err.startswith("error: volume routes disagree") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_a_failed_flag_sanity_net_is_one_line_exit_one(capsys, monkeypatch):
+    rs = RootSystem("A3")  # uncached, so the shared cache entry stays sound
+    object.__setattr__(rs, "_two_rho", (0, 0, 0))
+    monkeypatch.setattr("flagtke.flag.build_root_system", lambda lie_type: rs)
+    code, out, err = run(capsys, "flag", "A3", "--theta", "")
+    assert code == EXIT_VERIFY
+    assert err == "error: anticanonical pairing at complement node 1 is 0, expected > 0\n"
     assert out == ""
 
 

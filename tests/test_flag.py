@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import flagtke.flag
+import flagtke.rootsys
 import oracle
 from flagtke import (
     KahlerClass,
@@ -214,6 +215,36 @@ def test_koszul_positive_on_complement_for_all_small_flags():
             theta = tuple(i + 1 for i in range(rank) if mask >> i & 1)
             p = parabolic(token, theta=theta)
             assert all(k >= 2 for k in p.koszul), (token, theta)
+
+
+def corrupted_a3(**slots):
+    """An uncached A3 root system with the given private slots overwritten,
+    so the shared `build_root_system` entry stays sound."""
+    rs = flagtke.rootsys.RootSystem("A3")
+    for name, value in slots.items():
+        object.__setattr__(rs, name, value)
+    return rs
+
+
+def test_a_wrong_anticanonical_pairing_is_a_one_line_runtime_error():
+    # theta {1}: 2*rho - alpha_1 = (2, 4, 3) pairs to 0 with alpha_1^v; (3, 4, 3) pairs to 2
+    with pytest.raises(RuntimeError) as levi:
+        ParabolicData(corrupted_a3(_two_rho=(4, 4, 3)), (1,))
+    # the full flag: delta_P = 2*rho, here 0 on every node
+    with pytest.raises(RuntimeError) as complement:
+        ParabolicData(corrupted_a3(_two_rho=(0, 0, 0)), ())
+    assert str(levi.value) == "anticanonical pairing at Levi node 1 is 2, expected 0"
+    assert str(complement.value) == "anticanonical pairing at complement node 1 is 0, expected > 0"
+    assert parabolic("A3", theta=()).koszul == (2, 2, 2)
+
+
+def test_a_fractional_degree_is_a_one_line_runtime_error():
+    # 6! * (2*2*2*4*4*6) over 7^6 if every coroot height read 7, not 1*1*1*2*2*3
+    with pytest.raises(RuntimeError) as exc:
+        ParabolicData(corrupted_a3(_heights=(7,) * 6), ())
+    assert str(exc.value) == (f"anticanonical degree of A3/P(theta={{-}}, complement={{1,2,3}}) "
+                              f"is {Fraction(720 * 768, 7**6)}, not a positive integer")
+    assert degree(parabolic("A3", theta=())) == 720 * 768 // 12
 
 
 def test_dim_shrinks_as_theta_grows():

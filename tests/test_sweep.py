@@ -222,7 +222,9 @@ def test_sweep_config_validation():
                        ("max_rank", True), ("seed", False), ("samples_per_flag", "3")):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
             SweepConfig(**{field: bad})
-    for bad in ("snow", 5):
+    # a set or a mapping has no order of its own to keep
+    for bad in ("snow", 5, {"snow", "cross"}, frozenset({"snow"}), dict.fromkeys(["snow"]),
+                b"snow"):
         with pytest.raises(ValueError, match="checks must be a sequence of names"):
             SweepConfig(checks=bad)
     pair = ("snow", "cross")
