@@ -429,7 +429,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """Names a bad choice with its choices quoted, "(choose from 'I',
     'II')", as argparse did up to CPython 3.12.1, on every interpreter;
-    CPython 3.13.13 drops the quotes."""
+    CPython 3.13.13 drops the quotes.  And reads a token that starts with
+    "-" and a digit, or "-." and a digit, as a value, as argparse does
+    from CPython 3.14 on: before that only a plain negative number such
+    as -1 or -.5 was one, and ``--beta -1,2`` was refused as a missing
+    argument."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def _check_value(self, action: argparse.Action, value: object) -> None:
         if action.choices is not None and value not in action.choices:

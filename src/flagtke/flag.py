@@ -12,11 +12,13 @@ we compute, exactly:
 * the anticanonical degree, via the classical product formula over the
   radical roots, with integrality enforced rather than assumed.
 
-Construction is integer arithmetic throughout: the radical selector,
-the Weyl vector's pairings and every class's pairings come from the one
-pass over the root system's raising steps (`RootSystem._coroot_pairings`);
-delta_P is 2*rho - 2*rho_L, the root system's 2*rho (`RootSystem._two_rho`)
-less the sum of the few Levi roots, and pairs through the integer coroot
+Construction is integer arithmetic throughout: the radical selector and
+the Weyl vector's pairings come from the one pass over the root system's
+raising steps (`RootSystem._coroot_pairings`), and every class's
+pairings from the same loop over the flag's radical step table, which
+has no Levi step (see `ParabolicData._pairings`); delta_P is
+2*rho - 2*rho_L, the root system's 2*rho (`RootSystem._two_rho`) less
+the sum of the few Levi roots, and pairs through the integer coroot
 forms of `rootsys`; the degree is one exact big-integer division; and
 `fractions.Fraction` appears only in the classes of the public API.  A
 class takes exact coordinates only (`int`, `Fraction`, `str`) and keeps
@@ -52,7 +54,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from fractions import Fraction
 from itertools import compress
 
-from .rootsys import LieType, RootSystem, _integer, _Record, _setattr, build_root_system
+from .rootsys import LieType, RootSystem, _integer, _Record, _setattr, _step_pass, build_root_system
 
 __all__ = [
     "CohomologyClass",
@@ -274,14 +276,17 @@ class ParabolicData(_Record):
     volume and trace formulas of downstream modules read integers built
     once per flag instead of repeated root-system lookups and products.
 
-    One further slot, ``_memo`` (see `_entry`), starts empty on every
-    flag, a copy included.
+    Two further slots start empty on every flag, a copy or a pickle
+    included: ``_memo`` (see `_entry`), and ``_steps``, the radical step
+    table that the first class pairing builds (see `_step_table`) and
+    that is ``None`` until then, so that a flag whose classes are never
+    paired never builds it.
     """
 
     _fields = ("rs", "theta")
     __slots__ = (*_fields, "complement", "radical_roots", "delta_p", "koszul",
                  "_delta_pairings", "_delta_product", "_rho_product", "_degree",
-                 "_is_radical", "_memo")
+                 "_is_radical", "_steps", "_memo")
 
     def __init__(self, rs: RootSystem, theta: Iterable[int]) -> None:
         if not isinstance(rs, RootSystem):
@@ -333,6 +338,7 @@ class ParabolicData(_Record):
         _setattr(self, "_delta_product", delta_product)
         _setattr(self, "_rho_product", rho_product)
         _setattr(self, "_is_radical", is_radical)
+        _setattr(self, "_steps", None)
         _setattr(self, "_memo", OrderedDict())
 
         # Degree: dim! * prod <delta_P, coroot(g)> / <rho, coroot(g)>, as
@@ -429,12 +435,39 @@ class ParabolicData(_Record):
 
     def _pairings(self, nums: Sequence[int]) -> tuple[int, ...]:
         """The radical pairings of a class whose coordinates are ``nums``
-        over one denominator, over that denominator: the numerators on the
-        complement nodes, paired by `RootSystem._coroot_pairings`, and the
-        radical selector keeps the radical pairings.
+        over one denominator, over that denominator: one addition per
+        radical root along the flag's step table (see `_step_table`),
+        with ``[0, *nums]`` as the weight, so that position 0 stands for
+        every theta node, where a Picard class is 0.
         """
-        pairs = self.rs._coroot_pairings(self.complement, nums)
-        return tuple(compress(pairs, self._is_radical))
+        steps = self._steps
+        if steps is None:
+            steps = self._step_table()
+        return tuple(_step_pass(steps, [0, *nums]))
+
+    def _step_table(self) -> tuple[tuple[int, int, int], ...]:
+        """The radical step table, built from ``rs.raising_steps`` and
+        ``_is_radical`` and kept in ``_steps`` by one store: one
+        (parent, node, step) per radical root, in order, with the parent
+        renumbered among the radical roots (0 for a Levi parent or none)
+        and the node among the complement nodes (0 for a theta node).  A
+        Picard class pairs to 0 with every Levi coroot and is 0 on every
+        theta node, so no other step is needed.
+        """
+        position = [0] * (self.rs.rank + 1)
+        for k, node in enumerate(self.complement, 1):
+            position[node] = k
+        where = [0]  # where[k]: root k's 1-based radical position, 0 for a Levi root
+        steps = []
+        for (parent, node, step), radical in zip(self.rs.raising_steps, self._is_radical):
+            if radical:
+                steps.append((where[parent], position[node], step))
+                where.append(len(steps))
+            else:
+                where.append(0)
+        steps = tuple(steps)
+        _setattr(self, "_steps", steps)
+        return steps
 
     def describe(self) -> str:
         th = ",".join(str(i) for i in self.theta) or "-"

@@ -14,9 +14,12 @@ raising step: (parent, node, step), the parent stored as 1 + its index
 and a simple root's as 0.  Parents come first in the stored order, so
 the pairings <lam, coroot(g)> of one weight with every positive coroot
 are a single forward pass of additions over these steps,
-`RootSystem._coroot_pairings`.  `flag` pairs through that one pass
-alone: every class and the radical selector; the Weyl vector's pairings
-are the pass with 1 on every node, run once per type.  2*rho, the sum
+`RootSystem._coroot_pairings`.  `flag` finds a flag's radical selector
+with that pass, and the Weyl vector's pairings are the pass with 1 on
+every node, run once per type.  A class pairs through the same loop,
+`_step_pass`, over a flag's radical step table, the raising steps of
+its radical roots renumbered among themselves, so that its Levi steps,
+which all pair to 0, are never walked.  2*rho, the sum
 of the positive roots in root coordinates, is also kept once per type
 (`RootSystem._two_rho`): a flag's delta_P, the sum of its radical roots,
 is 2*rho - 2*rho_L, 2*rho less the sum of the few roots of its Levi
@@ -303,7 +306,8 @@ class RootSystem(_Record):
     one; ``parent`` 0 stands for the zero form of no root, the parent of
     a simple root) plus ``step`` at the 1-based ``node``.  The steps
     alone pair a weight with every positive coroot (`_coroot_pairings`);
-    `flag` finds a flag's radical roots and every class's pairings there.
+    `flag` finds a flag's radical roots there, and builds from them the
+    radical step table that every class pairs through.
     ``_heights``, also parallel, holds the Weyl vector's pairings
     <rho, coroot(g)>, the coroot heights: that pass with 1 on every node.
     ``_two_rho`` is 2*rho, the sum of the positive roots in simple-root
@@ -364,17 +368,27 @@ class RootSystem(_Record):
         lam = [0] * (self.rank + 1)
         for node, value in zip(nodes, values):
             lam[node] = value
-        pairs = [0]
-        append = pairs.append
-        for parent, node, step in self.raising_steps:
-            append(pairs[parent] + step * lam[node])
-        del pairs[0]
-        return pairs
+        return _step_pass(self.raising_steps, lam)
 
     def maximal_root(self) -> tuple[int, ...]:
         """The unique positive root dominating all others coefficientwise,
         checked to do so when the root system was built."""
         return self.positive_roots[-1]
+
+
+def _step_pass(steps: Iterable[tuple[int, int, int]], lam: Sequence[int]) -> list[int]:
+    """The pairings of a weight along a list of raising steps
+    ``(parent, node, step)``, in order: each is ``pairs[parent] + step *
+    lam[node]``, where ``pairs[0]`` is 0 and ``pairs[k]`` the k-th pairing
+    made.  The one loop behind every pairing pass, over a root system's
+    ``raising_steps`` (`RootSystem._coroot_pairings`) or a flag's radical
+    step table (`flag.ParabolicData._pairings`)."""
+    pairs = [0]
+    append = pairs.append
+    for parent, node, step in steps:
+        append(pairs[parent] + step * lam[node])
+    del pairs[0]
+    return pairs
 
 
 _cached = functools.lru_cache(maxsize=None)(RootSystem)

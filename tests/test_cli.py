@@ -88,6 +88,24 @@ def test_tke_negative_verdict_still_exits_zero(capsys):
     assert "metric omega: (none" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("tke", "A2", "--theta", "", "--beta", "-1,2"),
+    ("tke", "A2", "--complement", "1", "--beta", "-1/2"),
+    ("grlb", "A2", "--theta", "", "--xi", "-1,2"),
+    ("volume", "A2", "--theta", "", "--xi", "-.5,2"),
+], ids=lambda a: " ".join(a[-2:]))
+def test_a_class_value_may_start_with_a_minus_sign(capsys, argv):
+    # "-" and a digit, or "-." and a digit, starts a value, as on CPython
+    # 3.14: the token reads as it does joined by "="
+    *head, option, value = argv
+    assert run(capsys, *argv) == run(capsys, *head, f"{option}={value}")
+    code, out, err = run(capsys, *argv)
+    assert "expected one argument" not in err
+    assert code == (EXIT_OK if argv[0] == "tke" else EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out == "" and err.count("\n") == 1 and "strictly positive" in err
+
+
 def test_tke_rational_twist(capsys):
     code, doc, _ = run_json(
         capsys, "tke", "A3", "--complement", "2,3", "--beta", "5/2,1"

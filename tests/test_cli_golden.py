@@ -60,7 +60,7 @@ def test_golden_cli_outputs_are_byte_identical(validator):
 
 
 def test_extra_golden_cli_outputs_are_byte_identical(validator):
-    assert _replay(replay_extra, validator) == (257, [], [])
+    assert _replay(replay_extra, validator) == (260, [], [])
 
 
 # Prints "yes" on a CPython >= 3.10, then its full version string.

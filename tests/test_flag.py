@@ -18,6 +18,7 @@ from flagtke import (
     LieType,
     anticanonical_class,
     build_root_system,
+    catalog_rows,
     degree,
     parabolic,
     snow_check,
@@ -304,6 +305,61 @@ def test_raising_step_pairings_of_koszul_are_the_delta_pairings():
         assert p._pairings(p.koszul) == p._delta_pairings, p.describe()
         count += 1
     assert count == 2458
+
+
+def test_radical_step_table_pairs_as_the_full_pass_on_every_flag_of_rank_at_most_8():
+    # second route: the full pass over every raising step on the complement
+    # nodes, then the radical selector, against the pass over the flag's
+    # radical steps alone, for seeded classes of every sign pattern
+    count = 0
+    rng = SplitMix64(31415)
+    for t, theta in flags_up_to_rank(8):
+        p = parabolic(t, theta)
+        for cls in signed_classes(rng, p):
+            nums, den = p.radical_pairings(cls)
+            lifted = [c.numerator * (den // c.denominator) for c in cls]
+            full = p.rs._coroot_pairings(p.complement, lifted)
+            assert nums == tuple(compress(full, p._is_radical)), (p.describe(), cls)
+        count += 1
+    assert count == 2458
+
+
+def test_radical_step_table_is_built_on_the_first_pairing_only(monkeypatch):
+    # building a flag, its degree and its bound, and the catalog leave every
+    # flag without a table; the first class pairing builds it, one step per
+    # radical root, and later pairings reuse it
+    made = []
+    init = ParabolicData.__init__
+    monkeypatch.setattr(ParabolicData, "__init__",
+                        lambda self, *a: made.append(self) or init(self, *a))
+    for t, theta in flags_up_to_rank(4):
+        p = parabolic(t, theta)
+        degree(p)
+        snow_check(p)
+    assert len(catalog_rows(9)) == 221
+    assert len(made) == 109 + 221 and all(p._steps is None for p in made)
+    p = parabolic("D5", (2, 3))
+    p.radical_pairings((1, -2, 3))
+    table = p._steps
+    assert len(table) == p.dim
+    p.radical_pairings((4, 5, 0))
+    assert p._steps is table
+
+
+def test_radical_step_table_is_a_hidden_slot():
+    # out of the fields, the repr, equality and hashing; a pickle or a copy
+    # starts without it and pairs as the original
+    p, q = parabolic("B5", (2, 3)), parabolic("B5", (2, 3))
+    expected = p.radical_pairings((1, -2, 3))
+    assert p._steps is not None and q._steps is None
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert "_steps" not in p._fields and "_steps" not in repr(p)
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and clone._steps is None
+        assert clone.radical_pairings((1, -2, 3)) == expected
+        assert clone._steps == p._steps
+    with pytest.raises(AttributeError):
+        p._steps = None
 
 
 def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
