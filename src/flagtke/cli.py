@@ -6,10 +6,15 @@ Every command prints deterministic text, or a canonical JSON envelope
 writes that JSON envelope to a file.
 
 Layout: `_emit` is the only writer of the envelope, the --out file and
-the text.  The five flag commands (flag, tke, grlb, volume, report) are
-rows of one table; `_run_flag` parses the type, builds the parabolic and
-the flag input, and hands the flag to the row's body, which returns the
-result dict and its text lines, both built from the same exact values.
+the text.  It streams the envelope from the JSON encoder, chunk by chunk,
+to the --out file and then to stdout, so the document is never held
+whole as one string.  A command builds only the form it prints: it hands
+`_emit` its result dict and its text lines as two callables, and `_emit`
+calls the first only for --json or --out and the second only for text.
+The five flag commands (flag, tke, grlb, volume, report) are rows of one
+table; `_run_flag` parses the type, builds the parabolic and the flag
+input, and hands the flag to the row's body, which computes the exact
+values once and returns the two forms built from them.
 
 Serialization rules: rationals as "p/q" strings in lowest terms (plain
 "p" when integral), big integers as decimal strings, everything else
@@ -49,7 +54,7 @@ import functools
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .catalog import catalog_rows
@@ -174,28 +179,32 @@ def _check_text(ok: bool, equality: bool) -> str:
     return f"{'ok' if ok else 'VIOLATED'} ({'equality' if equality else 'strict'})"
 
 
-def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str],
-          warnings: Sequence[str] = ()) -> None:
+def _emit(args: argparse.Namespace, inputs: dict, result: Callable[[], dict],
+          lines: Callable[[], Iterable[str]], warnings: Sequence[str] = ()) -> None:
     """Write the envelope to --out, then print it (--json) or the text lines.
-    The envelope is serialized only when one of the two asks for it."""
+    Each form is built only when it is printed: ``result()`` only for the
+    envelope, ``lines()`` only for text.  The envelope is streamed, chunk
+    by chunk from the encoder, so it is never held whole as one string."""
     if args.json or args.out is not None:
         import json
 
         doc = {
             "command": args.command,
             "input": {**inputs, "units": args.units},
-            "result": result,
+            "result": result(),
             "warnings": list(warnings),
         }
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)  # json.dumps's bytes
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(encoder.iterencode(doc))
+                fh.write("\n")
     try:
         if args.json:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(encoder.iterencode(doc))
+            sys.stdout.write("\n")
         else:
-            for line in lines:
+            for line in lines():
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early, e.g. `| head -1`: not an error
@@ -205,7 +214,11 @@ def _emit(args: argparse.Namespace, inputs: dict, result: dict, lines: list[str]
 
 
 # ---------------------------------------------------------------------------
-# flag commands: each body maps (args, flag) to (result dict, text lines)
+# flag commands: each body maps (args, flag) to its two forms, the result
+# dict and the text lines, each built only when it is called
+
+_Forms = tuple[Callable[[], dict], Callable[[], list[str]]]
+
 
 def _run_flag(args: argparse.Namespace) -> int:
     p = parabolic(_lie_type(args.type), args.theta, complement=args.complement)
@@ -213,15 +226,19 @@ def _run_flag(args: argparse.Namespace) -> int:
     if args.class_option:
         inputs[args.class_option] = [str(c) for c in getattr(args, args.class_option)]
     result, lines = args.body(args, p)
-    theta, complement = (",".join(map(str, nodes)) for nodes in (p.theta, p.complement))
-    spec = [f"type: {p.lie_type}", f"theta: {theta or '(empty)'}", f"complement: {complement}"]
-    _emit(args, inputs, result, spec + lines)
+
+    def text() -> list[str]:
+        theta, complement = (",".join(map(str, nodes)) for nodes in (p.theta, p.complement))
+        return [f"type: {p.lie_type}", f"theta: {theta or '(empty)'}",
+                f"complement: {complement}", *lines()]
+
+    _emit(args, inputs, result, text)
     return EXIT_OK
 
 
-def _flag(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+def _flag(args: argparse.Namespace, p: ParabolicData) -> _Forms:
     snow = snow_check(p)
-    result = {
+    return lambda: {
         "dim": p.dim,
         "picard_rank": p.picard_rank,
         "koszul": list(p.koszul),
@@ -229,8 +246,7 @@ def _flag(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
         "snow_bound": str(snow.bound),
         "snow_ok": snow.ok,
         "snow_equality": snow.equality,
-    }
-    return result, [
+    }, lambda: [
         f"dim: {p.dim}",
         f"picard rank: {p.picard_rank}",
         f"koszul: {_vec_text(p.koszul, args.units)}",
@@ -240,16 +256,15 @@ def _flag(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
     ]
 
 
-def _tke(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+def _tke(args: argparse.Namespace, p: ParabolicData) -> _Forms:
     res = tke_exists(p, args.beta)
     metric = res.metric.coords if res.metric else None
-    result = {
+    return lambda: {
         "koszul": list(p.koszul),
         "exists": res.exists,
         "margins": {str(i): str(m) for i, m in res.margins.items()},
         "metric": [str(c) for c in metric] if metric else None,
-    }
-    return result, [
+    }, lambda: [
         f"thresholds (koszul): {_vec_text(p.koszul, args.units)}",
         f"twist beta: {_vec_text(args.beta, args.units)}",
         "margins: " + "; ".join(f"node {i}: {res.margins[i]}" for i in p.complement),
@@ -259,9 +274,9 @@ def _tke(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
     ]
 
 
-def _grlb(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+def _grlb(args: argparse.Namespace, p: ParabolicData) -> _Forms:
     rep = grlb_report(p, args.xi)
-    return {"value": str(rep.value), "argmin": list(rep.argmin)}, [
+    return lambda: {"value": str(rep.value), "argmin": list(rep.argmin)}, lambda: [
         f"xi: {_vec_text(args.xi, args.units)}",
         f"greatest Ricci lower bound: {_q_text(rep.value, args.digits)}",
         f"argmin nodes: {_vec_text(rep.argmin, '2pi')}",
@@ -272,22 +287,23 @@ def _volume_suffix(args: argparse.Namespace, p: ParabolicData) -> str:
     return f" * (2pi)^{p.dim}" if args.units == "raw" else ""
 
 
-def _volume(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+def _volume(args: argparse.Namespace, p: ParabolicData) -> _Forms:
     v = volume_class(p, args.xi)
     v2 = volume_cross_check(p, args.xi)
     if v != v2:
         raise RuntimeError(f"volume routes disagree on {p.describe()}: {v} vs {v2}")
-    return {"volume": str(v), "cross_check": str(v2), "dim": p.dim}, [
+    return lambda: {"volume": str(v), "cross_check": str(v2), "dim": p.dim}, lambda: [
         f"xi: {_vec_text(args.xi, args.units)}",
         f"volume: {_q_text(v, args.digits)}{_volume_suffix(args, p)}",
         "cross check: agrees (independent product formula)",
     ]
 
 
-def _report(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]]:
+def _report(args: argparse.Namespace, p: ParabolicData) -> _Forms:
     rep = volume_bound_report(p, args.xi)
     g = rep.grlb
-    result = {
+    digits = args.digits
+    return lambda: {
         "dim": p.dim,
         "koszul": list(p.koszul),
         "grlb": str(g.value),
@@ -300,9 +316,7 @@ def _report(args: argparse.Namespace, p: ParabolicData) -> tuple[dict, list[str]
         "left_equality": rep.left_equality,
         "right_ok": rep.right_ok,
         "right_equality": rep.right_equality,
-    }
-    digits = args.digits
-    return result, [
+    }, lambda: [
         f"dim: {p.dim}",
         f"koszul: {_vec_text(p.koszul, args.units)}",
         f"xi: {_vec_text(args.xi, args.units)}",
@@ -333,25 +347,28 @@ _CLASS_HELP = {"beta": "twist coordinates, e.g. 5/2,1", "xi": "positive class co
 def _cmd_roots(args: argparse.Namespace) -> int:
     rs = build_root_system(_lie_type(args.type))
     mu = rs.maximal_root()
-    heights = list(mu)
-    result = {
-        "rank": rs.rank,
-        "count": len(rs.positive_roots),
-        "cartan": [list(row) for row in rs.cartan],
-        "symmetrizer": [str(d) for d in rs.symmetrizer],
-        "maximal_root": list(mu),
-        "heights_in_max": heights,
-        "positive_roots": [list(g) for g in rs.positive_roots],
-    }
-    lines = [
-        f"type: {rs.lie_type}",
-        f"rank: {rs.rank}",
-        f"positive roots: {len(rs.positive_roots)}",
-        f"maximal root: {_root_text(mu)} (height {sum(mu)})",
-        f"heights in maximal root: {_vec_text(heights, '2pi')}",
-        "roots (simple-root coefficients, by height):",
-    ]
-    lines.extend(f"  {_root_text(g)}" for g in rs.positive_roots)
+
+    def result() -> dict:  # a tuple serializes as the array of its items
+        return {
+            "rank": rs.rank,
+            "count": len(rs.positive_roots),
+            "cartan": rs.cartan,
+            "symmetrizer": [str(d) for d in rs.symmetrizer],
+            "maximal_root": mu,
+            "heights_in_max": mu,
+            "positive_roots": rs.positive_roots,
+        }
+
+    def lines() -> Iterator[str]:
+        yield f"type: {rs.lie_type}"
+        yield f"rank: {rs.rank}"
+        yield f"positive roots: {len(rs.positive_roots)}"
+        yield f"maximal root: {_root_text(mu)} (height {sum(mu)})"
+        yield f"heights in maximal root: {_vec_text(mu, '2pi')}"
+        yield "roots (simple-root coefficients, by height):"
+        for g in rs.positive_roots:
+            yield f"  {_root_text(g)}"
+
     _emit(args, {"type": str(rs.lie_type)}, result, lines)
     return EXIT_OK
 
@@ -364,24 +381,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--samples {args.samples} is above the sweep limit {MAX_SWEEP_SAMPLES}")
     config = SweepConfig(args.max_rank, args.samples, args.seed, args.checks)
     res = run_sweep(config)
-    result = {
-        "flags": res.flags,
-        "samples": res.samples,
-        "checks_run": res.checks_run,
-        "ok": res.ok,
-        "failures": [_fields_of(f) for f in res.failures],
-    }
-    lines = [
-        f"sweep: max_rank={config.max_rank} samples={config.samples_per_flag}"
-        f" seed={config.seed} checks={','.join(config.checks)}",
-        f"flags: {res.flags}",
-        f"samples: {res.samples}",
-        f"checks run: {res.checks_run}",
-        f"failures: {len(res.failures)}",
-    ]
-    for f in res.failures:
-        lines.append(f"FAIL [{f.check}] {f.flag}: {f.detail}")
-        lines.append(f"  reproduce: {f.reproducer}")
+
+    def result() -> dict:
+        return {
+            "flags": res.flags,
+            "samples": res.samples,
+            "checks_run": res.checks_run,
+            "ok": res.ok,
+            "failures": [_fields_of(f) for f in res.failures],
+        }
+
+    def lines() -> Iterator[str]:
+        yield (f"sweep: max_rank={config.max_rank} samples={config.samples_per_flag}"
+               f" seed={config.seed} checks={','.join(config.checks)}")
+        yield f"flags: {res.flags}"
+        yield f"samples: {res.samples}"
+        yield f"checks run: {res.checks_run}"
+        yield f"failures: {len(res.failures)}"
+        for f in res.failures:
+            yield f"FAIL [{f.check}] {f.flag}: {f.detail}"
+            yield f"  reproduce: {f.reproducer}"
+
     _emit(args, _fields_of(config), result, lines)
     return EXIT_OK if res.ok else EXIT_VERIFY
 
@@ -397,28 +417,36 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if not rows:
         warnings.append(f"no rows within rank bound {args.max_rank} for family "
                         f"{args.family} (type III starts at rank 6)")
-    result = {
-        "count": len(rows),
-        "mismatches": mismatches,
-        "family_inconsistencies": inconsistent,
-        "rows": [  # every field, with the type as a token and params as an object
-            {k: v for k, v in _fields_of(r).items() if k != "lie_type"}
-            | {"type": str(r.lie_type), "params": dict(r.params)}
+
+    def result() -> dict:
+        return {
+            "count": len(rows),
+            "mismatches": mismatches,
+            "family_inconsistencies": inconsistent,
+            "rows": [  # every field, with the type as a token and params as an object
+                {k: v for k, v in _fields_of(r).items() if k != "lie_type"}
+                | {"type": str(r.lie_type), "params": dict(r.params)}
+                for r in rows
+            ],
+        }
+
+    def lines() -> Iterator[str]:
+        header = ("family", "type", "complement", "expected", "computed", "match",
+                  "summands", "heights", "group")
+        body = [
+            (r.family, str(r.lie_type), "{%s}" % ",".join(map(str, r.complement)),
+             str(r.expected), str(r.computed), "yes" if r.match else "NO", str(r.summands),
+             str(r.heights), r.group)
             for r in rows
-        ],
-    }
-    header = ("family", "type", "complement", "expected", "computed", "match",
-              "summands", "heights", "group")
-    body = [
-        (r.family, str(r.lie_type), "{%s}" % ",".join(map(str, r.complement)), str(r.expected),
-         str(r.computed), "yes" if r.match else "NO", str(r.summands), str(r.heights), r.group)
-        for r in rows
-    ]
-    widths = [max([len(h), *(len(row[k]) for row in body)]) for k, h in enumerate(header)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in (header, *body)]
-    lines.append(f"rows: {len(rows)}, mismatches: {mismatches}, "
-                 f"family inconsistencies: {inconsistent}")
-    lines.extend(f"note: {w}" for w in warnings)
+        ]
+        widths = [max([len(h), *(len(row[k]) for row in body)]) for k, h in enumerate(header)]
+        for row in (header, *body):
+            yield "  ".join(c.ljust(w) for c, w in zip(row, widths))
+        yield (f"rows: {len(rows)}, mismatches: {mismatches}, "
+               f"family inconsistencies: {inconsistent}")
+        for w in warnings:
+            yield f"note: {w}"
+
     _emit(args, {"family": args.family, "max_rank": args.max_rank}, result, lines, warnings)
     return EXIT_OK if mismatches == 0 and inconsistent == 0 else EXIT_VERIFY
 

@@ -328,6 +328,9 @@ _FAILING_CROSS = (
         (("sweep", "--max-rank", "2", "--samples", "1", "--checks", "cross"), EXIT_VERIFY),
         (("sweep", "--max-rank", "2", "--samples", "1", "--checks", "cross", "--json"),
          EXIT_VERIFY),
+        # 369 KB and 110 KB: more than a pipe holds, so the pipe breaks mid-document
+        (("roots", "D32", "--json"), EXIT_OK),
+        (("table", "--json"), EXIT_OK),
     ],
     ids=lambda a: " ".join(a) if isinstance(a, tuple) else None,
 )
@@ -421,7 +424,7 @@ def test_out_file_carries_json_even_in_text_mode(capsys, tmp_path):
     ("roots", "G2"),
 ])
 def test_text_output_never_serializes_the_envelope(capsys, monkeypatch, tmp_path, argv):
-    # the envelope is built only for --json or --out, so text needs no json.dumps
+    # the envelope is built only for --json or --out, so text needs no encoder
     target = tmp_path / "doc.json"
     code, text, _ = run(capsys, *argv, "--out", str(target))
     assert code == EXIT_OK
@@ -429,13 +432,72 @@ def test_text_output_never_serializes_the_envelope(capsys, monkeypatch, tmp_path
     assert target.read_bytes() == json_out.encode("utf-8")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called")
+        raise AssertionError("iterencode called")
 
-    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
     assert run(capsys, *argv)[:2] == (EXIT_OK, text)
-    with pytest.raises(AssertionError, match="json.dumps called"):
+    with pytest.raises(AssertionError, match="iterencode called"):
         main([*argv, "--json"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [("table",), ("roots", "D32")], ids=" ".join)
+def test_json_and_out_together_write_one_document_twice(capsys, tmp_path, argv):
+    target = tmp_path / "doc.json"
+    code, both, _ = run(capsys, *argv, "--json", "--out", str(target))
+    assert code == EXIT_OK
+    _, alone, _ = run(capsys, *argv, "--json")
+    assert len(alone) > 100_000  # a document of many encoder chunks
+    assert target.read_bytes() == both.encode("utf-8") == alone.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, renderer", [
+    (("roots", "G2", "--json"), "_root_text"),
+    (("report", "D4", "--complement", "1,3", "--xi", "2,3/2", "--json"), "_q_text"),
+    (("table",), "_fields_of"),  # builds the table's row dicts
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
+def test_a_command_builds_only_the_form_it_prints(capsys, monkeypatch, argv, renderer):
+    expected = run(capsys, *argv)[:2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{renderer} called")
+
+    monkeypatch.setattr(f"flagtke.cli.{renderer}", refuse)
+    assert run(capsys, *argv)[:2] == expected
+
+
+def test_a_large_envelope_is_streamed_not_held_whole(monkeypatch):
+    # roots D32 --json prints 369 KB.  Joined into one string first, the
+    # envelope held about 8 times that at its peak; streamed, with the
+    # root system's own tuples in the result, it holds a small fraction.
+    import io
+    import sys
+    import tracemalloc
+
+    class Sink(io.TextIOBase):
+        chars = 0
+
+        def write(self, text: str) -> int:
+            self.chars += len(text)
+            return len(text)
+
+    argv = ["roots", "D32", "--json"]
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(argv) == EXIT_OK  # warm: the root system, the parser, the json module
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sink.chars > 300_000
+    assert peak < sink.chars / 4, (peak, sink.chars)  # no whole copy of the document
 
 
 def test_out_into_missing_directory_is_a_usage_error(capsys, tmp_path):
