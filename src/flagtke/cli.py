@@ -8,7 +8,8 @@ writes that JSON envelope to a file.
 Layout: `_emit` is the only writer of the envelope, the --out file and
 the text.  It streams the envelope from the JSON encoder, chunk by chunk,
 to the --out file and then to stdout, so the document is never held
-whole as one string.  A command builds only the form it prints: it hands
+whole as one string; given both targets, it encodes once and keeps the
+chunks for stdout.  A command builds only the form it prints: it hands
 `_emit` its result dict and its text lines as two callables, and `_emit`
 calls the first only for --json or --out and the second only for text.
 The five flag commands (flag, tke, grlb, volume, report) are rows of one
@@ -184,7 +185,9 @@ def _emit(args: argparse.Namespace, inputs: dict, result: Callable[[], dict],
     """Write the envelope to --out, then print it (--json) or the text lines.
     Each form is built only when it is printed: ``result()`` only for the
     envelope, ``lines()`` only for text.  The envelope is streamed, chunk
-    by chunk from the encoder, so it is never held whole as one string."""
+    by chunk from the encoder, so it is never held whole as one string;
+    with --json and --out both, the chunks of its one encoding are kept
+    in a list, so that the file is complete before stdout is written."""
     if args.json or args.out is not None:
         import json
 
@@ -194,14 +197,16 @@ def _emit(args: argparse.Namespace, inputs: dict, result: Callable[[], dict],
             "result": result(),
             "warnings": list(warnings),
         }
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)  # json.dumps's bytes
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)  # json.dumps's bytes
         if args.out is not None:
+            if args.json:  # two targets, one encoding
+                chunks = list(chunks)
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(encoder.iterencode(doc))
+                fh.writelines(chunks)
                 fh.write("\n")
     try:
         if args.json:
-            sys.stdout.writelines(encoder.iterencode(doc))
+            sys.stdout.writelines(chunks)
             sys.stdout.write("\n")
         else:
             for line in lines():

@@ -12,11 +12,12 @@ we compute, exactly:
 * the anticanonical degree, via the classical product formula over the
   radical roots, with integrality enforced rather than assumed.
 
-Construction is integer arithmetic throughout: the radical selector and
-the Weyl vector's pairings come from the one pass over the root system's
-raising steps (`RootSystem._coroot_pairings`), and every class's
-pairings from the same loop over the flag's radical step table, which
-has no Levi step (see `ParabolicData._pairings`); delta_P is
+Construction is integer arithmetic throughout: the radical selector
+comes from one pass over the root system's raising steps
+(`rootsys._step_pass`), the Weyl vector's pairings are the root
+system's coroot heights (`RootSystem._heights`), and every class's
+pairings come from the same loop over the flag's radical step table,
+which has no Levi step (see `ParabolicData._pairings`); delta_P is
 2*rho - 2*rho_L, the root system's 2*rho (`RootSystem._two_rho`) less
 the sum of the few Levi roots, and pairs through the integer coroot
 forms of `rootsys`; the degree is one exact big-integer division; and
@@ -271,10 +272,9 @@ class ParabolicData(_Record):
     and, in private slots, the integer pairings of delta_P with every
     radical coroot, their product and the product of the Weyl vector's
     pairings with the radical coroots (the two sides of the degree
-    formula), the degree, and the radical selector, one bool per
-    positive root, ``True`` where it is radical.  They exist so that the
-    volume and trace formulas of downstream modules read integers built
-    once per flag instead of repeated root-system lookups and products.
+    formula) and the degree.  They exist so that the volume and trace
+    formulas of downstream modules read integers built once per flag
+    instead of repeated root-system lookups and products.
 
     Two further slots start empty on every flag, a copy or a pickle
     included: ``_memo`` (see `_entry`), and ``_steps``, the radical step
@@ -286,7 +286,7 @@ class ParabolicData(_Record):
     _fields = ("rs", "theta")
     __slots__ = (*_fields, "complement", "radical_roots", "delta_p", "koszul",
                  "_delta_pairings", "_delta_product", "_rho_product", "_degree",
-                 "_is_radical", "_steps", "_memo")
+                 "_steps", "_memo")
 
     def __init__(self, rs: RootSystem, theta: Iterable[int]) -> None:
         if not isinstance(rs, RootSystem):
@@ -305,7 +305,8 @@ class ParabolicData(_Record):
         # A root is radical iff its support meets the complement, iff its
         # coroot pairs positively with the sum of the complement's
         # fundamental weights (the pass's output is never negative).
-        is_radical = tuple(map(bool, rs._coroot_pairings(comp, [1] * len(comp))))
+        on_comp = [i in comp for i in range(rs.rank + 1)]  # that sum, by 1-based node
+        is_radical = tuple(map(bool, _step_pass(rs.raising_steps, on_comp)))
         radical = tuple(compress(rs.positive_roots, is_radical))
         # delta_P = 2*rho - 2*rho_L: the sum of the radical roots is 2*rho
         # less the sum of the Levi roots, the positive roots off the selector
@@ -337,7 +338,6 @@ class ParabolicData(_Record):
         _setattr(self, "_delta_pairings", delta_pairings)
         _setattr(self, "_delta_product", delta_product)
         _setattr(self, "_rho_product", rho_product)
-        _setattr(self, "_is_radical", is_radical)
         _setattr(self, "_steps", None)
         _setattr(self, "_memo", OrderedDict())
 
@@ -447,20 +447,22 @@ class ParabolicData(_Record):
 
     def _step_table(self) -> tuple[tuple[int, int, int], ...]:
         """The radical step table, built from ``rs.raising_steps`` and
-        ``_is_radical`` and kept in ``_steps`` by one store: one
-        (parent, node, step) per radical root, in order, with the parent
-        renumbered among the radical roots (0 for a Levi parent or none)
-        and the node among the complement nodes (0 for a theta node).  A
-        Picard class pairs to 0 with every Levi coroot and is 0 on every
-        theta node, so no other step is needed.
+        kept in ``_steps`` by one store: one (parent, node, step) per
+        radical root, in order, with the parent renumbered among the
+        radical roots (0 for a Levi parent or none) and the node among the
+        complement nodes (0 for a theta node).  A root is radical iff its
+        parent is or its raising node is a complement node, since its
+        support is its parent's plus that node.  A Picard class pairs to 0
+        with every Levi coroot and is 0 on every theta node, so no other
+        step is needed.
         """
         position = [0] * (self.rs.rank + 1)
         for k, node in enumerate(self.complement, 1):
             position[node] = k
         where = [0]  # where[k]: root k's 1-based radical position, 0 for a Levi root
         steps = []
-        for (parent, node, step), radical in zip(self.rs.raising_steps, self._is_radical):
-            if radical:
+        for parent, node, step in self.rs.raising_steps:
+            if where[parent] or position[node]:
                 steps.append((where[parent], position[node], step))
                 where.append(len(steps))
             else:
@@ -541,7 +543,7 @@ def snow_check(p: ParabolicData) -> SnowCheck:
     d = degree(p)
     n = p.dim
     bound = (n + 1) ** n
-    return SnowCheck(degree=d, bound=bound, ok=d <= bound, equality=d == bound)
+    return SnowCheck(d, bound, d <= bound, d == bound)  # by position: the cheaper call
 
 
 def anticanonical_class(p: ParabolicData) -> KahlerClass:

@@ -62,7 +62,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .flag import ClassLike, CohomologyClass, KahlerClass, ParabolicData, _lowest, _reduced, degree
+from .flag import (ClassLike, CohomologyClass, KahlerClass, ParabolicData, _lowest, _reduced,
+                   degree, snow_check)
 from .rootsys import _Record
 
 __all__ = [
@@ -230,6 +231,7 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     Both inequalities hold for every flag variety and every positive xi;
     the left one is an equality precisely when xi is proportional to the
     anticanonical class, the right one precisely for projective space.
+    The right side is `flag.snow_check`'s, read as it decides it.
     """
     n = p.dim
     g = grlb_report(p, xi)
@@ -240,17 +242,16 @@ def volume_bound_report(p: ParabolicData, xi: ClassLike) -> VolumeBoundReport:
     v, w = vol._numerator, vol._denominator
     g1, g2 = math.gcd(a_n, w), math.gcd(v, b_n)
     num, den = (a_n // g1) * (v // g2), (b_n // g2) * (w // g1)
-    d = degree(p)
-    left = num - d * den  # the sign of r^n * Vol - degree, den being positive
-    snow = (n + 1) ** n
+    right = snow_check(p)
+    left = num - right.degree * den  # the sign of r^n * Vol - degree, den being positive
     return VolumeBoundReport(
         grlb=g,
         volume=vol,
         r_pow_vol=_lowest(num, den),
-        degree=d,
-        snow=snow,
+        degree=right.degree,
+        snow=right.bound,
         left_ok=left <= 0,
-        right_ok=d <= snow,
+        right_ok=right.ok,
         left_equality=left == 0,
-        right_equality=d == snow,
+        right_equality=right.equality,
     )

@@ -13,17 +13,17 @@ its coroot form v to v + step * e_i, so it also keeps, per root, that
 raising step: (parent, node, step), the parent stored as 1 + its index
 and a simple root's as 0.  Parents come first in the stored order, so
 the pairings <lam, coroot(g)> of one weight with every positive coroot
-are a single forward pass of additions over these steps,
-`RootSystem._coroot_pairings`.  `flag` finds a flag's radical selector
-with that pass, and the Weyl vector's pairings are the pass with 1 on
-every node, run once per type.  A class pairs through the same loop,
-`_step_pass`, over a flag's radical step table, the raising steps of
-its radical roots renumbered among themselves, so that its Levi steps,
-which all pair to 0, are never walked.  2*rho, the sum
-of the positive roots in root coordinates, is also kept once per type
-(`RootSystem._two_rho`): a flag's delta_P, the sum of its radical roots,
-is 2*rho - 2*rho_L, 2*rho less the sum of the few roots of its Levi
-factor.
+are a single forward pass of additions over these steps, `_step_pass`.
+`flag` finds a flag's radical selector with that pass, and a class
+pairs through the same loop over a flag's radical step table, the
+raising steps of its radical roots renumbered among themselves, so that
+its Levi steps, which all pair to 0, are never walked.  The Weyl
+vector's pairings <rho, coroot(g)>, the coroot heights, need no pass:
+rho is 1 on every node, so each is the sum of a coroot form, kept once
+per type (`RootSystem._heights`).  2*rho, the sum of the positive roots
+in root coordinates, is also kept once per type (`RootSystem._two_rho`):
+a flag's delta_P, the sum of its radical roots, is 2*rho - 2*rho_L,
+2*rho less the sum of the few roots of its Levi factor.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -305,11 +305,11 @@ class RootSystem(_Record):
     that the form is the form of root number ``parent - 1`` (an earlier
     one; ``parent`` 0 stands for the zero form of no root, the parent of
     a simple root) plus ``step`` at the 1-based ``node``.  The steps
-    alone pair a weight with every positive coroot (`_coroot_pairings`);
+    alone pair a weight with every positive coroot (`_step_pass`);
     `flag` finds a flag's radical roots there, and builds from them the
     radical step table that every class pairs through.
     ``_heights``, also parallel, holds the Weyl vector's pairings
-    <rho, coroot(g)>, the coroot heights: that pass with 1 on every node.
+    <rho, coroot(g)>, the coroot heights: the sum of each coroot form.
     ``_two_rho`` is 2*rho, the sum of the positive roots in simple-root
     coordinates, checked to pair to 2 with every simple coroot; a flag
     takes its delta_P as 2*rho - 2*rho_L from it.
@@ -342,8 +342,7 @@ class RootSystem(_Record):
         _setattr(self, "coroot_forms", forms)
         _setattr(self, "raising_steps", steps)
         _setattr(self, "_two_rho", two_rho)
-        m = lie_type.rank
-        _setattr(self, "_heights", tuple(self._coroot_pairings(range(1, m + 1), [1] * m)))
+        _setattr(self, "_heights", tuple(map(sum, forms)))
 
     def __reduce__(self) -> tuple:
         """Pickle and copy as `build_root_system` of the type: the cached one."""
@@ -352,23 +351,6 @@ class RootSystem(_Record):
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    def _coroot_pairings(self, nodes: Iterable[int], values: Iterable[int]) -> list[int]:
-        """<lam, coroot(g)> for every positive root g, in order, where the
-        weight lam has the entries of ``values`` as its fundamental-weight
-        coordinates at the 1-based ``nodes`` and 0 elsewhere.
-
-        One forward pass of additions over ``raising_steps``, with no dot
-        product per root: starting from the zero form's pairing 0, every
-        positive coroot pairs as its parent coroot does plus the step
-        times lam at the raising node.  A coroot form has the support of
-        its root, so with ``values`` positive a coroot pairs to 0 exactly
-        when its root avoids ``nodes``.
-        """
-        lam = [0] * (self.rank + 1)
-        for node, value in zip(nodes, values):
-            lam[node] = value
-        return _step_pass(self.raising_steps, lam)
 
     def maximal_root(self) -> tuple[int, ...]:
         """The unique positive root dominating all others coefficientwise,
@@ -381,8 +363,8 @@ def _step_pass(steps: Iterable[tuple[int, int, int]], lam: Sequence[int]) -> lis
     ``(parent, node, step)``, in order: each is ``pairs[parent] + step *
     lam[node]``, where ``pairs[0]`` is 0 and ``pairs[k]`` the k-th pairing
     made.  The one loop behind every pairing pass, over a root system's
-    ``raising_steps`` (`RootSystem._coroot_pairings`) or a flag's radical
-    step table (`flag.ParabolicData._pairings`)."""
+    ``raising_steps``, with ``lam`` indexed by the 1-based node, or a
+    flag's radical step table (`flag.ParabolicData._pairings`)."""
     pairs = [0]
     append = pairs.append
     for parent, node, step in steps:

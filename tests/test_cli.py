@@ -451,6 +451,35 @@ def test_json_and_out_together_write_one_document_twice(capsys, tmp_path, argv):
     assert target.read_bytes() == both.encode("utf-8") == alone.encode("utf-8")
 
 
+def test_json_and_out_together_encode_the_envelope_once(monkeypatch, tmp_path):
+    # one encoding serves both targets, and the file is whole before the
+    # first chunk reaches stdout
+    import io
+    import sys
+
+    target = tmp_path / "doc.json"
+    calls = []
+    iterencode = json.JSONEncoder.iterencode
+    monkeypatch.setattr(json.JSONEncoder, "iterencode",
+                        lambda self, *a, **k: calls.append(a) or iterencode(self, *a, **k))
+
+    class Probe(io.StringIO):
+        file_at_first_write = None
+
+        def write(self, text: str) -> int:
+            if self.file_at_first_write is None:
+                self.file_at_first_write = target.read_text(encoding="utf-8")
+            return super().write(text)
+
+    stdout = Probe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["roots", "D32", "--json", "--out", str(target)]) == EXIT_OK
+    assert len(calls) == 1
+    out = stdout.getvalue()
+    assert len(out) > 300_000
+    assert stdout.file_at_first_write == target.read_text(encoding="utf-8") == out
+
+
 @pytest.mark.parametrize("argv, renderer", [
     (("roots", "G2", "--json"), "_root_text"),
     (("report", "D4", "--complement", "1,3", "--xi", "2,3/2", "--json"), "_q_text"),

@@ -309,17 +309,22 @@ def test_raising_step_pairings_of_koszul_are_the_delta_pairings():
 
 def test_radical_step_table_pairs_as_the_full_pass_on_every_flag_of_rank_at_most_8():
     # second route: the full pass over every raising step on the complement
-    # nodes, then the radical selector, against the pass over the flag's
+    # nodes, then the oracle's radical selector (a root is radical iff its
+    # support meets the complement), against the pass over the flag's
     # radical steps alone, for seeded classes of every sign pattern
     count = 0
     rng = SplitMix64(31415)
     for t, theta in flags_up_to_rank(8):
         p = parabolic(t, theta)
+        comp = set(p.complement)
+        selector = [bool(oracle.support(r) & comp) for r in p.rs.positive_roots]
         for cls in signed_classes(rng, p):
             nums, den = p.radical_pairings(cls)
-            lifted = [c.numerator * (den // c.denominator) for c in cls]
-            full = p.rs._coroot_pairings(p.complement, lifted)
-            assert nums == tuple(compress(full, p._is_radical)), (p.describe(), cls)
+            lam = [0] * (p.rs.rank + 1)
+            for node, c in zip(p.complement, cls):
+                lam[node] = c.numerator * (den // c.denominator)
+            full = flagtke.rootsys._step_pass(p.rs.raising_steps, lam)
+            assert nums == tuple(compress(full, selector)), (p.describe(), cls)
         count += 1
     assert count == 2458
 
@@ -363,17 +368,18 @@ def test_radical_step_table_is_a_hidden_slot():
 
 
 def test_radical_selector_and_rho_product_on_every_flag_of_rank_at_most_8():
-    # the selector, read off the kernel's pass with 1 on each complement
-    # node, against the supports of the oracle (a root is radical iff its
-    # support meets the complement), and the rho product, read off the
-    # pass with 1 on every node, against the sums of the coroot forms
+    # the radical roots, picked by the kernel's pass with 1 on each
+    # complement node, against the selector of the oracle's supports (a
+    # root is radical iff its support meets the complement), and the rho
+    # product, read off the coroot heights, against the sums of the
+    # coroot forms that selector picks
     count = 0
     for t, theta in flags_up_to_rank(8):
         p = parabolic(t, theta)
         comp = set(p.complement)
-        assert p._is_radical == tuple(bool(oracle.support(r) & comp)
-                                      for r in p.rs.positive_roots), p.describe()
-        forms = compress(p.rs.coroot_forms, p._is_radical)
+        selector = [bool(oracle.support(r) & comp) for r in p.rs.positive_roots]
+        assert tuple(compress(p.rs.positive_roots, selector)) == p.radical_roots, p.describe()
+        forms = compress(p.rs.coroot_forms, selector)
         assert p._rho_product == math.prod(sum(f) for f in forms), p.describe()
         count += 1
     assert count == 2458
@@ -412,27 +418,31 @@ def test_every_flag_of_rank_at_most_8_reproduces_the_atlas_reference():
 
 
 def test_radical_selector_is_a_hidden_field():
-    # _is_radical, one bool per positive root that picks the radical
-    # pairings out of a pass, is derived from (rs, theta): no field, out
-    # of the repr, and pickle and copy give equal flags that pair equally
+    # the radical selector, one bool per positive root that picks the
+    # radical pairings out of a pass, is derived from (rs, theta) and not
+    # kept: the pass with 1 on each complement node gives it here, and
+    # pickle and copy give equal flags that pair equally
+    def selector(q):
+        lam = [0] * (q.rs.rank + 1)
+        for node in q.complement:
+            lam[node] = 1
+        return tuple(map(bool, flagtke.rootsys._step_pass(q.rs.raising_steps, lam)))
+
     p, other = parabolic("C4", (2,)), parabolic("C4", (1,))
     n = len(p.rs.positive_roots)
-    assert len(p._is_radical) == n and sum(p._is_radical) == p.dim
-    assert tuple(compress(p.rs.positive_roots, p._is_radical)) == p.radical_roots
-    assert p._is_radical != other._is_radical
-    assert "_is_radical" not in p._fields and "_is_radical" not in repr(p)
+    is_radical = selector(p)
+    assert len(is_radical) == n and sum(is_radical) == p.dim
+    assert tuple(compress(p.rs.positive_roots, is_radical)) == p.radical_roots
+    assert is_radical != selector(other)
     expected = p.radical_pairings((1, 2, 3))
     for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
         assert clone == p and hash(clone) == hash(p) and repr(clone) == repr(p)
-        assert clone._is_radical == p._is_radical
         assert clone.radical_pairings((1, 2, 3)) == expected
-    with pytest.raises(AttributeError):
-        p._is_radical = None
 
 
 def test_copies_rebuild_every_derived_value_on_every_flag_of_rank_at_most_4():
     derived = ("complement", "radical_roots", "delta_p", "koszul", "_delta_pairings",
-               "_delta_product", "_rho_product", "_degree", "_is_radical")
+               "_delta_product", "_rho_product", "_degree")
     count = 0
     for t, theta in flags_up_to_rank(4):
         p = parabolic(t, theta)

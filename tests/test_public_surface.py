@@ -14,7 +14,7 @@ import pytest
 import flagtke
 from flagtke.flag import CohomologyClass, ParabolicData, parabolic
 from flagtke.invariants import volume_class
-from flagtke.rootsys import LieType, RootSystem, build_root_system
+from flagtke.rootsys import LieType, RootSystem, build_root_system, types_of_rank
 
 
 def test_every_exported_name_resolves_and_appears_once():
@@ -63,6 +63,19 @@ def test_every_exported_name_resolves_and_appears_once():
     for name in ("_symmetrizer", "_construct"):
         assert not hasattr(flagtke.rootsys, name)
     assert build_root_system.__wrapped__ is RootSystem
+
+
+def test_the_coroot_heights_and_the_radical_selector_have_one_home():
+    # the coroot heights are the sums of the coroot forms, with no pass
+    # wrapper beside them, and a flag keeps no radical selector: its step
+    # table finds the radical roots in its own walk
+    assert not hasattr(RootSystem, "_coroot_pairings")
+    assert "_is_radical" not in ParabolicData.__slots__
+    types = [t for rank in range(1, 33) for t in types_of_rank(rank)]
+    assert len(types) == 128
+    for t in types:
+        rs = build_root_system(t)
+        assert rs._heights == tuple(map(sum, rs.coroot_forms)), t
 
 
 @pytest.mark.parametrize("call, message", [

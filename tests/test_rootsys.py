@@ -351,7 +351,8 @@ def test_raising_steps_rebuild_every_coroot_form():
 
 
 def test_coroot_pairings_are_dot_products_with_the_coroot_forms():
-    # the one pass over the raising steps against sum_i lam_i * form[i],
+    # the one pass over the raising steps, `_step_pass` with the weight
+    # indexed by the 1-based node, against sum_i lam_i * form[i],
     # for unit weights, rho, a seeded signed weight on every node and one
     # on a seeded subset of the nodes (0 elsewhere)
     rng = SplitMix64(1931)
@@ -367,7 +368,7 @@ def test_coroot_pairings_are_dot_products_with_the_coroot_forms():
             lam = [0] * m
             for node, value in zip(on, values):
                 lam[node - 1] = value
-            got = rs._coroot_pairings(on, values)
+            got = rootsys._step_pass(rs.raising_steps, [0, *lam])
             assert all(type(v) is int for v in got), (t, on)
             assert got == [sum(map(operator.mul, lam, f)) for f in rs.coroot_forms], (t, on)
 
